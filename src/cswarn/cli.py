@@ -28,7 +28,6 @@ import io
 import os
 import sys
 from dataclasses import dataclass
-from datetime import timedelta
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -184,19 +183,25 @@ def load_config(path: str | None) -> EngineConfig:
 # Atomic output helpers
 # ---------------------------------------------------------------------------
 
-def _write_atomic_text(path, text: str) -> None:
+def _write_atomic(path, content: str | Callable[[Path], None]) -> None:
+    """Write ``path`` through a temp file and a rename.
+
+    ``content`` is either the text itself or a writer that fills the temp
+    path it is given. If writing fails the temp file is removed, so a
+    failed write leaves the directory as it was.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_atomic(path, writer: Callable[[Path], None]) -> None:
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        if isinstance(content, str):
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+        else:
+            content(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(value) -> str:
@@ -364,7 +369,7 @@ def _detections_per_frame(bt_path, cfg: EngineConfig) -> tuple[GridStack, list[l
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _, frames = _detections_per_frame(args.bt, cfg)
-    _write_atomic_text(args.out, objects_csv(frames))
+    _write_atomic(args.out, objects_csv(frames))
     return 0
 
 
@@ -372,38 +377,39 @@ def cmd_track(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _, frames = _detections_per_frame(args.bt, cfg)
     tracks = build_tracks(frames, cfg.max_gap_km, cfg.fit_window)
-    _write_atomic_text(args.out, tracks_csv(tracks, cfg.fit_window))
+    _write_atomic(args.out, tracks_csv(tracks, cfg.fit_window))
     return 0
 
 
 def _load_fuse_inputs(data_dir, cfg: EngineConfig):
-    """Discover stacks in a directory by their file names.
+    """Read the stacks in a directory that fuse recognises by file name.
 
     bt.gsf and rain.gsf are taken directly; every wind_<name>.gsf becomes
     a wind source; nrcs.gsf is inverted through the configured GMF into a
-    further wind source named "nrcs".
+    further wind source named "nrcs". Any other file is not read.
     """
     data_dir = Path(data_dir)
     bt = rain = None
     wind: dict[str, GridStack] = {}
     found = False
     for path in sorted(data_dir.glob("*.gsf")):
-        stack = read_gsf(path)
-        found = True
         if path.name == "bt.gsf":
-            bt = stack
+            bt = read_gsf(path)
         elif path.name == "rain.gsf":
-            rain = stack
+            rain = read_gsf(path)
         elif path.name.startswith("wind_"):
-            wind[path.stem[len("wind_"):]] = stack
+            wind[path.stem[len("wind_"):]] = read_gsf(path)
         elif path.name == "nrcs.gsf":
             gmf = get_gmf(cfg.gmf)
             wind["nrcs"] = GridStack(
                 [
                     retrieve_wind_grid(f, NRCS_DEFAULT_GEOMETRY, gmf, v_max=cfg.v_max)
-                    for f in stack
+                    for f in read_gsf(path)
                 ]
             )
+        else:
+            continue
+        found = True
     if not found:
         raise FileNotFoundError(f"no .gsf stacks found in {data_dir}")
     return bt, rain, wind
@@ -431,18 +437,10 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     start = min(s[0].time for s in stacks)
     end = max(s[-1].time for s in stacks)
     reports = engine.run(start, end, cfg.epoch_s)
-    _write_atomic_text(args.out, warnings_csv(reports))
-
+    _write_atomic(args.out, warnings_csv(reports))
     if args.rain_stats_out:
-        stats = []
-        epoch = start
-        while epoch <= end:
-            for region in engine.regions:
-                s = engine.rain_stats_at(epoch, region)
-                if s is not None:
-                    stats.append(s)
-            epoch += timedelta(seconds=cfg.epoch_s)
-        _write_atomic_text(args.rain_stats_out, rain_stats_csv(stats))
+        stats = [r.indicators.rain_stats for r in reports if r.indicators.rain_stats is not None]
+        _write_atomic(args.rain_stats_out, rain_stats_csv(stats))
     return 0
 
 
@@ -477,7 +475,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     mask = fm.FloodMask(grid=grid, flood_time=grid.time)
     regions = read_regions(args.regions)
     score = fm.validate(warnings, mask, regions, f_flood=cfg.f_flood)
-    _write_atomic_text(args.out, validation_csv(score, regions))
+    _write_atomic(args.out, validation_csv(score, regions))
     pod = "undefined" if score.pod is None else repr(score.pod)
     far = "undefined" if score.far is None else repr(score.far)
     print(

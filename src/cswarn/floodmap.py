@@ -113,11 +113,11 @@ def flooded_regions(
     """Region name -> whether its flooded-cell fraction reaches ``f_flood``."""
     out: dict[str, bool] = {}
     for region in regions:
-        rows, cols = region_indices(mask.grid.geometry, region)
-        if rows.size == 0 or cols.size == 0:
+        window = region_indices(mask.grid.geometry, region)
+        if window is None:
             out[region.name] = False
             continue
-        block = mask.grid.values[np.ix_(rows, cols)]
+        block = mask.grid.values[window]
         out[region.name] = float((block == 1.0).sum()) / block.size >= f_flood
     return out
 

@@ -26,8 +26,6 @@ from datetime import datetime, timedelta
 from enum import IntEnum
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .convection import CSObject
 from .geogrid import GridGeometry, GridStack, RegionBox, region_indices
 from .precip import EmptyWindowError, RainStats, region_rain_stats
@@ -66,6 +64,7 @@ class RegionIndicators:
     rain_persistence_h: float
     approach_s: int | None
     source_count: Mapping[str, int]
+    rain_stats: RainStats | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.deep_cloud_fraction <= 1.0:
@@ -154,28 +153,27 @@ def _cloud_stats(
     window_start: datetime,
     epoch: datetime,
 ) -> tuple[float, float | None, int]:
-    """(max cover fraction, min BT of touching objects, frames seen)."""
+    """(max cover fraction, min BT of touching objects, frames covering the region)."""
     best_fraction = 0.0
     min_bt: float | None = None
     frames_seen = 0
     for frame in detections:
         if not window_start < frame.time <= epoch:
             continue
-        frames_seen += 1
-        rows, cols = region_indices(frame.geometry, region)
-        if rows.size == 0 or cols.size == 0:
+        window = region_indices(frame.geometry, region)
+        if window is None:
             continue
+        frames_seen += 1
         # Region cells form a contiguous index block, so membership is a
         # bounds check per pixel.
-        r0, r1 = int(rows.min()), int(rows.max())
-        c0, c1 = int(cols.min()), int(cols.max())
-        n_cells = rows.size * cols.size
+        rows, cols = window
+        n_cells = (rows.stop - rows.start) * (cols.stop - cols.start)
         inside = 0
         for obj in frame.objects:
             hits = int(
                 (
-                    (obj.rows >= r0) & (obj.rows <= r1)
-                    & (obj.cols >= c0) & (obj.cols <= c1)
+                    (obj.rows >= rows.start) & (obj.rows < rows.stop)
+                    & (obj.cols >= cols.start) & (obj.cols < cols.stop)
                 ).sum()
             )
             if hits:
@@ -223,19 +221,11 @@ def build_indicators(
         region_max_category(wind_cat_stacks, bbox, window_start, epoch)
         for bbox in approaching_bboxes
     ]
-    wind_cat = max((s.category for s in samples), default=WindCategory.NONE)
-    wind_seen = any(not s.no_observation for s in samples)
+    wind_cat = max(s.category for s in samples)
 
     source_count = {
         "bt": 1 if bt_frames else 0,
-        "wind": sum(
-            1
-            for stack in wind_cat_stacks
-            if any(
-                (f.values[np.ix_(*region_indices(stack.geometry, region))] != f.nodata).any()
-                for f in stack.between(window_start, epoch)
-            )
-        ),
+        "wind": samples[0].sources,
         "rain": 1 if rain_stats is not None and rain_stats.missing_fraction < 1.0 else 0,
     }
 
@@ -245,11 +235,12 @@ def build_indicators(
         deep_cloud_fraction=fraction,
         min_bt_K=min_bt,
         wind_cat=wind_cat,
-        wind_no_observation=not wind_seen,
+        wind_no_observation=all(s.sources == 0 for s in samples),
         max_rain_mmh=rain_stats.max_rate_mmh if rain_stats else 0.0,
         rain_persistence_h=rain_stats.persistence_h if rain_stats else 0.0,
         approach_s=approach,
         source_count=source_count,
+        rain_stats=rain_stats,
     )
 
 
@@ -340,16 +331,3 @@ class FusionEngine:
             epoch += timedelta(seconds=epoch_s)
         return reports
 
-
-def run_epoch(
-    regions: Sequence[RegionBox],
-    epoch: datetime,
-    bt: GridStack | None = None,
-    rain: GridStack | None = None,
-    wind_speed: Mapping[str, GridStack] | None = None,
-    rules: RuleSet | None = None,
-    **engine_kwargs,
-) -> list[WarningReport]:
-    """One-shot convenience wrapper around FusionEngine for a single epoch."""
-    engine = FusionEngine(regions, bt, rain, wind_speed, rules=rules, **engine_kwargs)
-    return engine.run_epoch(epoch)

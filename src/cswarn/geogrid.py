@@ -15,7 +15,7 @@ Conventions used throughout the engine:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterator, Sequence
@@ -59,10 +59,6 @@ class GsfError(ValueError):
     """Malformed GSF content (parse, ordering, or payload errors)."""
 
 
-class EmptySubsetError(ValueError):
-    """A region box selects no cell centers of a grid."""
-
-
 def parse_time(text: str) -> datetime:
     """Parse an ISO-8601 UTC timestamp like ``2020-10-05T22:40:00Z``."""
     t = text.strip()
@@ -91,11 +87,6 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dlmb = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dlmb / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
-
-
-def local_offset_km(lat_ref: float, dlat: float, dlon: float) -> tuple[float, float]:
-    """Flat-earth (north_km, east_km) for a small (dlat, dlon) step at ``lat_ref``."""
-    return dlat * KM_PER_DEG, dlon * KM_PER_DEG * math.cos(math.radians(lat_ref))
 
 
 @dataclass(frozen=True)
@@ -175,15 +166,6 @@ class RegionBox:
             self.lat_max + dlat,
             self.lon_min + dlon,
             self.lon_max + dlon,
-        )
-
-    def expanded(self, margin_deg: float) -> "RegionBox":
-        return RegionBox(
-            self.name,
-            self.lat_min - margin_deg,
-            self.lat_max + margin_deg,
-            self.lon_min - margin_deg,
-            self.lon_max + margin_deg,
         )
 
 
@@ -266,10 +248,6 @@ class GeoGrid:
 
     def lons(self) -> np.ndarray:
         return self.geometry.lons()
-
-    def extent_box(self, name: str = "extent") -> RegionBox:
-        """Box spanning all cell centers (subset by it is the identity)."""
-        return RegionBox(name, self.lat_min, self.lat_max, self.lon_min, self.lon_max)
 
     # -- values ------------------------------------------------------------
 
@@ -495,87 +473,24 @@ def read_gsf(path) -> GridStack:
 
 
 # ---------------------------------------------------------------------------
-# Subsetting and collocation
+# Region windows
 # ---------------------------------------------------------------------------
 
-def subset(grid: GeoGrid, box: RegionBox) -> GeoGrid:
-    """Cells whose centers lie inside ``box`` (closed bounds).
+def region_indices(geometry: GridGeometry, box: RegionBox) -> tuple[slice, slice] | None:
+    """The (row slice, col slice) block of cells whose centers lie in ``box``.
 
-    Raises EmptySubsetError when the box selects nothing.
-    """
-    lats = grid.lats()
-    lons = grid.lons()
-    rows = np.nonzero((lats >= box.lat_min) & (lats <= box.lat_max))[0]
-    cols = np.nonzero((lons >= box.lon_min) & (lons <= box.lon_max))[0]
-    if rows.size == 0 or cols.size == 0:
-        raise EmptySubsetError(f"region {box.name!r} contains no cell centers of the grid")
-    r0, r1 = rows.min(), rows.max()
-    c0, c1 = cols.min(), cols.max()
-    return GeoGrid(
-        variable=grid.variable, units=grid.units, time=grid.time,
-        lat_min=grid.cell_lat(r1), lon_min=grid.cell_lon(c0),
-        dlat=grid.dlat, dlon=grid.dlon,
-        nrows=int(r1 - r0 + 1), ncols=int(c1 - c0 + 1),
-        values=grid.values[r0:r1 + 1, c0:c1 + 1],
-        nodata=grid.nodata,
-    )
-
-
-def region_indices(geometry: GridGeometry, box: RegionBox) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of cells whose centers fall in ``box``.
-
-    Either array may be empty; callers treat that as no coverage.
+    Bounds are closed. Cell-center latitudes and longitudes are monotone,
+    so the selected cells always form one contiguous block and
+    ``values[rows, cols]`` is a view. Returns None when the box holds no
+    cell center, i.e. the region is not observed on this grid.
     """
     lats = geometry.lats()
     lons = geometry.lons()
-    rows = np.nonzero((lats >= box.lat_min) & (lats <= box.lat_max))[0]
-    cols = np.nonzero((lons >= box.lon_min) & (lons <= box.lon_max))[0]
-    return rows, cols
-
-
-def _nearest_index(targets: np.ndarray, origin: float, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest index along one axis for each target coordinate.
-
-    Ties (target exactly midway) go to the lower index. Returns (index,
-    absolute offset in degrees).
-    """
-    x = (targets - origin) / step
-    lo = np.clip(np.floor(x).astype(np.int64), 0, n - 1)
-    hi = np.clip(lo + 1, 0, n - 1)
-    d_lo = np.abs(targets - (origin + lo * step))
-    d_hi = np.abs(targets - (origin + hi * step))
-    take_hi = d_hi < d_lo
-    idx = np.where(take_hi, hi, lo)
-    return idx, np.where(take_hi, d_hi, d_lo)
-
-
-def resample_nn(src: GeoGrid, target: GridGeometry | GeoGrid) -> GeoGrid:
-    """Nearest-neighbor collocation of ``src`` onto ``target``'s geometry.
-
-    Each target cell takes the value of the source cell with the nearest
-    center (Euclidean in degrees; ties go south then west). Target cells
-    farther than ``max(dlat_src, dlon_src)`` from every source center
-    become nodata.
-    """
-    geom = target.geometry if isinstance(target, GeoGrid) else target
-    tlats = geom.lats()
-    tlons = geom.lons()
-    # Regular axis-aligned grid: the jointly nearest center is the per-axis
-    # nearest center.
-    rows_src, dlat_off = _nearest_index(tlats, src.lat_min, src.dlat,  src.nrows)
-    cols_src, dlon_off = _nearest_index(tlons, src.lon_min, src.dlon, src.ncols)
-    rows_src = (src.nrows - 1) - rows_src  # lat index -> row (row 0 = north)
-
-    out = src.values[rows_src[:, None], cols_src[None, :]].copy()
-    cutoff = max(src.dlat, src.dlon)
-    dist = np.hypot(dlat_off[:, None], dlon_off[None, :])
-    out[dist > cutoff] = src.nodata
-    return GeoGrid(
-        variable=src.variable, units=src.units, time=src.time,
-        lat_min=geom.lat_min, lon_min=geom.lon_min,
-        dlat=geom.dlat, dlon=geom.dlon, nrows=geom.nrows, ncols=geom.ncols,
-        values=out, nodata=src.nodata,
-    )
+    rows = ((lats >= box.lat_min) & (lats <= box.lat_max)).nonzero()[0].tolist()
+    cols = ((lons >= box.lon_min) & (lons <= box.lon_max)).nonzero()[0].tolist()
+    if not rows or not cols:
+        return None
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .geogrid import EmptySubsetError, GeoGrid, GridStack, RegionBox, Variable, region_indices
+from .geogrid import GeoGrid, GridStack, RegionBox, Variable, region_indices
 
 R_HEAVY_DEFAULT_MMH = 8.0
 
@@ -89,15 +89,6 @@ def accumulate(
     return Accumulation(grid, missing / len(frames))
 
 
-def heavy_mask(rate: GeoGrid, r_heavy: float = R_HEAVY_DEFAULT_MMH) -> GeoGrid:
-    """Boolean grid: 1 where finite rate >= ``r_heavy``; nodata kept."""
-    if rate.variable is not Variable.RAIN_RATE:
-        raise TypeError(f"heavy_mask needs a RAIN_RATE grid, got {rate.variable.value}")
-    finite = rate.finite_mask
-    out = np.where(finite, (rate.values >= r_heavy).astype(np.float64), rate.nodata)
-    return rate.with_values(out, variable=Variable.FLOOD_MASK, units="bool")
-
-
 def region_rain_stats(
     stack: GridStack,
     region: RegionBox,
@@ -115,13 +106,15 @@ def region_rain_stats(
     - missing_fraction: missing share of all (cell, frame) samples.
 
     Frames whose region cells are all missing interrupt a heavy run; rain
-    that was not observed never counts as heavy.
+    that was not observed never counts as heavy. Raises EmptyWindowError
+    when the window holds no samples: no frames, or a region outside the
+    rain grid.
     """
     if stack.variable is not Variable.RAIN_RATE:
         raise TypeError(f"region_rain_stats needs RAIN_RATE frames, got {stack.variable.value}")
-    rows, cols = region_indices(stack.geometry, region)
-    if rows.size == 0 or cols.size == 0:
-        raise EmptySubsetError(f"region {region.name!r} is outside the rain grid extent")
+    window = region_indices(stack.geometry, region)
+    if window is None:
+        raise EmptyWindowError(f"region {region.name!r} is outside the rain grid extent")
     frames = stack.between(start, end)
     if not frames:
         raise EmptyWindowError(f"no rain frames in ({start}, {end}]")
@@ -130,9 +123,9 @@ def region_rain_stats(
     max_rate = 0.0
     missing = 0
     heavy_flags: list[bool] = []
-    accum = np.zeros((rows.size, cols.size))
+    accum = np.zeros(frames[0].values[window].shape)
     for f in frames:
-        block = f.values[np.ix_(rows, cols)]
+        block = f.values[window]
         finite = block != f.nodata
         missing += int((~finite).sum())
         vals = block[finite]
@@ -157,5 +150,5 @@ def region_rain_stats(
         max_rate_mmh=max_rate,
         accum_mm=float(accum.max()),
         persistence_h=persistence_h,
-        missing_fraction=missing / (len(frames) * rows.size * cols.size),
+        missing_fraction=missing / (len(frames) * accum.size),
     )

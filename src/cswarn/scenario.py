@@ -349,6 +349,12 @@ def generate(spec: ScenarioSpec, seed: int = 0, t_deep: float = DEFAULT_T_DEEP_K
     )
 
 
+def _central_half(s: slice) -> slice:
+    """The middle of an index range with its outer quarters dropped (at least one index)."""
+    n = s.stop - s.start
+    return slice(s.start + n // 4, s.start + max(n // 4 + 1, n - n // 4))
+
+
 def truth_flood_grid(spec: ScenarioSpec) -> GeoGrid:
     """FLOOD_MASK grid at scenario end: the central quarter of every
     region named in ``flooded_regions`` is flooded, everything else dry."""
@@ -356,12 +362,9 @@ def truth_flood_grid(spec: ScenarioSpec) -> GeoGrid:
     values = np.zeros((geom.nrows, geom.ncols))
     by_name = {r.name: r for r in spec.regions}
     for name in sorted(spec.flooded_regions):
-        rows, cols = region_indices(geom, by_name[name])
-        if rows.size == 0 or cols.size == 0:
-            continue
-        r_sel = rows[rows.size // 4: max(rows.size // 4 + 1, rows.size - rows.size // 4)]
-        c_sel = cols[cols.size // 4: max(cols.size // 4 + 1, cols.size - cols.size // 4)]
-        values[np.ix_(r_sel, c_sel)] = 1.0
+        window = region_indices(geom, by_name[name])
+        if window is not None:
+            values[tuple(_central_half(s) for s in window)] = 1.0
     return GeoGrid(
         variable=Variable.FLOOD_MASK, units="bool", time=spec.end_time,
         lat_min=geom.lat_min, lon_min=geom.lon_min,

@@ -59,13 +59,6 @@ class MotionVector:
     bearing_deg: float | None  # undefined when speed is 0
 
 
-@dataclass(frozen=True)
-class ForecastExtent:
-    track_id: int
-    horizon_s: int
-    bbox: RegionBox
-
-
 def associate(
     prev: list[CSObject],
     next: list[CSObject],
@@ -133,21 +126,6 @@ def _displacement_deg(motion: MotionVector, horizon_s: float, lat_ref: float) ->
     north_km = dist_km * math.cos(theta)
     east_km = dist_km * math.sin(theta)
     return north_km / KM_PER_DEG, east_km / (KM_PER_DEG * math.cos(math.radians(lat_ref)))
-
-
-def forecast_extent(
-    track: Track,
-    horizon_s: int,
-    fit_window: int = DEFAULT_FIT_WINDOW,
-) -> ForecastExtent:
-    """Last observed bbox translated rigidly along the motion vector."""
-    if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
-    motion = motion_vector(track, fit_window)
-    bbox = track.last.bbox
-    lat_ref = (bbox.lat_min + bbox.lat_max) / 2.0
-    dlat, dlon = _displacement_deg(motion, horizon_s, lat_ref)
-    return ForecastExtent(track.track_id, int(horizon_s), bbox.translated(dlat, dlon))
 
 
 def time_to_region(

@@ -302,10 +302,10 @@ def categorize_grid(wind: GeoGrid, bins: Sequence[float] = DEFAULT_BINS) -> GeoG
 
 @dataclass(frozen=True)
 class RegionCategory:
-    """Windowed per-region wind severity with an observation flag."""
+    """Windowed per-region wind severity and how many sources observed it."""
 
     category: WindCategory
-    no_observation: bool
+    sources: int  # stacks with a finite cell in the region and window
 
 
 def region_max_category(
@@ -317,20 +317,22 @@ def region_max_category(
     """Max category over all sources, region cells, and window frames.
 
     Frames count when ``window_start < t <= window_end``. With no finite
-    cell anywhere, returns NONE with the no-observation flag set.
+    cell anywhere, returns NONE from zero sources.
     """
-    best = -1
+    best = 0
+    observed = 0
     for stack in sources:
         if stack.variable is not Variable.WIND_CAT:
             raise TypeError(f"expected WIND_CAT stacks, got {stack.variable.value}")
-        rows, cols = region_indices(stack.geometry, region)
-        if rows.size == 0 or cols.size == 0:
+        window = region_indices(stack.geometry, region)
+        if window is None:
             continue
+        seen = False
         for frame in stack.between(window_start, window_end):
-            block = frame.values[np.ix_(rows, cols)]
+            block = frame.values[window]
             block = block[block != frame.nodata]
             if block.size:
+                seen = True
                 best = max(best, int(block.max()))
-    if best < 0:
-        return RegionCategory(WindCategory.NONE, no_observation=True)
-    return RegionCategory(WindCategory(best), no_observation=False)
+        observed += seen
+    return RegionCategory(WindCategory(best), observed)

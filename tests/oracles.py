@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from cswarn.geogrid import GeoGrid, GridGeometry, haversine_km
+from cswarn.geogrid import GeoGrid, GridGeometry, RegionBox, haversine_km
 
 
 def union_find_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
@@ -55,31 +55,14 @@ def union_find_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
     return [groups[root] for root in order]
 
 
-def nearest_center_resample(src: GeoGrid, target: GridGeometry) -> np.ndarray:
-    """Exhaustive per-target-cell nearest source center (degrees, Euclidean).
-
-    Ties resolve to the southernmost then westernmost source cell; targets
-    farther than max(src spacing) from every source center become nodata.
-    """
-    out = np.empty((target.nrows, target.ncols))
-    cutoff = max(src.dlat, src.dlon)
-    src_cells = [
-        (src.cell_lat(r), src.cell_lon(c), r, c)
-        for r in range(src.nrows)
-        for c in range(src.ncols)
-    ]
-    for tr in range(target.nrows):
-        for tc in range(target.ncols):
-            tlat, tlon = target.cell_lat(tr), target.cell_lon(tc)
-            best = None
-            for slat, slon, r, c in src_cells:
-                d = np.hypot(tlat - slat, tlon - slon)
-                key = (d, slat, slon)
-                if best is None or key < best[0]:
-                    best = (key, d, r, c)
-            _, d, r, c = best
-            out[tr, tc] = src.values[r, c] if d <= cutoff else src.nodata
-    return out
+def region_cells(geometry: GridGeometry, box: RegionBox) -> set[tuple[int, int]]:
+    """Every (row, col) whose own cell center passes the closed box test."""
+    return {
+        (r, c)
+        for r in range(geometry.nrows)
+        for c in range(geometry.ncols)
+        if box.contains(geometry.cell_lat(r), geometry.cell_lon(c))
+    }
 
 
 def best_assignment(prev, next, max_gap_km: float) -> list[tuple[int, int]]:

@@ -4,6 +4,7 @@ output files, and the synth -> detect/track -> fuse -> validate chain."""
 from __future__ import annotations
 
 import csv
+import shutil
 
 import numpy as np
 import pytest
@@ -314,6 +315,19 @@ class TestSynth:
         stray = [p for p in pipeline["data"].iterdir() if ".tmp" in p.name]
         assert stray == []
 
+    def test_failed_write_leaves_directory_unchanged(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n", encoding="utf-8")
+
+        def failing_writer(path):
+            path.write_text("partial", encoding="utf-8")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_atomic(target, failing_writer)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text(encoding="utf-8") == "old\n"
+
     def test_exit_notice_printed(self, tmp_path, capsys):
         spec = tmp_path / "s.ini"
         spec.write_text(
@@ -434,6 +448,32 @@ class TestFuseValidate:
         assert cli.main(["fuse", str(data), str(regions), "-o", str(warnings)]) == 0
         reports = read_warnings_csv(warnings)
         assert reports and all(r.level is WarnLevel.NONE for r in reports)
+
+    def test_region_off_the_grids_is_unobserved(self, tmp_path, pipeline):
+        regions = tmp_path / "regions.txt"
+        regions.write_text(
+            pipeline["regions"].read_text(encoding="utf-8") + "OFF 40.0 41.0 60.0 61.0\n",
+            encoding="utf-8",
+        )
+        warnings = tmp_path / "warnings.csv"
+        rain_stats = tmp_path / "rain_stats.csv"
+        assert cli.main([
+            "fuse", str(pipeline["data"]), str(regions), "-o", str(warnings),
+            "--rain-stats-out", str(rain_stats),
+        ]) == 0
+        rows = read_rows(warnings)
+        off = [row for row in rows if row["region"] == "OFF"]
+        assert off and all(row["level"] == "NONE" for row in off)
+        assert [row for row in rows if row["region"] != "OFF"] == read_rows(pipeline["warnings"])
+        assert read_rows(rain_stats) == read_rows(pipeline["rain_stats"])
+
+    def test_unrecognised_gsf_is_not_read(self, tmp_path, pipeline):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        (data / "extra.gsf").write_text("not a grid stack\n", encoding="utf-8")
+        warnings = tmp_path / "warnings.csv"
+        assert cli.main(["fuse", str(data), str(pipeline["regions"]), "-o", str(warnings)]) == 0
+        assert warnings.read_bytes() == pipeline["warnings"].read_bytes()
 
     def test_empty_data_dir_is_1(self, tmp_path, pipeline, capsys):
         empty = tmp_path / "empty"

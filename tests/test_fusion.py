@@ -18,14 +18,14 @@ from cswarn.fusion import (
     WarnLevel,
     build_indicators,
     decide,
-    run_epoch,
 )
-from cswarn.geogrid import KM_PER_DEG, GridStack, RegionBox, Variable
+from cswarn.geogrid import KM_PER_DEG, GridGeometry, GridStack, RegionBox, Variable
 from cswarn.scenario import generate, paper_replay_spec
 from cswarn.tracking import Track
 from cswarn.wind import WindCategory
 
 from conftest import T0, make_grid, make_stack
+from oracles import region_cells
 from test_tracking import obj_at
 
 REGION = RegionBox("R", 10.5, 12.5, 20.5, 22.5)
@@ -124,6 +124,42 @@ class TestBuildIndicators:
                                wind_cat_stacks=[], rain_stats=None, window_s=10800)
         assert ind.approach_s is None
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cloud_stats_match_per_cell_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        geom = GridGeometry(
+            lat_min=float(rng.uniform(10, 12)), lon_min=float(rng.uniform(100, 102)),
+            dlat=0.1, dlon=0.1, nrows=int(rng.integers(6, 12)), ncols=int(rng.integers(6, 12)))
+        frames = []
+        for k in range(3):
+            values = rng.uniform(230.0, 290.0, size=(geom.nrows, geom.ncols))
+            r0, c0 = rng.integers(0, geom.nrows - 2), rng.integers(0, geom.ncols - 2)
+            values[r0:r0 + 3, c0:c0 + 3] = rng.uniform(190.0, 215.0, size=(3, 3))
+            bt = make_grid(values, geometry=geom, time=T0 - timedelta(seconds=600 * k))
+            frames.append(detections_frame(bt))
+        lat0 = geom.lat_min + rng.uniform(-0.1, 0.6) * geom.nrows * geom.dlat
+        lon0 = geom.lon_min + rng.uniform(-0.1, 0.6) * geom.ncols * geom.dlon
+        box = RegionBox("B", lat0, lat0 + rng.uniform(0.1, 0.8),
+                        lon0, lon0 + rng.uniform(0.1, 0.8))
+        cells = region_cells(geom, box)
+
+        fractions, touching_bt = [0.0], []
+        for frame in frames:
+            covered = set()
+            for obj in frame.objects:
+                hits = {(int(r), int(c)) for r, c in zip(obj.rows, obj.cols)} & cells
+                if hits:
+                    covered |= hits
+                    touching_bt.append(obj.min_bt)
+            if cells:
+                fractions.append(len(covered) / len(cells))
+
+        ind = build_indicators(T0, box, detections=frames, tracks=[],
+                               wind_cat_stacks=[], rain_stats=None)
+        assert ind.deep_cloud_fraction == pytest.approx(max(fractions))
+        assert ind.min_bt_K == (min(touching_bt) if touching_bt else None)
+        assert ind.source_count["bt"] == (1 if cells else 0)
+
 
 class TestDecide:
     def test_all_quiet_is_none(self):
@@ -217,22 +253,22 @@ class TestWarningReportInvariants:
 
 class TestRunEpoch:
     def test_empty_region_list(self):
-        assert run_epoch([], T0) == []
+        assert FusionEngine([]).run_epoch(T0) == []
 
     def test_duplicate_region_names_rejected(self):
         boxes = [RegionBox("R", 10.5, 12.5, 20.5, 22.5),
                  RegionBox("R", 10.6, 12.6, 20.6, 22.6)]
         with pytest.raises(ValueError, match="duplicate"):
-            run_epoch(boxes, T0)
+            FusionEngine(boxes)
 
     def test_reports_sorted_by_region_name(self):
         boxes = [RegionBox("ZULU", 10.5, 11.5, 20.5, 21.5),
                  RegionBox("ALFA", 11.6, 12.5, 21.6, 22.5)]
-        reports = run_epoch(boxes, T0)
+        reports = FusionEngine(boxes).run_epoch(T0)
         assert [r.region for r in reports] == ["ALFA", "ZULU"]
 
     def test_no_observation_safety(self):
-        reports = run_epoch([REGION], T0)
+        reports = FusionEngine([REGION]).run_epoch(T0)
         assert len(reports) == 1
         report = reports[0]
         assert report.level == WarnLevel.NONE
@@ -244,7 +280,7 @@ class TestRunEpoch:
         bt = make_stack([np.full((4, 4), 280.0)] * 3, variable=Variable.BT, dt_s=1800)
         rain = make_stack([np.zeros((4, 4))] * 3, variable=Variable.RAIN_RATE, dt_s=1800)
         epoch = T0 + timedelta(seconds=3600)
-        reports = run_epoch([REGION], epoch, bt=bt, rain=rain)
+        reports = FusionEngine([REGION], bt=bt, rain=rain).run_epoch(epoch)
         assert reports[0].level == WarnLevel.NONE
         assert reports[0].indicators.source_count == {"bt": 1, "rain": 1, "wind": 0}
 
@@ -252,9 +288,28 @@ class TestRunEpoch:
         bt = make_stack([np.full((4, 4), 205.0)] * 3, variable=Variable.BT, dt_s=1800)
         rain = make_stack([np.full((4, 4), 9.0)] * 3, variable=Variable.RAIN_RATE, dt_s=1800)
         epoch = T0 + timedelta(seconds=3600)
-        reports = run_epoch([REGION], epoch, bt=bt, rain=rain)
+        reports = FusionEngine([REGION], bt=bt, rain=rain).run_epoch(epoch)
         assert reports[0].level >= WarnLevel.WARNING
         assert "R2" in reports[0].triggered_rules
+
+    def test_region_off_every_grid_is_unobserved(self):
+        # Stacks that would warn any region they cover: cold cloud, heavy
+        # rain and severe wind everywhere on the grid.
+        bt = make_stack([np.full((4, 4), 205.0)] * 3, variable=Variable.BT, dt_s=1800)
+        rain = make_stack([np.full((4, 4), 9.0)] * 3, variable=Variable.RAIN_RATE, dt_s=1800)
+        wind = make_stack([np.full((4, 4), 20.0)] * 3, variable=Variable.WIND_SPEED, dt_s=1800)
+        off = RegionBox("OFF", 50.0, 51.0, 20.0, 21.0)
+        epoch = T0 + timedelta(seconds=3600)
+        engine = FusionEngine([REGION, off], bt=bt, rain=rain, wind_speed={"lr": wind})
+        by_name = {r.region: r for r in engine.run_epoch(epoch)}
+        assert by_name["R"].level >= WarnLevel.WARNING
+        assert by_name["R"].indicators.source_count == {"bt": 1, "rain": 1, "wind": 1}
+        report = by_name["OFF"]
+        assert report.level == WarnLevel.NONE
+        assert report.indicators.source_count == {"bt": 0, "rain": 0, "wind": 0}
+        assert report.indicators.wind_no_observation is True
+        assert report.indicators.rain_stats is None
+        assert engine.rain_stats_at(epoch, off) is None
 
 
 class TestFusionEngine:

@@ -1,4 +1,4 @@
-"""Grid model, GSF serialization, subsetting, and resampling."""
+"""Grid model, GSF serialization, and region windows."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from cswarn.geogrid import (
     DEFAULT_NODATA,
     EARTH_RADIUS_KM,
     KM_PER_DEG,
-    EmptySubsetError,
     GeoGrid,
     GridGeometry,
     GridStack,
@@ -23,21 +22,18 @@ from cswarn.geogrid import (
     Variable,
     format_time,
     haversine_km,
-    local_offset_km,
     parse_gsf,
     parse_time,
     read_gsf,
     read_regions,
     region_indices,
-    resample_nn,
     serialize_gsf,
-    subset,
     write_gsf,
     write_regions,
 )
 
 from conftest import GEOM_4X4, T0, make_grid, make_stack
-from oracles import nearest_center_resample
+from oracles import region_cells
 
 
 class TestConstants:
@@ -75,16 +71,6 @@ class TestDistances:
         a = haversine_km(15.0, 105.0, 17.5, 108.25)
         b = haversine_km(17.5, 108.25, 15.0, 105.0)
         assert a == b
-
-    def test_local_offset_north(self):
-        north, east = local_offset_km(0.0, 1.0, 0.0)
-        assert north == pytest.approx(KM_PER_DEG)
-        assert east == 0.0
-
-    def test_local_offset_east_shrinks_with_latitude(self):
-        north, east = local_offset_km(60.0, 0.0, 1.0)
-        assert north == 0.0
-        assert east == pytest.approx(KM_PER_DEG * 0.5, rel=1e-12)
 
 
 class TestGridGeometry:
@@ -167,11 +153,6 @@ class TestRegionBox:
         assert moved.lat_min == pytest.approx(15.9)
         assert moved.lon_max == pytest.approx(108.2)
         assert moved.name == self.BOX.name
-
-    def test_expanded(self):
-        grown = self.BOX.expanded(0.5)
-        assert grown.lat_min == pytest.approx(15.3)
-        assert grown.lon_max == pytest.approx(108.9)
 
     def test_inverted_or_empty_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -349,86 +330,57 @@ class TestGsfRoundTripProperty:
             assert np.array_equal(a.values, b.values)
 
 
-class TestSubset:
+class TestRegionIndices:
     def grid_16(self):
         return make_grid(np.arange(16, dtype=float).reshape(4, 4) + 200.0, geometry=GEOM_4X4)
 
+    def window(self, grid, box):
+        """The block region_indices selects, checked against the per-cell oracle."""
+        window = region_indices(grid.geometry, box)
+        cells = region_cells(grid.geometry, box)
+        if window is None:
+            assert cells == set()
+            return None
+        rows, cols = window
+        assert {(r, c) for r in range(rows.start, rows.stop)
+                for c in range(cols.start, cols.stop)} == cells
+        block = grid.values[window]
+        assert np.shares_memory(block, grid.values)
+        return block
+
     def test_northeast_quadrant(self):
         box = RegionBox("NE", 12.0, 13.0, 22.0, 23.0)
-        sub = subset(self.grid_16(), box)
-        assert sub.values.tolist() == [[202.0, 203.0], [206.0, 207.0]]
-        assert (sub.nrows, sub.ncols) == (2, 2)
-        assert sub.lat_min == 12.0 and sub.lon_min == 22.0
+        block = self.window(self.grid_16(), box)
+        assert block.tolist() == [[202.0, 203.0], [206.0, 207.0]]
 
     def test_bounds_are_closed_on_cell_centers(self):
         box = RegionBox("row", 11.0, 12.0, 20.0, 23.0)
-        sub = subset(self.grid_16(), box)
-        assert sub.nrows == 2
-        assert sub.values.tolist() == [[204.0, 205.0, 206.0, 207.0],
-                                       [208.0, 209.0, 210.0, 211.0]]
+        block = self.window(self.grid_16(), box)
+        assert block.tolist() == [[204.0, 205.0, 206.0, 207.0],
+                                  [208.0, 209.0, 210.0, 211.0]]
 
-    def test_extent_box_selects_everything(self):
+    def test_box_on_the_extent_selects_everything(self):
         grid = self.grid_16()
-        sub = subset(grid, grid.extent_box())
-        assert np.array_equal(sub.values, grid.values)
+        box = RegionBox("extent", grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max)
+        assert np.array_equal(self.window(grid, box), grid.values)
 
-    def test_empty_subset_raises(self):
+    def test_far_box_is_none(self):
         box = RegionBox("far", 50.0, 51.0, 20.0, 21.0)
-        with pytest.raises(EmptySubsetError):
-            subset(self.grid_16(), box)
-
-    def test_region_indices_match_subset(self):
-        grid = self.grid_16()
-        box = RegionBox("NE", 12.0, 13.0, 22.0, 23.0)
-        rows, cols = region_indices(grid.geometry, box)
-        block = grid.values[np.ix_(rows, cols)]
-        assert np.array_equal(block, subset(grid, box).values)
-
-
-class TestResample:
-    def test_identity_geometry_preserves_values(self):
-        grid = make_grid(np.arange(16, dtype=float).reshape(4, 4) + 200.0, geometry=GEOM_4X4)
-        out = resample_nn(grid, grid.geometry)
-        assert np.array_equal(out.values, grid.values)
-
-    def test_twofold_coarsening_matches_oracle(self):
-        checker = np.indices((6, 6)).sum(axis=0) % 2 * 50.0 + 200.0
-        src = make_grid(checker, geometry=GridGeometry(
-            lat_min=10.0, lon_min=20.0, dlat=0.5, dlon=0.5, nrows=6, ncols=6))
-        target = GridGeometry(lat_min=10.0, lon_min=20.0, dlat=1.0, dlon=1.0, nrows=3, ncols=3)
-        out = resample_nn(src, target)
-        assert np.array_equal(out.values, nearest_center_resample(src, target))
-
-    def test_tie_goes_south(self):
-        src = make_grid([[1.0], [2.0]], variable=Variable.RAIN_RATE,
-                        geometry=GridGeometry(lat_min=10.0, lon_min=20.0, dlat=1.0,
-                                              dlon=1.0, nrows=2, ncols=1))
-        target = GridGeometry(lat_min=10.5, lon_min=20.0, dlat=1.0, dlon=1.0, nrows=1, ncols=1)
-        assert resample_nn(src, target).values[0, 0] == 2.0
-
-    def test_far_targets_become_nodata(self):
-        src = make_grid(np.full((2, 2), 280.0))
-        target = GridGeometry(lat_min=40.0, lon_min=80.0, dlat=1.0, dlon=1.0, nrows=2, ncols=2)
-        out = resample_nn(src, target)
-        assert np.all(out.values == out.nodata)
+        assert self.window(self.grid_16(), box) is None
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_grids_match_oracle(self, seed):
+    def test_random_boxes_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        src_geom = GridGeometry(
+        geom = GridGeometry(
             lat_min=float(rng.uniform(10, 12)), lon_min=float(rng.uniform(100, 102)),
             dlat=float(rng.choice([0.1, 0.3])), dlon=float(rng.choice([0.1, 0.3])),
-            nrows=int(rng.integers(2, 6)), ncols=int(rng.integers(2, 6)))
-        values = rng.uniform(150, 350, size=(src_geom.nrows, src_geom.ncols))
-        values[rng.uniform(size=values.shape) < 0.2] = DEFAULT_NODATA
-        src = make_grid(values, geometry=src_geom)
-        target = GridGeometry(
-            lat_min=src_geom.lat_min + float(rng.uniform(-0.3, 0.3)),
-            lon_min=src_geom.lon_min + float(rng.uniform(-0.3, 0.3)),
-            dlat=float(rng.choice([0.15, 0.25])), dlon=float(rng.choice([0.15, 0.25])),
-            nrows=int(rng.integers(2, 6)), ncols=int(rng.integers(2, 6)))
-        out = resample_nn(src, target)
-        assert np.array_equal(out.values, nearest_center_resample(src, target))
+            nrows=int(rng.integers(1, 9)), ncols=int(rng.integers(1, 9)))
+        grid = make_grid(rng.uniform(150, 350, size=(geom.nrows, geom.ncols)), geometry=geom)
+        for _ in range(20):
+            lat0, lon0 = rng.uniform(9.5, 15.0), rng.uniform(99.5, 105.0)
+            box = RegionBox("B", lat0, lat0 + rng.uniform(0.01, 2.0),
+                            lon0, lon0 + rng.uniform(0.01, 2.0))
+            self.window(grid, box)
 
 
 class TestRegionsFile:

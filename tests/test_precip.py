@@ -1,4 +1,4 @@
-"""Rain accumulation, heavy-rain masking, and per-region persistence."""
+"""Rain accumulation and per-region persistence."""
 
 from __future__ import annotations
 
@@ -9,21 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cswarn.geogrid import RegionBox, Variable
+from cswarn.geogrid import GridGeometry, RegionBox, Variable
 from cswarn.precip import (
     EmptyWindowError,
     accumulate,
-    heavy_mask,
     region_rain_stats,
 )
 
-from conftest import T0, make_grid, make_stack
+from conftest import T0, make_stack
+from oracles import region_cells
 
 REGION = RegionBox("R", 10.5, 12.5, 20.5, 22.5)
 
 
-def rain_stack(frames, dt_s=1800):
-    return make_stack(frames, variable=Variable.RAIN_RATE, dt_s=dt_s)
+def rain_stack(frames, dt_s=1800, geometry=None):
+    return make_stack(frames, variable=Variable.RAIN_RATE, dt_s=dt_s, geometry=geometry)
 
 
 def t(seconds):
@@ -103,29 +103,6 @@ class TestAccumulate:
         acc = accumulate(stack, T0, t(12 * 600))
         integral = sum(r * 600.0 / 3600.0 for r in rates)
         assert abs(acc.grid.values[0, 0] - integral) <= 1e-9 * max(integral, 1.0)
-
-
-class TestHeavyMask:
-    def test_threshold_examples(self):
-        rate = make_grid([[8.0, 7.9], [13.0, 0.0]], variable=Variable.RAIN_RATE)
-        mask = heavy_mask(rate)
-        assert mask.values.tolist() == [[1.0, 0.0], [1.0, 0.0]]
-
-    def test_nodata_propagates(self):
-        rate = make_grid([[8.0, -9999.0]], variable=Variable.RAIN_RATE)
-        mask = heavy_mask(rate)
-        assert mask.values.tolist() == [[1.0, -9999.0]]
-
-    def test_wrong_variable_rejected(self):
-        with pytest.raises(TypeError):
-            heavy_mask(make_grid(np.full((2, 2), 280.0)))
-
-    def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(31)
-        rate = make_grid(rng.uniform(0, 20, size=(6, 6)), variable=Variable.RAIN_RATE)
-        low = heavy_mask(rate, r_heavy=5.0).values == 1.0
-        high = heavy_mask(rate, r_heavy=12.0).values == 1.0
-        assert np.all(low[high])
 
 
 class TestRegionRainStats:
@@ -212,3 +189,57 @@ class TestRegionRainStats:
         far = RegionBox("far", 50.0, 51.0, 20.0, 21.0)
         with pytest.raises(ValueError):
             region_rain_stats(stack, far, t(-1800), T0)
+
+    def test_persistence_monotone_in_threshold(self):
+        rng = np.random.default_rng(5)
+        frames = [rng.uniform(0.0, 40.0, size=(4, 4)) for _ in range(10)]
+        stack = rain_stack(frames)
+        persistence = [
+            region_rain_stats(stack, REGION, t(-1800), t(9 * 1800), r_heavy=r).persistence_h
+            for r in np.linspace(0.0, 45.0, 16)
+        ]
+        assert persistence == sorted(persistence, reverse=True)
+        assert persistence[0] == pytest.approx(5.0)   # every frame reaches 0 mm/h
+        assert persistence[-1] == 0.0                 # no rate reaches 45 mm/h
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_sample_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        geom = GridGeometry(
+            lat_min=float(rng.uniform(10, 12)), lon_min=float(rng.uniform(100, 102)),
+            dlat=float(rng.choice([0.1, 0.3])), dlon=float(rng.choice([0.1, 0.3])),
+            nrows=int(rng.integers(2, 8)), ncols=int(rng.integers(2, 8)))
+        frames = []
+        for _ in range(8):
+            frame = rng.uniform(0.0, 20.0, size=(geom.nrows, geom.ncols))
+            frame[rng.uniform(size=frame.shape) < 0.3] = -9999.0
+            frames.append(frame)
+        stack = rain_stack(frames, geometry=geom)
+        lat0 = geom.lat_min + rng.uniform(-0.2, 0.6) * geom.nrows * geom.dlat
+        lon0 = geom.lon_min + rng.uniform(-0.2, 0.6) * geom.ncols * geom.dlon
+        box = RegionBox("B", lat0, lat0 + rng.uniform(0.1, 1.5),
+                        lon0, lon0 + rng.uniform(0.1, 1.5))
+        start, end = t(int(rng.integers(-2, 4)) * 1800), t(7 * 1800)
+        cells = region_cells(geom, box)
+        if not cells:
+            with pytest.raises(EmptyWindowError):
+                region_rain_stats(stack, box, start, end, r_heavy=12.0)
+            return
+
+        window = [f for i, f in enumerate(frames) if start < t(i * 1800) <= end]
+        samples = [[f[r, c] for r, c in cells] for f in window]
+        live = [[v for v in frame if v != -9999.0] for frame in samples]
+        longest = run = 0
+        for vals in live:
+            run = run + 1 if vals and max(vals) >= 12.0 else 0
+            longest = max(longest, run)
+        depth = {cell: sum(f[cell] * 0.5 for f in window if f[cell] != -9999.0)
+                 for cell in cells}
+
+        stats = region_rain_stats(stack, box, start, end, r_heavy=12.0)
+        assert stats.max_rate_mmh == max((max(v) for v in live if v), default=0.0)
+        assert stats.accum_mm == pytest.approx(max(depth.values()), rel=1e-12)
+        assert stats.persistence_h == pytest.approx(
+            min(longest * 0.5, (end - start).total_seconds() / 3600.0))
+        missing = sum(len(frame) - len(vals) for frame, vals in zip(samples, live))
+        assert stats.missing_fraction == pytest.approx(missing / (len(window) * len(cells)))

@@ -15,7 +15,6 @@ from cswarn.tracking import (
     UndefinedMotionError,
     associate,
     build_tracks,
-    forecast_extent,
     motion_vector,
     time_to_region,
 )
@@ -145,39 +144,6 @@ class TestMotionVector:
         assert mv.speed_mps == pytest.approx(drift, rel=0.02)
 
 
-class TestForecastExtent:
-    def test_zero_speed_keeps_bbox(self):
-        track = track_from_positions([106.0, 106.0], lat=16.0)
-        fc = forecast_extent(track, horizon_s=3600)
-        assert fc.bbox == track.observations[-1].bbox
-        assert fc.horizon_s == 3600
-
-    def test_westward_shift_in_longitude(self):
-        # 10 m/s due west for 3600 s is a 36 km shift at the bbox-center latitude.
-        dlon_per_step = 10.0 * 600.0 / 1000.0 / (KM_PER_DEG * math.cos(math.radians(16.0)))
-        track = track_from_positions([106.0, 106.0 - dlon_per_step], lat=16.0)
-        fc = forecast_extent(track, horizon_s=3600)
-        expected_shift = 36.0 / (KM_PER_DEG * math.cos(math.radians(16.0)))
-        last = track.observations[-1].bbox
-        assert fc.bbox.lon_min == pytest.approx(last.lon_min - expected_shift, rel=1e-9)
-        assert fc.bbox.lon_max == pytest.approx(last.lon_max - expected_shift, rel=1e-9)
-        assert fc.bbox.lat_min == pytest.approx(last.lat_min, abs=1e-12)
-
-    def test_horizon_must_be_positive(self):
-        track = track_from_positions([106.0, 106.0], lat=16.0)
-        with pytest.raises(ValueError):
-            forecast_extent(track, horizon_s=0)
-
-    def test_shift_scales_linearly_with_horizon(self):
-        dlon_per_step = 10.0 * 600.0 / 1000.0 / (KM_PER_DEG * math.cos(math.radians(16.0)))
-        track = track_from_positions([106.0, 106.0 - dlon_per_step], lat=16.0)
-        one = forecast_extent(track, horizon_s=1800)
-        two = forecast_extent(track, horizon_s=3600)
-        shift_one = 106.0 - dlon_per_step - one.bbox.lon_min - 0.25
-        shift_two = 106.0 - dlon_per_step - two.bbox.lon_min - 0.25
-        assert shift_two == pytest.approx(2.0 * shift_one, rel=1e-9)
-
-
 def westward_track(speed_mps, lat=16.0, lon0=110.2, n=3):
     dlon = speed_mps * 600.0 / 1000.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
     return track_from_positions([lon0 - dlon * k for k in range(n)], lat=lat)
@@ -222,6 +188,27 @@ class TestTimeToRegion:
         gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
         region = RegionBox("R", 15.8, 16.2, west_edge - gap_deg - 2.0, west_edge - gap_deg)
         assert time_to_region(track, region) is None
+
+    def test_eastward_track_reaches_region_to_the_east(self):
+        lat = 16.0
+        dlon = 10.0 * 600.0 / 1000.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
+        track = track_from_positions([100.0 + dlon * k for k in range(3)], lat=lat)
+        east_edge = track.observations[-1].bbox.lon_max
+        gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
+        region = RegionBox("R", 15.8, 16.2, east_edge + gap_deg, east_edge + gap_deg + 2.0)
+        assert time_to_region(track, region) == 10200
+
+    def test_arrival_scales_inversely_with_speed(self):
+        # The forecast bbox moves speed * horizon, so the 100 km gap closes
+        # at gap / speed, to within one horizon step.
+        lat = 16.0
+        gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
+        for speed in (5.0, 10.0, 20.0):
+            track = westward_track(speed, lat=lat)
+            west_edge = track.observations[-1].bbox.lon_min
+            region = RegionBox("R", 15.8, 16.2, west_edge - gap_deg - 2.0, west_edge - gap_deg)
+            arrival = time_to_region(track, region, step_s=60)
+            assert 0 <= arrival - 100_000.0 / speed < 60
 
 
 class TestTrackerAndBuildTracks:

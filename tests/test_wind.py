@@ -15,6 +15,7 @@ from cswarn.wind import (
     SYNTH1,
     Gmf,
     GmfGeometry,
+    RegionCategory,
     WindCategory,
     categorize,
     categorize_grid,
@@ -234,7 +235,7 @@ class TestRegionMaxCategory:
         window_end = T0 + timedelta(seconds=3600)
         result = region_max_category([a, b], self.REGION, T0 - timedelta(seconds=1), window_end)
         assert result.category == WindCategory.MODERATE
-        assert result.no_observation is False
+        assert result.sources == 2
 
     def test_only_cells_inside_region_count(self):
         values = np.zeros((4, 4))
@@ -251,18 +252,34 @@ class TestRegionMaxCategory:
         result = region_max_category([a], self.REGION, start, end)
         assert result.category == WindCategory.NONE   # the severe frame at T0 is excluded
 
-    def test_all_nodata_flags_no_observation(self):
+    def test_all_nodata_counts_no_source(self):
         stack = self.cat_stack([np.full((4, 4), -9999.0)])
         result = region_max_category([stack], self.REGION, T0 - timedelta(seconds=1), T0)
-        assert result.no_observation is True
+        assert result.sources == 0
         assert result.category == WindCategory.NONE
 
-    def test_empty_window_flags_no_observation(self):
+    def test_sources_count_stacks_with_a_finite_region_cell(self):
+        values = np.full((4, 4), -9999.0)
+        values[0, 3] = 3.0      # finite, but outside the region block
+        blind = self.cat_stack([values])
+        seeing = self.cat_stack([np.full((4, 4), 1.0)])
+        window = (T0 - timedelta(seconds=1), T0)
+        assert region_max_category([blind], self.REGION, *window).sources == 0
+        result = region_max_category([blind, seeing, seeing], self.REGION, *window)
+        assert result == RegionCategory(WindCategory.WEAK, 2)
+
+    def test_region_off_the_grid_counts_no_source(self):
+        stack = self.cat_stack([np.full((4, 4), 3.0)])
+        far = RegionBox("far", 50.0, 51.0, 20.0, 21.0)
+        result = region_max_category([stack], far, T0 - timedelta(seconds=1), T0)
+        assert result == RegionCategory(WindCategory.NONE, 0)
+
+    def test_empty_window_counts_no_source(self):
         stack = self.cat_stack([np.zeros((4, 4))])
         result = region_max_category([stack], self.REGION,
                                      T0 + timedelta(seconds=3600),
                                      T0 + timedelta(seconds=7200))
-        assert result.no_observation is True
+        assert result.sources == 0
 
     def test_more_sources_never_lower_the_category(self):
         quiet = self.cat_stack([np.zeros((4, 4))])
