@@ -38,7 +38,6 @@ from .fusion import FusionEngine, RegionIndicators, RuleSet, WarnLevel, WarningR
 from .geogrid import (
     GeoGrid,
     GridStack,
-    GsfError,
     RegionBox,
     Variable,
     format_time,
@@ -376,7 +375,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _, frames = _detections_per_frame(args.bt, cfg)
-    tracks = build_tracks(frames, cfg.max_gap_km, cfg.fit_window)
+    tracks = build_tracks(frames, cfg.max_gap_km)
     _write_atomic(args.out, tracks_csv(tracks, cfg.fit_window))
     return 0
 
@@ -544,16 +543,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(exc: Exception) -> str:
+    return str(exc).replace("\n", " ")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"cswarn {args.command}: config error: {exc}", file=sys.stderr)
+        print(f"cswarn {args.command}: config error: {_one_line(exc)}", file=sys.stderr)
         return 2
-    except (GsfError, OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cswarn {args.command}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"cswarn {args.command}: {_one_line(exc)}", file=sys.stderr)
         return 1
 
 

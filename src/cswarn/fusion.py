@@ -17,6 +17,11 @@ footprint of any tracked system forecast to reach it: a severe gust ring
 measured around an offshore cell counts toward the coastal region it is
 bearing down on. Without that, wind evidence would only register after
 landfall, which is exactly too late for an early warning.
+
+An epoch is evaluated for all regions at once, so what does not depend on
+the region is computed once per epoch: the window's BT frames, and each
+live track's motion fit, forecast path and footprint wind. A region's BT
+cell window is found once per grid geometry, not once per frame.
 """
 
 from __future__ import annotations
@@ -26,16 +31,10 @@ from datetime import datetime, timedelta
 from enum import IntEnum
 from typing import Mapping, Sequence
 
-from .convection import CSObject
+from .convection import CSObject, detect
 from .geogrid import GridGeometry, GridStack, RegionBox, region_indices
 from .precip import EmptyWindowError, RainStats, region_rain_stats
-from .tracking import (
-    DEFAULT_FIT_WINDOW,
-    HORIZON_MAX_S,
-    Track,
-    build_tracks,
-    time_to_region,
-)
+from .tracking import DEFAULT_FIT_WINDOW, Track, build_tracks, forecast, time_to_region
 from .wind import WindCategory, categorize_grid, region_max_category
 
 DEFAULT_WINDOW_S = 10800
@@ -148,100 +147,100 @@ class FrameDetections:
 
 
 def _cloud_stats(
-    detections: Sequence[FrameDetections],
+    frames_by_geometry: Mapping[GridGeometry, Sequence[FrameDetections]],
     region: RegionBox,
-    window_start: datetime,
-    epoch: datetime,
 ) -> tuple[float, float | None, int]:
     """(max cover fraction, min BT of touching objects, frames covering the region)."""
     best_fraction = 0.0
     min_bt: float | None = None
     frames_seen = 0
-    for frame in detections:
-        if not window_start < frame.time <= epoch:
-            continue
-        window = region_indices(frame.geometry, region)
+    for geometry, frames in frames_by_geometry.items():
+        window = region_indices(geometry, region)
         if window is None:
             continue
-        frames_seen += 1
+        frames_seen += len(frames)
         # Region cells form a contiguous index block, so membership is a
         # bounds check per pixel.
         rows, cols = window
         n_cells = (rows.stop - rows.start) * (cols.stop - cols.start)
-        inside = 0
-        for obj in frame.objects:
-            hits = int(
-                (
-                    (obj.rows >= rows.start) & (obj.rows < rows.stop)
-                    & (obj.cols >= cols.start) & (obj.cols < cols.stop)
-                ).sum()
-            )
-            if hits:
-                inside += hits
-                if obj.min_bt is not None and (min_bt is None or obj.min_bt < min_bt):
-                    min_bt = obj.min_bt
-        best_fraction = max(best_fraction, inside / n_cells)
+        for frame in frames:
+            inside = 0
+            for obj in frame.objects:
+                hits = int(
+                    (
+                        (obj.rows >= rows.start) & (obj.rows < rows.stop)
+                        & (obj.cols >= cols.start) & (obj.cols < cols.stop)
+                    ).sum()
+                )
+                if hits:
+                    inside += hits
+                    if obj.min_bt is not None and (min_bt is None or obj.min_bt < min_bt):
+                        min_bt = obj.min_bt
+            best_fraction = max(best_fraction, inside / n_cells)
     return best_fraction, min_bt, frames_seen
 
 
 def build_indicators(
     epoch: datetime,
-    region: RegionBox,
+    regions: Sequence[RegionBox],
     detections: Sequence[FrameDetections],
     tracks: Sequence[Track],
     wind_cat_stacks: Sequence[GridStack],
-    rain_stats: RainStats | None,
+    rain_stats: Mapping[str, RainStats | None],
     window_s: int = DEFAULT_WINDOW_S,
     fit_window: int = DEFAULT_FIT_WINDOW,
-) -> RegionIndicators:
-    """Condense all sensors into one region's indicators at ``epoch``.
+) -> list[RegionIndicators]:
+    """Condense all sensors into each region's indicators at ``epoch``.
 
-    ``detections`` and ``tracks`` should already be restricted to data at
-    or before ``epoch`` (the engine handles that); ``rain_stats`` is the
-    trailing-window summary for this region, or None when rain was not
-    observed.
+    ``detections`` and ``tracks`` may extend past ``epoch``; only frames
+    and observations in the trailing window count. ``rain_stats`` maps a
+    region name to its trailing-window summary; a missing or None entry
+    means rain was not observed there.
     """
     window_start = epoch - timedelta(seconds=window_s)
-    fraction, min_bt, bt_frames = _cloud_stats(detections, region, window_start, epoch)
-
-    approach: int | None = None
-    approaching_bboxes: list[RegionBox] = []
-    for track in tracks:
-        if len(track.observations) < 2:
-            continue
-        if not window_start < track.last.time <= epoch:
-            continue
-        t = time_to_region(track, region, fit_window=fit_window, max_s=HORIZON_MAX_S)
-        if t is not None:
-            approach = t if approach is None else min(approach, t)
-            approaching_bboxes.append(track.last.bbox)
-
-    samples = [region_max_category(wind_cat_stacks, region, window_start, epoch)]
-    samples += [
-        region_max_category(wind_cat_stacks, bbox, window_start, epoch)
-        for bbox in approaching_bboxes
+    frames_by_geometry: dict[GridGeometry, list[FrameDetections]] = {}
+    for d in detections:
+        if window_start < d.time <= epoch:
+            frames_by_geometry.setdefault(d.geometry, []).append(d)
+    observed = [t.up_to(epoch) for t in tracks]
+    live = [t for t in observed if len(t.observations) >= 2 and window_start < t.last.time]
+    paths = [forecast(t, fit_window) for t in live]
+    footprint_wind = [
+        region_max_category(wind_cat_stacks, t.last.bbox, window_start, epoch) for t in live
     ]
-    wind_cat = max(s.category for s in samples)
 
-    source_count = {
-        "bt": 1 if bt_frames else 0,
-        "wind": samples[0].sources,
-        "rain": 1 if rain_stats is not None and rain_stats.missing_fraction < 1.0 else 0,
-    }
+    out = []
+    for region in regions:
+        fraction, min_bt, bt_frames = _cloud_stats(frames_by_geometry, region)
 
-    return RegionIndicators(
-        region=region.name,
-        epoch=epoch,
-        deep_cloud_fraction=fraction,
-        min_bt_K=min_bt,
-        wind_cat=wind_cat,
-        wind_no_observation=all(s.sources == 0 for s in samples),
-        max_rain_mmh=rain_stats.max_rate_mmh if rain_stats else 0.0,
-        rain_persistence_h=rain_stats.persistence_h if rain_stats else 0.0,
-        approach_s=approach,
-        source_count=source_count,
-        rain_stats=rain_stats,
-    )
+        approach: int | None = None
+        samples = [region_max_category(wind_cat_stacks, region, window_start, epoch)]
+        for path, track_wind in zip(paths, footprint_wind):
+            h = time_to_region(path, region)
+            if h is not None:
+                approach = h if approach is None else min(approach, h)
+                samples.append(track_wind)
+
+        stats = rain_stats.get(region.name)
+        source_count = {
+            "bt": 1 if bt_frames else 0,
+            "wind": samples[0].sources,
+            "rain": 1 if stats is not None and stats.missing_fraction < 1.0 else 0,
+        }
+        out.append(RegionIndicators(
+            region=region.name,
+            epoch=epoch,
+            deep_cloud_fraction=fraction,
+            min_bt_K=min_bt,
+            wind_cat=max(s.category for s in samples),
+            wind_no_observation=all(s.sources == 0 for s in samples),
+            max_rain_mmh=stats.max_rate_mmh if stats else 0.0,
+            rain_persistence_h=stats.persistence_h if stats else 0.0,
+            approach_s=approach,
+            source_count=source_count,
+            rain_stats=stats,
+        ))
+    return out
 
 
 class FusionEngine:
@@ -273,54 +272,41 @@ class FusionEngine:
         self.window_s = window_s
         self.fit_window = fit_window
         self.rain = rain
-        self.r_heavy = self.rules.r_heavy_mmh
-
-        from .convection import detect  # local import keeps module load light
 
         self.detections: list[FrameDetections] = []
         if bt is not None:
             for frame in bt:
                 objs = detect(frame, t_deep=t_deep, min_area_px=min_area_px)
                 self.detections.append(FrameDetections(frame.time, frame.geometry, tuple(objs)))
-        self.tracks = build_tracks(
-            [list(d.objects) for d in self.detections], max_gap_km, fit_window
-        )
-        self.frame_times = [d.time for d in self.detections]
+        self.tracks = build_tracks([list(d.objects) for d in self.detections], max_gap_km)
 
         self.wind_cat_stacks: list[GridStack] = []
         for _, stack in sorted((wind_speed or {}).items()):
             self.wind_cat_stacks.append(GridStack([categorize_grid(f, bins) for f in stack]))
-
-    def _tracks_at(self, epoch: datetime) -> list[Track]:
-        return [t.up_to(epoch) for t in self.tracks if t.observations[0].time <= epoch]
 
     def rain_stats_at(self, epoch: datetime, region: RegionBox) -> RainStats | None:
         if self.rain is None:
             return None
         start = epoch - timedelta(seconds=self.window_s)
         try:
-            return region_rain_stats(self.rain, region, start, epoch, self.r_heavy)
+            return region_rain_stats(self.rain, region, start, epoch, self.rules.r_heavy_mmh)
         except EmptyWindowError:
             return None
 
     def run_epoch(self, epoch: datetime) -> list[WarningReport]:
         """One WarningReport per region, ordered by region name."""
-        detections = [d for d in self.detections if d.time <= epoch]
-        tracks = self._tracks_at(epoch)
-        reports = []
-        for region in self.regions:
-            ind = build_indicators(
-                epoch,
-                region,
-                detections,
-                tracks,
-                self.wind_cat_stacks,
-                self.rain_stats_at(epoch, region),
-                window_s=self.window_s,
-                fit_window=self.fit_window,
-            )
-            reports.append(decide(ind, self.rules))
-        return reports
+        rain_stats = {r.name: self.rain_stats_at(epoch, r) for r in self.regions}
+        indicators = build_indicators(
+            epoch,
+            self.regions,
+            self.detections,
+            self.tracks,
+            self.wind_cat_stacks,
+            rain_stats,
+            window_s=self.window_s,
+            fit_window=self.fit_window,
+        )
+        return [decide(ind, self.rules) for ind in indicators]
 
     def run(self, start: datetime, end: datetime, epoch_s: int = DEFAULT_EPOCH_S) -> list[WarningReport]:
         """Reports for every epoch start, start+epoch_s, ... up to end."""

@@ -323,22 +323,16 @@ class GridStack:
     def geometry(self) -> GridGeometry:
         return self.frames[0].geometry
 
-    def times(self) -> list[datetime]:
-        return [f.time for f in self.frames]
-
     def between(self, start: datetime, end: datetime) -> list[GeoGrid]:
         """Frames in the trailing window ``start < t <= end``."""
         return [f for f in self.frames if start < f.time <= end]
 
     def cadence_s(self) -> float:
-        """Uniform frame spacing in seconds; error if spacing varies."""
-        ts = self.times()
-        if len(ts) < 2:
+        """Nominal frame spacing in seconds: the smallest spacing between
+        consecutive frames, so a dropped frame shows as a longer gap."""
+        if len(self.frames) < 2:
             raise ValueError("cannot infer cadence from a single frame")
-        deltas = {(b - a).total_seconds() for a, b in zip(ts, ts[1:])}
-        if len(deltas) != 1:
-            raise ValueError(f"non-uniform frame cadence: {sorted(deltas)}")
-        return deltas.pop()
+        return min((b.time - a.time).total_seconds() for a, b in zip(self.frames, self.frames[1:]))
 
 
 # ---------------------------------------------------------------------------

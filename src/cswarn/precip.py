@@ -52,12 +52,13 @@ class RainStats:
     missing_fraction: float
 
 
-def _frame_hours(stack: GridStack, dt_s: float | None) -> float:
+def _frame_seconds(stack: GridStack, dt_s: float | None) -> float:
+    """Seconds each frame's rate applies to: ``dt_s``, else the nominal cadence."""
     if dt_s is not None:
         if dt_s <= 0:
             raise ValueError(f"dt_s must be > 0, got {dt_s}")
-        return dt_s / 3600.0
-    return stack.cadence_s() / 3600.0
+        return dt_s
+    return stack.cadence_s()
 
 
 def accumulate(
@@ -68,7 +69,7 @@ def accumulate(
 ) -> Accumulation:
     """Cellwise sum of rate * dt (mm) over frames with start <= t < end.
 
-    ``dt_s`` overrides the inferred uniform cadence (required for
+    ``dt_s`` overrides the inferred nominal cadence (required for
     single-frame stacks). Missing cells count as zero depth.
     """
     if stack.variable is not Variable.RAIN_RATE:
@@ -76,7 +77,7 @@ def accumulate(
     frames = [f for f in stack if start <= f.time < end]
     if not frames:
         raise EmptyWindowError(f"no rain frames in [{start}, {end})")
-    dt_h = _frame_hours(stack, dt_s)
+    dt_h = _frame_seconds(stack, dt_s) / 3600.0
     total = np.zeros(frames[0].values.shape)
     missing = np.zeros(frames[0].values.shape)
     for f in frames:
@@ -105,7 +106,8 @@ def region_rain_stats(
       rate reaches ``r_heavy``, converted to hours.
     - missing_fraction: missing share of all (cell, frame) samples.
 
-    Frames whose region cells are all missing interrupt a heavy run; rain
+    Frames whose region cells are all missing interrupt a heavy run, and
+    so does a spacing above the frame interval (a dropped frame): rain
     that was not observed never counts as heavy. Raises EmptyWindowError
     when the window holds no samples: no frames, or a region outside the
     rain grid.
@@ -118,25 +120,24 @@ def region_rain_stats(
     frames = stack.between(start, end)
     if not frames:
         raise EmptyWindowError(f"no rain frames in ({start}, {end}]")
-    dt_h = _frame_hours(stack, dt_s)
+    frame_s = _frame_seconds(stack, dt_s)
+    dt_h = frame_s / 3600.0
 
     max_rate = 0.0
     missing = 0
-    heavy_flags: list[bool] = []
+    longest = run = 0
     accum = np.zeros(frames[0].values[window].shape)
-    for f in frames:
+    for prev, f in zip([None, *frames], frames):
         block = f.values[window]
         finite = block != f.nodata
         missing += int((~finite).sum())
         vals = block[finite]
         frame_max = float(vals.max()) if vals.size else 0.0
         max_rate = max(max_rate, frame_max)
-        heavy_flags.append(vals.size > 0 and frame_max >= r_heavy)
         accum += np.where(finite, block, 0.0) * dt_h
-
-    longest = run = 0
-    for flag in heavy_flags:
-        run = run + 1 if flag else 0
+        if prev is not None and (f.time - prev.time).total_seconds() > frame_s:
+            run = 0  # a dropped frame was not observed
+        run = run + 1 if vals.size > 0 and frame_max >= r_heavy else 0
         longest = max(longest, run)
     # A window whose edges fall inside frame intervals can admit more frame
     # coverage than its own span; persistence never exceeds the window.

@@ -128,68 +128,53 @@ def _displacement_deg(motion: MotionVector, horizon_s: float, lat_ref: float) ->
     return north_km / KM_PER_DEG, east_km / (KM_PER_DEG * math.cos(math.radians(lat_ref)))
 
 
-def time_to_region(
-    track: Track,
-    region: RegionBox,
-    fit_window: int = DEFAULT_FIT_WINDOW,
-    step_s: int = HORIZON_STEP_S,
-    max_s: int = HORIZON_MAX_S,
-) -> int | None:
-    """Smallest forecast horizon at which the track's bbox meets ``region``.
+def forecast(track: Track, fit_window: int = DEFAULT_FIT_WINDOW) -> list[tuple[int, RegionBox]]:
+    """The last bbox moved along one motion fit, at every forecast horizon.
 
-    Horizons are multiples of ``step_s`` up to ``max_s`` (the one-day
-    warning cap). Returns None when no horizon intersects, i.e. the cell
-    is not approaching.
+    Horizons are multiples of HORIZON_STEP_S up to HORIZON_MAX_S (the
+    one-day warning cap). A stationary track gets only the first horizon,
+    since every later one is identical.
     """
     motion = motion_vector(track, fit_window)
     bbox = track.last.bbox
     lat_ref = (bbox.lat_min + bbox.lat_max) / 2.0
-    for h in range(step_s, max_s + 1, step_s):
-        dlat, dlon = _displacement_deg(motion, h, lat_ref)
-        if bbox.translated(dlat, dlon).intersects(region):
-            return h
-        if motion.speed_mps == 0.0:
-            return None  # stationary: later horizons are identical
-    return None
+    horizons = range(HORIZON_STEP_S, HORIZON_MAX_S + 1, HORIZON_STEP_S)
+    if motion.speed_mps == 0.0:
+        horizons = horizons[:1]  # stationary: later horizons are identical
+    return [(h, bbox.translated(*_displacement_deg(motion, h, lat_ref))) for h in horizons]
 
 
-class Tracker:
-    """Sequential frame-by-frame track builder (one instance per stack)."""
+def time_to_region(path: list[tuple[int, RegionBox]], region: RegionBox) -> int | None:
+    """Smallest horizon of a :func:`forecast` path whose bbox meets ``region``.
 
-    def __init__(self, max_gap_km: float = DEFAULT_MAX_GAP_KM, fit_window: int = DEFAULT_FIT_WINDOW):
-        self.max_gap_km = max_gap_km
-        self.fit_window = fit_window
-        self.tracks: list[Track] = []
-        self._live: dict[int, Track] = {}  # current-frame object id -> track
-        self._prev: list[CSObject] = []
-        self._next_track_id = 1
-
-    def update(self, objects: list[CSObject]) -> None:
-        """Advance one frame with its detected objects."""
-        pairs = associate(self._prev, objects, self.max_gap_km)
-        matched_next = {nid: pid for pid, nid in pairs}
-        live_now: dict[int, Track] = {}
-        for obj in objects:
-            pid = matched_next.get(obj.id)
-            if pid is not None and pid in self._live:
-                track = self._live[pid]
-            else:
-                track = Track(self._next_track_id)
-                self._next_track_id += 1
-                self.tracks.append(track)
-            track.add(obj)
-            live_now[obj.id] = track
-        self._live = live_now
-        self._prev = objects
+    Returns None when no horizon intersects, i.e. the cell is not
+    approaching.
+    """
+    return next((h for h, box in path if box.intersects(region)), None)
 
 
 def build_tracks(
-    frames: list[list[CSObject]],
-    max_gap_km: float = DEFAULT_MAX_GAP_KM,
-    fit_window: int = DEFAULT_FIT_WINDOW,
+    frames: list[list[CSObject]], max_gap_km: float = DEFAULT_MAX_GAP_KM
 ) -> list[Track]:
-    """Run a fresh Tracker over per-frame object lists."""
-    tracker = Tracker(max_gap_km, fit_window)
+    """Chain per-frame object lists into tracks, frame by frame.
+
+    An object continues the track of the previous-frame object it is
+    associated with; any other object starts a new track. Track ids count
+    up from 1 in order of first appearance.
+    """
+    tracks: list[Track] = []
+    live: dict[int, Track] = {}  # previous-frame object id -> track
+    prev: list[CSObject] = []
     for objects in frames:
-        tracker.update(objects)
-    return tracker.tracks
+        matched = {nid: pid for pid, nid in associate(prev, objects, max_gap_km)}
+        live_now: dict[int, Track] = {}
+        for obj in objects:
+            if obj.id in matched:
+                track = live[matched[obj.id]]
+            else:
+                track = Track(len(tracks) + 1)
+                tracks.append(track)
+            track.add(obj)
+            live_now[obj.id] = track
+        live, prev = live_now, objects
+    return tracks

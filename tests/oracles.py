@@ -12,6 +12,7 @@ from itertools import permutations
 import numpy as np
 
 from cswarn.geogrid import GeoGrid, GridGeometry, RegionBox, haversine_km
+from cswarn.tracking import _displacement_deg, motion_vector
 
 
 def union_find_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
@@ -63,6 +64,23 @@ def region_cells(geometry: GridGeometry, box: RegionBox) -> set[tuple[int, int]]
         for c in range(geometry.ncols)
         if box.contains(geometry.cell_lat(r), geometry.cell_lon(c))
     }
+
+
+def horizon_loop_time_to_region(track, region: RegionBox, fit_window: int = 6,
+                                step_s: int = 600, max_s: int = 86400) -> int | None:
+    """Refit the motion and step the bbox one horizon at a time for this
+    one region, stopping at the first hit; a stationary track is tried at
+    the first horizon only."""
+    motion = motion_vector(track, fit_window)
+    bbox = track.last.bbox
+    lat_ref = (bbox.lat_min + bbox.lat_max) / 2.0
+    for h in range(step_s, max_s + 1, step_s):
+        dlat, dlon = _displacement_deg(motion, h, lat_ref)
+        if bbox.translated(dlat, dlon).intersects(region):
+            return h
+        if motion.speed_mps == 0.0:
+            return None
+    return None
 
 
 def best_assignment(prev, next, max_gap_km: float) -> list[tuple[int, int]]:

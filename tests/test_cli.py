@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import shutil
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -246,6 +247,26 @@ class TestExitCodes:
         assert code == 1
         assert "duration_s" in capsys.readouterr().err
 
+    def test_unexpected_failure_is_one_line_and_1(self, tmp_path, capsys):
+        spec = tmp_path / "s.ini"
+        spec.write_text(QUIET_SPEC + "\n[scenario]\nnrows = 3\n", encoding="utf-8")
+        code = cli.main(["synth", "--spec", str(spec), str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cswarn synth:") and "already exists" in err
+        assert err.count("\n") == 1
+
+    def test_multi_line_config_error_is_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "engine.ini"
+        bad.write_text("not an ini at all\n", encoding="utf-8")
+        bt = tmp_path / "bt.gsf"
+        bt.write_text("", encoding="utf-8")
+        code = cli.main(["detect", str(bt), "-o", str(tmp_path / "o.csv"), "--config", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cswarn detect: config error:") and "no section headers" in err
+        assert err.count("\n") == 1
+
     def test_wrong_variable_is_1(self, tmp_path, pipeline, capsys):
         out = tmp_path / "objects.csv"
         code = cli.main(
@@ -466,6 +487,31 @@ class TestFuseValidate:
         assert off and all(row["level"] == "NONE" for row in off)
         assert [row for row in rows if row["region"] != "OFF"] == read_rows(pipeline["warnings"])
         assert read_rows(rain_stats) == read_rows(pipeline["rain_stats"])
+
+    def test_dropped_rain_frame_is_not_observed(self, tmp_path, pipeline):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        rain = read_gsf(data / "rain.gsf")
+        gap = rain[4].time
+        write_gsf(GridStack([f for f in rain if f.time != gap]), data / "rain.gsf")
+        warnings = tmp_path / "warnings.csv"
+        rain_stats = tmp_path / "rain_stats.csv"
+        assert cli.main([
+            "fuse", str(data), str(pipeline["regions"]), "-o", str(warnings),
+            "--rain-stats-out", str(rain_stats),
+        ]) == 0
+        window_s = EngineConfig().window_s
+
+        def misses_gap(epoch):
+            epoch = parse_time(epoch)
+            return not (epoch - timedelta(seconds=window_s) < gap <= epoch)
+
+        for name, epoch_key in (("warnings", "epoch"), ("rain_stats", "window_end")):
+            before = read_rows(pipeline[name])
+            after = read_rows(tmp_path / f"{name}.csv")
+            assert len(after) == len(before)
+            kept = [row for row in before if misses_gap(row[epoch_key])]
+            assert kept and kept == [row for row in after if misses_gap(row[epoch_key])]
 
     def test_unrecognised_gsf_is_not_read(self, tmp_path, pipeline):
         data = tmp_path / "data"

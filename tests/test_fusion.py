@@ -9,6 +9,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+from cswarn import tracking
 from cswarn.convection import detect
 from cswarn.fusion import (
     FrameDetections,
@@ -20,7 +21,7 @@ from cswarn.fusion import (
     decide,
 )
 from cswarn.geogrid import KM_PER_DEG, GridGeometry, GridStack, RegionBox, Variable
-from cswarn.scenario import generate, paper_replay_spec
+from cswarn.scenario import CellSpec, generate, paper_replay_spec
 from cswarn.tracking import Track
 from cswarn.wind import WindCategory
 
@@ -66,8 +67,8 @@ class TestRegionIndicatorsValidation:
 
 class TestBuildIndicators:
     def test_all_quiet(self):
-        ind = build_indicators(T0, REGION, detections=[], tracks=[],
-                               wind_cat_stacks=[], rain_stats=None)
+        ind = build_indicators(T0, [REGION], detections=[], tracks=[],
+                               wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == 0.0
         assert ind.min_bt_K is None
         assert ind.wind_cat == WindCategory.NONE
@@ -78,8 +79,8 @@ class TestBuildIndicators:
 
     def test_region_fully_covered_by_cold_cloud(self):
         bt = make_grid(np.full((4, 4), 205.0))
-        ind = build_indicators(T0, REGION, detections=[detections_frame(bt)],
-                               tracks=[], wind_cat_stacks=[], rain_stats=None)
+        ind = build_indicators(T0, [REGION], detections=[detections_frame(bt)],
+                               tracks=[], wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == 1.0
         assert ind.min_bt_K == 205.0
 
@@ -90,8 +91,8 @@ class TestBuildIndicators:
         values[1, 2] = 205.0
         values[2, 1] = 205.0    # region block is rows 1-2 x cols 1-2
         bt = make_grid(values)
-        ind = build_indicators(T0, REGION, detections=[detections_frame(bt)],
-                               tracks=[], wind_cat_stacks=[], rain_stats=None)
+        ind = build_indicators(T0, [REGION], detections=[detections_frame(bt)],
+                               tracks=[], wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == pytest.approx(0.75)
 
     def test_approach_is_min_over_tracks(self):
@@ -110,8 +111,8 @@ class TestBuildIndicators:
 
         near = westward(1, 35.9)    # arrives at the 3600 s horizon
         far = westward(2, 71.9)     # arrives at the 7200 s horizon
-        ind = build_indicators(T0, region, detections=[], tracks=[far, near],
-                               wind_cat_stacks=[], rain_stats=None)
+        ind = build_indicators(T0, [region], detections=[], tracks=[far, near],
+                               wind_cat_stacks=[], rain_stats={})[0]
         assert ind.approach_s == 3600
 
     def test_stale_tracks_are_ignored(self):
@@ -120,8 +121,8 @@ class TestBuildIndicators:
         old = T0 - timedelta(seconds=20000)
         track.add(obj_at(1, lat, lon, time=old))
         track.add(obj_at(2, lat, lon - 0.05, time=old + timedelta(seconds=600)))
-        ind = build_indicators(T0, REGION, detections=[], tracks=[track],
-                               wind_cat_stacks=[], rain_stats=None, window_s=10800)
+        ind = build_indicators(T0, [REGION], detections=[], tracks=[track],
+                               wind_cat_stacks=[], rain_stats={}, window_s=10800)[0]
         assert ind.approach_s is None
 
     @pytest.mark.parametrize("seed", range(4))
@@ -154,11 +155,68 @@ class TestBuildIndicators:
             if cells:
                 fractions.append(len(covered) / len(cells))
 
-        ind = build_indicators(T0, box, detections=frames, tracks=[],
-                               wind_cat_stacks=[], rain_stats=None)
+        ind = build_indicators(T0, [box], detections=frames, tracks=[],
+                               wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == pytest.approx(max(fractions))
         assert ind.min_bt_K == (min(touching_bt) if touching_bt else None)
         assert ind.source_count["bt"] == (1 if cells else 0)
+
+
+@pytest.fixture(scope="module")
+def busy_engine():
+    """Four hours of the paper replay plus three cells: one moving north-west
+    with strong wind, one stationary and one that dies after an hour."""
+    spec = paper_replay_spec()
+    extra = (
+        CellSpec("nw", 16.2, 108.8, speed_mps=12.0, bearing_deg=315.0,
+                 radius_km=25.0, wind_peak_mps=14.0, rain_peak_mmh=9.0),
+        CellSpec("still", 18.5, 104.5, speed_mps=0.0, bearing_deg=0.0,
+                 radius_km=20.0, wind_peak_mps=18.0),
+        CellSpec("brief", 17.5, 104.2, speed_mps=6.0, bearing_deg=90.0,
+                 radius_km=20.0, death_s=3600),
+    )
+    spec = dataclasses.replace(spec, duration_s=14400, cells=spec.cells + extra)
+    data = generate(spec, seed=0)
+    return FusionEngine(list(spec.regions), bt=data.bt, rain=data.rain,
+                        wind_speed=dict(data.wind))
+
+
+def busy_epochs(engine):
+    return [d.time for d in engine.detections[::3]]
+
+
+class TestOncePerEpoch:
+    def test_all_regions_at_once_equal_each_region_alone(self, busy_engine):
+        engine = busy_engine
+        together = []
+        for epoch in busy_epochs(engine):
+            rain = {r.name: engine.rain_stats_at(epoch, r) for r in engine.regions}
+            args = (engine.detections, engine.tracks, engine.wind_cat_stacks, rain)
+            inds = build_indicators(epoch, engine.regions, *args)
+            assert inds == [build_indicators(epoch, [r], *args)[0] for r in engine.regions]
+            together += inds
+        assert any(ind.approach_s is not None for ind in together)
+        assert any(ind.wind_cat >= WindCategory.SEVERE for ind in together)
+
+    def test_one_motion_fit_per_live_track_per_epoch(self, busy_engine, monkeypatch):
+        engine = busy_engine
+        fitted = []
+        real = tracking.motion_vector
+
+        def counting(track, *args, **kwargs):
+            fitted.append(track.track_id)
+            return real(track, *args, **kwargs)
+
+        monkeypatch.setattr(tracking, "motion_vector", counting)
+        for epoch in busy_epochs(engine):
+            fitted.clear()
+            engine.run_epoch(epoch)
+            start = epoch - timedelta(seconds=engine.window_s)
+            live = [t.track_id for t in engine.tracks
+                    if len(t.up_to(epoch).observations) >= 2
+                    and start < t.up_to(epoch).last.time]
+            assert sorted(fitted) == sorted(live)
+        assert len(engine.tracks) >= 3
 
 
 class TestDecide:

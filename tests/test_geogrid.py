@@ -296,6 +296,14 @@ class TestGridStack:
         stack = make_stack([np.zeros((2, 2))] * 3, dt_s=600)
         assert stack.cadence_s() == 600.0
 
+    def test_cadence_is_smallest_spacing_across_a_gap(self):
+        grids = list(make_stack([np.zeros((2, 2))] * 5, dt_s=600))
+        assert GridStack(grids[:2] + grids[3:]).cadence_s() == 600.0
+
+    def test_cadence_of_one_frame_raises(self):
+        with pytest.raises(ValueError, match="single frame"):
+            make_stack([np.zeros((2, 2))]).cadence_s()
+
 
 @st.composite
 def random_stacks(draw):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cswarn.geogrid import GridGeometry, RegionBox, Variable
+from cswarn.geogrid import GridGeometry, GridStack, RegionBox, Variable
 from cswarn.precip import (
     EmptyWindowError,
     accumulate,
@@ -162,6 +162,16 @@ class TestRegionRainStats:
         stack = rain_stack(frames)
         stats = region_rain_stats(stack, REGION, t(-1800), t(5 * 1800))
         assert stats.persistence_h == pytest.approx(1.5)
+
+    def test_dropped_frame_breaks_a_run(self):
+        # Six heavy half hours with the third frame missing from the stack:
+        # the gap is not observed, so the longest run is the last three.
+        grids = list(rain_stack([self.heavy_frame()] * 6))
+        stack = GridStack(grids[:2] + grids[3:])
+        stats = region_rain_stats(stack, REGION, t(-1800), t(5 * 1800))
+        assert stats.persistence_h == pytest.approx(1.5)
+        assert stats.max_rate_mmh == pytest.approx(9.0)
+        assert stats.accum_mm == pytest.approx(9.0 * 0.5 * 5)
 
     def test_trailing_zero_frame_keeps_longest_run(self):
         frames = [self.heavy_frame()] * 4 + [np.zeros((4, 4))]

@@ -6,21 +6,25 @@ import math
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cswarn.convection import CSObject
 from cswarn.geogrid import KM_PER_DEG, RegionBox
 from cswarn.tracking import (
+    HORIZON_MAX_S,
+    HORIZON_STEP_S,
     Track,
-    Tracker,
     UndefinedMotionError,
     associate,
     build_tracks,
+    forecast,
     motion_vector,
     time_to_region,
 )
 
 from conftest import T0
-from oracles import best_assignment
+from oracles import best_assignment, horizon_loop_time_to_region
 
 
 def obj_at(id, lat, lon, time=T0, half_deg=0.25):
@@ -153,7 +157,7 @@ class TestTimeToRegion:
     def test_bbox_already_touching_hits_first_horizon(self):
         region = RegionBox("R", 15.8, 16.2, 109.5, 110.1)
         track = westward_track(10.0)
-        assert time_to_region(track, region) == 600
+        assert time_to_region(forecast(track), region) == 600
 
     def test_hundred_km_gap_at_ten_mps(self):
         # Track bbox west edge sits 100 km east of the region; expect the
@@ -163,23 +167,23 @@ class TestTimeToRegion:
         west_edge = track.observations[-1].bbox.lon_min
         gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
         region = RegionBox("R", 15.8, 16.2, west_edge - gap_deg - 2.0, west_edge - gap_deg)
-        assert time_to_region(track, region) == 10200
+        assert time_to_region(forecast(track), region) == 10200
 
     def test_receding_track_never_arrives(self):
         region = RegionBox("R", 15.8, 16.2, 100.0, 101.0)
         dlon = 10.0 * 600.0 / 1000.0 / (KM_PER_DEG * math.cos(math.radians(16.0)))
         track = track_from_positions([110.0 + dlon * k for k in range(3)], lat=16.0)
-        assert time_to_region(track, region) is None
+        assert time_to_region(forecast(track), region) is None
 
     def test_stationary_track_outside_region(self):
         region = RegionBox("R", 15.8, 16.2, 100.0, 101.0)
         track = track_from_positions([110.0, 110.0], lat=16.0)
-        assert time_to_region(track, region) is None
+        assert time_to_region(forecast(track), region) is None
 
     def test_wrong_latitude_band_never_intersects(self):
         region = RegionBox("R", 25.0, 26.0, 100.0, 120.0)
         track = westward_track(10.0)
-        assert time_to_region(track, region) is None
+        assert time_to_region(forecast(track), region) is None
 
     def test_result_bounded_by_max_horizon(self):
         lat = 16.0
@@ -187,7 +191,7 @@ class TestTimeToRegion:
         west_edge = track.observations[-1].bbox.lon_min
         gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
         region = RegionBox("R", 15.8, 16.2, west_edge - gap_deg - 2.0, west_edge - gap_deg)
-        assert time_to_region(track, region) is None
+        assert time_to_region(forecast(track), region) is None
 
     def test_eastward_track_reaches_region_to_the_east(self):
         lat = 16.0
@@ -196,7 +200,7 @@ class TestTimeToRegion:
         east_edge = track.observations[-1].bbox.lon_max
         gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
         region = RegionBox("R", 15.8, 16.2, east_edge + gap_deg, east_edge + gap_deg + 2.0)
-        assert time_to_region(track, region) == 10200
+        assert time_to_region(forecast(track), region) == 10200
 
     def test_arrival_scales_inversely_with_speed(self):
         # The forecast bbox moves speed * horizon, so the 100 km gap closes
@@ -207,11 +211,56 @@ class TestTimeToRegion:
             track = westward_track(speed, lat=lat)
             west_edge = track.observations[-1].bbox.lon_min
             region = RegionBox("R", 15.8, 16.2, west_edge - gap_deg - 2.0, west_edge - gap_deg)
-            arrival = time_to_region(track, region, step_s=60)
-            assert 0 <= arrival - 100_000.0 / speed < 60
+            arrival = time_to_region(forecast(track), region)
+            assert 0 <= arrival - 100_000.0 / speed < 600
 
 
-class TestTrackerAndBuildTracks:
+class TestForecast:
+    def test_moving_track_gets_every_horizon(self):
+        path = forecast(westward_track(10.0))
+        assert [h for h, _ in path] == list(range(HORIZON_STEP_S, HORIZON_MAX_S + 1, HORIZON_STEP_S))
+        lons = [box.lon_min for _, box in path]
+        assert lons == sorted(lons, reverse=True)
+
+    def test_stationary_track_gets_first_horizon_only(self):
+        track = track_from_positions([110.0, 110.0], lat=16.0)
+        assert forecast(track) == [(HORIZON_STEP_S, track.last.bbox)]
+
+
+@st.composite
+def tracks_and_regions(draw):
+    """A track (stationary, straight or jittered in any direction) and a
+    region placed along, behind or beside its forecast path."""
+    lat0 = draw(st.floats(-30.0, 30.0))
+    lon0 = draw(st.floats(90.0, 130.0))
+    kind = draw(st.sampled_from(["stationary", "straight", "jittered"]))
+    vlat, vlon = (0.0, 0.0) if kind == "stationary" else (
+        draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1)))
+    n = draw(st.integers(2, 8))
+    jitter = 0.01 if kind == "jittered" else 0.0
+    positions = [
+        (lat0 + vlat * k + jitter * draw(st.floats(-1.0, 1.0)),
+         lon0 + vlon * k + jitter * draw(st.floats(-1.0, 1.0)))
+        for k in range(n)
+    ]
+    ahead = draw(st.floats(-50.0, 200.0))   # steps along the path; < 0 is behind
+    lat_c = positions[-1][0] + vlat * ahead + draw(st.floats(-2.0, 2.0))
+    lon_c = positions[-1][1] + vlon * ahead + draw(st.floats(-2.0, 2.0))
+    half_lat, half_lon = draw(st.floats(0.01, 1.5)), draw(st.floats(0.01, 1.5))
+    region = RegionBox("R", lat_c - half_lat, lat_c + half_lat, lon_c - half_lon, lon_c + half_lon)
+    return track_from_positions(positions), region, draw(st.integers(2, 6))
+
+
+class TestForecastMatchesHorizonLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(tracks_and_regions())
+    def test_first_hit_on_path_equals_per_region_loop(self, case):
+        track, region, fit_window = case
+        expected = horizon_loop_time_to_region(track, region, fit_window)
+        assert time_to_region(forecast(track, fit_window), region) == expected
+
+
+class TestBuildTracks:
     def frames_single_blob(self, n=5):
         dlon = 0.05
         return [[obj_at(1, 16.0, 106.0 - dlon * k, time=T0 + timedelta(seconds=600 * k))]
@@ -248,16 +297,16 @@ class TestTrackerAndBuildTracks:
         tracks = build_tracks(frames, max_gap_km=50.0)
         assert len(tracks) == 2
 
-    def test_tracker_incremental_matches_batch(self):
-        frames = self.frames_single_blob()
-        tracker = Tracker()
-        for frame in frames:
-            tracker.update(frame)
-        batch = build_tracks(frames)
-        assert len(tracker.tracks) == len(batch)
-        for a, b in zip(tracker.tracks, batch):
-            assert [o.centroid_lon for o in a.observations] == \
-                   [o.centroid_lon for o in b.observations]
+    def test_ids_count_up_in_order_of_first_appearance(self):
+        frames = [
+            [obj_at(1, 16.0, 106.0, time=T0)],
+            [obj_at(1, 18.0, 108.0, time=T0 + timedelta(seconds=600)),
+             obj_at(2, 16.0, 106.05, time=T0 + timedelta(seconds=600))],
+        ]
+        tracks = build_tracks(frames)
+        assert [t.track_id for t in tracks] == [1, 2]
+        assert [o.centroid_lon for o in tracks[0].observations] == [106.0, 106.05]
+        assert [o.centroid_lon for o in tracks[1].observations] == [108.0]
 
 
 class TestSyntheticMotionFidelity:
