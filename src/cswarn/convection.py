@@ -15,7 +15,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .geogrid import KM_PER_DEG, GeoGrid, RegionBox, Variable
+from .geogrid import KM_PER_DEG, GeoGrid, GridGeometry, RegionBox, Variable
 
 DEFAULT_T_DEEP_K = 220.0
 DEFAULT_MIN_AREA_PX = 4
@@ -61,7 +61,7 @@ def convective_mask(bt: GeoGrid, t_deep: float = DEFAULT_T_DEEP_K) -> GeoGrid:
         raise TypeError(f"convective_mask needs a BT grid, got {bt.variable.value}")
     finite = bt.finite_mask
     out = np.where(finite, (bt.values <= t_deep).astype(np.float64), bt.nodata)
-    return bt.with_values(out, variable=Variable.FLOOD_MASK, units="bool")
+    return bt.with_values(out, variable=Variable.FLOOD_MASK)
 
 
 def label_array(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -94,10 +94,10 @@ def label_array(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(labels, dtype=np.int32), current
 
 
-def _cell_areas_km2(grid: GeoGrid) -> np.ndarray:
+def _cell_areas_km2(geom: GridGeometry) -> np.ndarray:
     """Per-row cell areas on the spherical-degree approximation."""
-    lat = grid.lats()
-    return (grid.dlat * KM_PER_DEG) * (grid.dlon * KM_PER_DEG * np.cos(np.radians(lat)))
+    lat = geom.lats()
+    return (geom.dlat * KM_PER_DEG) * (geom.dlon * KM_PER_DEG * np.cos(np.radians(lat)))
 
 
 def label_components(mask: GeoGrid, min_area_px: int = DEFAULT_MIN_AREA_PX) -> list[CSObject]:
@@ -111,11 +111,12 @@ def label_components(mask: GeoGrid, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
         raise ValueError("min_area_px must be >= 1")
     on = mask.finite_mask & (mask.values != 0.0)
     labels, count = label_array(on)
-    row_area = _cell_areas_km2(mask)
-    lats = mask.lats()
-    lons = mask.lons()
-    half_lat = mask.dlat / 2.0
-    half_lon = mask.dlon / 2.0
+    geom = mask.geometry
+    row_area = _cell_areas_km2(geom)
+    lats = geom.lats()
+    lons = geom.lons()
+    half_lat = geom.dlat / 2.0
+    half_lon = geom.dlon / 2.0
 
     objects: list[CSObject] = []
     for lab in range(1, count + 1):
@@ -154,7 +155,7 @@ def summarize(bt: GeoGrid, objects: list[CSObject]) -> list[CSObject]:
     for obj in objects:
         if obj.rows is None or obj.cols is None:
             raise ValueError(f"object {obj.id}: member pixels not available")
-        if (obj.rows >= bt.nrows).any() or (obj.cols >= bt.ncols).any():
+        if (obj.rows >= bt.geometry.nrows).any() or (obj.cols >= bt.geometry.ncols).any():
             raise ValueError(f"object {obj.id}: member pixels outside the BT grid")
         member = bt.values[obj.rows, obj.cols]
         member = member[member != bt.nodata]

@@ -40,13 +40,11 @@ class NoWarningsError(ValueError):
 
 @dataclass(frozen=True)
 class FloodMask:
-    """Boolean flood grid plus how it was derived."""
+    """Boolean flood grid, stamped with the flood and reference times."""
 
     grid: GeoGrid
     flood_time: datetime
     reference_time: datetime | None = None
-    threshold_db: float | None = None
-    min_region_px: int | None = None
 
     def __post_init__(self) -> None:
         if self.grid.variable is not Variable.FLOOD_MASK:
@@ -64,7 +62,7 @@ def log_ratio_db(flood: GeoGrid, ref: GeoGrid) -> GeoGrid:
     for grid, label in ((flood, "flood"), (ref, "reference")):
         if grid.variable is not Variable.NRCS:
             raise TypeError(f"{label} grid must be NRCS, got {grid.variable.value}")
-    if not flood.same_geometry(ref):
+    if flood.geometry != ref.geometry:
         raise ValueError("flood and reference grids have different geometry")
     valid = flood.finite_mask & ref.finite_mask
     positive = valid & (flood.values > 0) & (ref.values > 0)
@@ -74,7 +72,7 @@ def log_ratio_db(flood: GeoGrid, ref: GeoGrid) -> GeoGrid:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = 10.0 * np.log10(flood.values / ref.values)
     out = np.where(positive, ratio, flood.nodata)
-    return flood.with_values(out, variable=Variable.LOG_RATIO, units="dB")
+    return flood.with_values(out, variable=Variable.LOG_RATIO)
 
 
 def flood_mask(
@@ -95,14 +93,8 @@ def flood_mask(
         keep[0] = False
         flooded = keep[labels]
     out = np.where(finite, flooded.astype(np.float64), ratio_db.nodata)
-    grid = ratio_db.with_values(out, variable=Variable.FLOOD_MASK, units="bool")
-    return FloodMask(
-        grid=grid,
-        flood_time=ratio_db.time,
-        reference_time=reference_time,
-        threshold_db=threshold_db,
-        min_region_px=min_region_px,
-    )
+    grid = ratio_db.with_values(out, variable=Variable.FLOOD_MASK)
+    return FloodMask(grid=grid, flood_time=ratio_db.time, reference_time=reference_time)
 
 
 def flooded_regions(
@@ -150,9 +142,9 @@ def validate(
     mask: FloodMask,
     regions: Sequence[RegionBox],
     f_flood: float = F_FLOOD_DEFAULT,
-    min_level: WarnLevel = WarnLevel.WARNING,
 ) -> ValidationScore:
-    """Score warnings issued at or before the flood time against the mask."""
+    """Score warnings issued at or before the flood time against the mask;
+    a region counts as warned once any of them reached WARNING."""
     prior = [w for w in warnings if w.epoch <= mask.flood_time]
     if not prior:
         raise NoWarningsError(
@@ -160,7 +152,7 @@ def validate(
         )
     warned = {r.name: False for r in regions}
     for w in prior:
-        if w.region in warned and w.level >= min_level:
+        if w.region in warned and w.level >= WarnLevel.WARNING:
             warned[w.region] = True
     flooded = flooded_regions(mask, regions, f_flood)
 

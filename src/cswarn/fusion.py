@@ -20,8 +20,10 @@ landfall, which is exactly too late for an early warning.
 
 An epoch is evaluated for all regions at once, so what does not depend on
 the region is computed once per epoch: the window's BT frames, and each
-live track's motion fit, forecast path and footprint wind. A region's BT
-cell window is found once per grid geometry, not once per frame.
+live track's motion fit and forecast path. A track's footprint wind is
+looked up once per epoch too, and only when its path reaches a region. A
+region's BT cell window is found once per grid geometry, not once per
+frame.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .convection import CSObject, detect
 from .geogrid import GridGeometry, GridStack, RegionBox, region_indices
 from .precip import EmptyWindowError, RainStats, region_rain_stats
 from .tracking import DEFAULT_FIT_WINDOW, Track, build_tracks, forecast, time_to_region
-from .wind import WindCategory, categorize_grid, region_max_category
+from .wind import RegionCategory, WindCategory, categorize_grid, region_max_category
 
 DEFAULT_WINDOW_S = 10800
 DEFAULT_EPOCH_S = 1800
@@ -205,9 +207,8 @@ def build_indicators(
     observed = [t.up_to(epoch) for t in tracks]
     live = [t for t in observed if len(t.observations) >= 2 and window_start < t.last.time]
     paths = [forecast(t, fit_window) for t in live]
-    footprint_wind = [
-        region_max_category(wind_cat_stacks, t.last.bbox, window_start, epoch) for t in live
-    ]
+    # A live track's footprint wind, looked up when its path first hits a region.
+    footprint_wind: list[RegionCategory | None] = [None] * len(live)
 
     out = []
     for region in regions:
@@ -215,11 +216,15 @@ def build_indicators(
 
         approach: int | None = None
         samples = [region_max_category(wind_cat_stacks, region, window_start, epoch)]
-        for path, track_wind in zip(paths, footprint_wind):
+        for i, path in enumerate(paths):
             h = time_to_region(path, region)
             if h is not None:
                 approach = h if approach is None else min(approach, h)
-                samples.append(track_wind)
+                if footprint_wind[i] is None:
+                    footprint_wind[i] = region_max_category(
+                        wind_cat_stacks, live[i].last.bbox, window_start, epoch
+                    )
+                samples.append(footprint_wind[i])
 
         stats = rain_stats.get(region.name)
         source_count = {
@@ -285,7 +290,11 @@ class FusionEngine:
             self.wind_cat_stacks.append(GridStack([categorize_grid(f, bins) for f in stack]))
 
     def rain_stats_at(self, epoch: datetime, region: RegionBox) -> RainStats | None:
-        if self.rain is None:
+        """Trailing-window rain summary of ``region``, or None when rain was
+        not observed there: no stack, a one-frame stack (it has no cadence
+        to turn rates into depths), no frame in the window, or a region
+        off the rain grid."""
+        if self.rain is None or len(self.rain) < 2:
             return None
         start = epoch - timedelta(seconds=self.window_s)
         try:

@@ -159,9 +159,9 @@ class RegionBox:
             and other.lon_min <= self.lon_max
         )
 
-    def translated(self, dlat: float, dlon: float, name: str | None = None) -> "RegionBox":
+    def translated(self, dlat: float, dlon: float) -> "RegionBox":
         return RegionBox(
-            name if name is not None else self.name,
+            self.name,
             self.lat_min + dlat,
             self.lat_max + dlat,
             self.lon_min + dlon,
@@ -192,64 +192,31 @@ def _check_bounds(variable: Variable, finite: np.ndarray) -> None:
 class GeoGrid:
     """One georeferenced raster of a single variable at one timestamp.
 
-    ``values`` is an ``nrows x ncols`` float64 array with row 0 = north.
-    Cells equal to ``nodata`` are missing; every other value must be finite
-    and inside the variable's physical bounds. The array is copied and
-    frozen at construction.
+    ``geometry`` places the raster; ``values`` is a ``geometry.nrows x
+    geometry.ncols`` float64 array with row 0 = north. Cells equal to
+    ``nodata`` are missing; every other value must be finite and inside
+    the variable's physical bounds. The array is copied and frozen at
+    construction.
     """
 
     variable: Variable
     units: str
     time: datetime
-    lat_min: float
-    lon_min: float
-    dlat: float
-    dlon: float
-    nrows: int
-    ncols: int
+    geometry: GridGeometry
     values: np.ndarray
     nodata: float = DEFAULT_NODATA
 
     def __post_init__(self) -> None:
-        geom = GridGeometry(self.lat_min, self.lon_min, self.dlat, self.dlon, self.nrows, self.ncols)
         vals = np.array(self.values, dtype=np.float64)
-        if vals.shape != (self.nrows, self.ncols):
-            raise ValueError(f"values shape {vals.shape} != ({self.nrows}, {self.ncols})")
+        shape = (self.geometry.nrows, self.geometry.ncols)
+        if vals.shape != shape:
+            raise ValueError(f"values shape {vals.shape} != {shape}")
         if not np.isfinite(vals).all():
             raise ValueError("grid values must be finite (use the nodata sentinel for gaps)")
         _check_bounds(self.variable, vals[vals != self.nodata])
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "time", parse_time(format_time(self.time)))
-        object.__setattr__(self, "_geometry", geom)
-
-    # -- geometry ----------------------------------------------------------
-
-    @property
-    def geometry(self) -> GridGeometry:
-        return self._geometry  # type: ignore[attr-defined]
-
-    @property
-    def lat_max(self) -> float:
-        return self.geometry.lat_max
-
-    @property
-    def lon_max(self) -> float:
-        return self.geometry.lon_max
-
-    def cell_lat(self, row: int) -> float:
-        return self.geometry.cell_lat(row)
-
-    def cell_lon(self, col: int) -> float:
-        return self.geometry.cell_lon(col)
-
-    def lats(self) -> np.ndarray:
-        return self.geometry.lats()
-
-    def lons(self) -> np.ndarray:
-        return self.geometry.lons()
-
-    # -- values ------------------------------------------------------------
 
     @property
     def finite_mask(self) -> np.ndarray:
@@ -260,27 +227,19 @@ class GeoGrid:
         self,
         values: np.ndarray,
         variable: Variable | None = None,
-        units: str | None = None,
         time: datetime | None = None,
     ) -> "GeoGrid":
-        """Derived grid on the same geometry (and nodata sentinel)."""
+        """Derived grid on the same geometry and nodata sentinel, in the
+        variable's default units."""
         var = variable if variable is not None else self.variable
         return GeoGrid(
             variable=var,
-            units=units if units is not None else DEFAULT_UNITS.get(var, self.units),
+            units=DEFAULT_UNITS[var],
             time=time if time is not None else self.time,
-            lat_min=self.lat_min,
-            lon_min=self.lon_min,
-            dlat=self.dlat,
-            dlon=self.dlon,
-            nrows=self.nrows,
-            ncols=self.ncols,
+            geometry=self.geometry,
             values=values,
             nodata=self.nodata,
         )
-
-    def same_geometry(self, other: "GeoGrid") -> bool:
-        return self.geometry == other.geometry
 
 
 @dataclass(frozen=True)
@@ -350,16 +309,17 @@ def _fmt(v: float) -> str:
 
 def frame_to_lines(grid: GeoGrid) -> list[str]:
     lines = ["GSF1"]
+    geom = grid.geometry
     head = {
         "variable": grid.variable.value,
         "units": grid.units,
         "time": format_time(grid.time),
-        "nrows": str(grid.nrows),
-        "ncols": str(grid.ncols),
-        "lat_min": _fmt(grid.lat_min),
-        "lon_min": _fmt(grid.lon_min),
-        "dlat": _fmt(grid.dlat),
-        "dlon": _fmt(grid.dlon),
+        "nrows": str(geom.nrows),
+        "ncols": str(geom.ncols),
+        "lat_min": _fmt(geom.lat_min),
+        "lon_min": _fmt(geom.lon_min),
+        "dlat": _fmt(geom.dlat),
+        "dlon": _fmt(geom.dlon),
         "nodata": _fmt(grid.nodata),
     }
     lines.extend(f"{k}={head[k]}" for k in _HEADER_KEYS)
@@ -430,10 +390,10 @@ def _parse_frame(lines: list[str], lineno0: int) -> GeoGrid:
         except ValueError as exc:
             raise GsfError(f"line {lineno0 + 1 + len(_HEADER_KEYS) + r}: bad value: {exc}") from None
     try:
+        geometry = GridGeometry(lat_min, lon_min, dlat, dlon, nrows, ncols)
         return GeoGrid(
             variable=variable, units=head["units"], time=time,
-            lat_min=lat_min, lon_min=lon_min, dlat=dlat, dlon=dlon,
-            nrows=nrows, ncols=ncols, values=np.array(rows), nodata=nodata,
+            geometry=geometry, values=np.array(rows), nodata=nodata,
         )
     except ValueError as exc:
         raise GsfError(f"line {lineno0}: invalid frame: {exc}") from None

@@ -52,41 +52,26 @@ class RainStats:
     missing_fraction: float
 
 
-def _frame_seconds(stack: GridStack, dt_s: float | None) -> float:
-    """Seconds each frame's rate applies to: ``dt_s``, else the nominal cadence."""
-    if dt_s is not None:
-        if dt_s <= 0:
-            raise ValueError(f"dt_s must be > 0, got {dt_s}")
-        return dt_s
-    return stack.cadence_s()
-
-
-def accumulate(
-    stack: GridStack,
-    start: datetime,
-    end: datetime,
-    dt_s: float | None = None,
-) -> Accumulation:
+def accumulate(stack: GridStack, start: datetime, end: datetime) -> Accumulation:
     """Cellwise sum of rate * dt (mm) over frames with start <= t < end.
 
-    ``dt_s`` overrides the inferred nominal cadence (required for
-    single-frame stacks). Missing cells count as zero depth.
+    Each frame's rate applies for the stack's nominal cadence
+    (:meth:`GridStack.cadence_s`), so a one-frame stack raises ValueError.
+    Missing cells count as zero depth.
     """
     if stack.variable is not Variable.RAIN_RATE:
         raise TypeError(f"accumulate needs RAIN_RATE frames, got {stack.variable.value}")
     frames = [f for f in stack if start <= f.time < end]
     if not frames:
         raise EmptyWindowError(f"no rain frames in [{start}, {end})")
-    dt_h = _frame_seconds(stack, dt_s) / 3600.0
+    dt_h = stack.cadence_s() / 3600.0
     total = np.zeros(frames[0].values.shape)
     missing = np.zeros(frames[0].values.shape)
     for f in frames:
         finite = f.finite_mask
         total += np.where(finite, f.values, 0.0) * dt_h
         missing += ~finite
-    grid = frames[0].with_values(
-        total, variable=Variable.RAIN_ACCUM, units="mm", time=end
-    )
+    grid = frames[0].with_values(total, variable=Variable.RAIN_ACCUM, time=end)
     return Accumulation(grid, missing / len(frames))
 
 
@@ -96,7 +81,6 @@ def region_rain_stats(
     start: datetime,
     end: datetime,
     r_heavy: float = R_HEAVY_DEFAULT_MMH,
-    dt_s: float | None = None,
 ) -> RainStats:
     """Rainfall summary over region cells and frames with start < t <= end.
 
@@ -106,11 +90,13 @@ def region_rain_stats(
       rate reaches ``r_heavy``, converted to hours.
     - missing_fraction: missing share of all (cell, frame) samples.
 
-    Frames whose region cells are all missing interrupt a heavy run, and
-    so does a spacing above the frame interval (a dropped frame): rain
-    that was not observed never counts as heavy. Raises EmptyWindowError
-    when the window holds no samples: no frames, or a region outside the
-    rain grid.
+    Each frame's rate applies for the stack's nominal cadence
+    (:meth:`GridStack.cadence_s`). Frames whose region cells are all
+    missing interrupt a heavy run, and so does a spacing above that
+    interval (a dropped frame): rain that was not observed never counts
+    as heavy. Raises EmptyWindowError when the window holds no samples:
+    no frames, or a region outside the rain grid. A one-frame stack has
+    no cadence and raises ValueError.
     """
     if stack.variable is not Variable.RAIN_RATE:
         raise TypeError(f"region_rain_stats needs RAIN_RATE frames, got {stack.variable.value}")
@@ -120,7 +106,7 @@ def region_rain_stats(
     frames = stack.between(start, end)
     if not frames:
         raise EmptyWindowError(f"no rain frames in ({start}, {end}]")
-    frame_s = _frame_seconds(stack, dt_s)
+    frame_s = stack.cadence_s()
     dt_h = frame_s / 3600.0
 
     max_rate = 0.0

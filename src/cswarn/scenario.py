@@ -42,9 +42,9 @@ from .geogrid import (
     parse_time,
     region_indices,
 )
+from .convection import DEFAULT_T_DEEP_K
 from .wind import SYNTH1
 
-DEFAULT_T_DEEP_K = 220.0
 RING_RHO = 0.55     # gust ring center, in units of the cloud radius
 RING_SIGMA = 0.12   # gust ring width, same units
 
@@ -222,12 +222,13 @@ def _detected_bbox(
     )
 
 
-def generate(spec: ScenarioSpec, seed: int = 0, t_deep: float = DEFAULT_T_DEEP_K) -> ScenarioData:
+def generate(spec: ScenarioSpec, seed: int = 0) -> ScenarioData:
     """Render all sensor stacks for ``spec`` plus the exact truth record.
 
     Deterministic for a given (spec, seed). The truth record's bounding
-    boxes use the same rendered fields a detector at ``t_deep`` would see
-    (noise-free), so with noise_std = 0 they match detection exactly.
+    boxes use the same rendered fields a detector at the default deep-cloud
+    threshold would see (noise-free), so with noise_std = 0 they match
+    detection exactly.
     """
     rng = np.random.default_rng(seed)
     geom = spec.geometry
@@ -240,9 +241,7 @@ def generate(spec: ScenarioSpec, seed: int = 0, t_deep: float = DEFAULT_T_DEEP_K
         return GeoGrid(
             variable=variable, units=units,
             time=spec.start_time + timedelta(seconds=t_s),
-            lat_min=geom.lat_min, lon_min=geom.lon_min,
-            dlat=geom.dlat, dlon=geom.dlon, nrows=geom.nrows, ncols=geom.ncols,
-            values=values,
+            geometry=geom, values=values,
         )
 
     # A cell is truncated once its centroid leaves the grid (checked on
@@ -280,7 +279,7 @@ def generate(spec: ScenarioSpec, seed: int = 0, t_deep: float = DEFAULT_T_DEEP_K
             centroids.append(
                 CentroidSample(time, cell.name, clat, clon, cell.speed_mps, cell.bearing_deg)
             )
-            bbox = _detected_bbox(geom, field_c, t_deep)
+            bbox = _detected_bbox(geom, field_c, DEFAULT_T_DEEP_K)
             if bbox is not None:
                 for region in spec.regions:
                     if region.name not in intersections and bbox.intersects(region):
@@ -327,9 +326,7 @@ def generate(spec: ScenarioSpec, seed: int = 0, t_deep: float = DEFAULT_T_DEEP_K
     if spec.wind_sources:
         first = spec.wind_sources[0][0]
         nrcs_frames = [
-            f.with_values(
-                SYNTH1.sigma0(f.values, 35.0, 0.0), variable=Variable.NRCS, units="linear"
-            )
+            f.with_values(SYNTH1.sigma0(f.values, 35.0, 0.0), variable=Variable.NRCS)
             for f in wind_stacks[first]
         ]
         nrcs_stack = GridStack(nrcs_frames)
@@ -367,9 +364,7 @@ def truth_flood_grid(spec: ScenarioSpec) -> GeoGrid:
             values[tuple(_central_half(s) for s in window)] = 1.0
     return GeoGrid(
         variable=Variable.FLOOD_MASK, units="bool", time=spec.end_time,
-        lat_min=geom.lat_min, lon_min=geom.lon_min,
-        dlat=geom.dlat, dlon=geom.dlon, nrows=geom.nrows, ncols=geom.ncols,
-        values=values,
+        geometry=geom, values=values,
     )
 
 

@@ -189,7 +189,6 @@ def _invert_core(
     incidence_deg: np.ndarray,
     rel_azimuth_deg: np.ndarray,
     v_max: float,
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized bisection; returns (speed, clipped_low, clipped_high)."""
     shape = sigma0.shape
@@ -200,7 +199,7 @@ def _invert_core(
     high = sigma0 > s_hi
     lo = np.zeros(shape)
     hi = np.full(shape, v_max)
-    n_iter = math.ceil(math.log2(v_max / tol))
+    n_iter = math.ceil(math.log2(v_max / INVERT_TOL_MPS))
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
         rising = gmf.sigma0(mid, incidence_deg, rel_azimuth_deg) < sigma0
@@ -216,9 +215,8 @@ def gmf_invert(
     sigma0: float,
     geom: GmfGeometry,
     v_max: float = V_MAX_DEFAULT,
-    tol: float = INVERT_TOL_MPS,
 ) -> InversionResult:
-    """Bisection inversion of the GMF to |dv| <= ``tol``.
+    """Bisection inversion of the GMF to |dv| <= ``INVERT_TOL_MPS``.
 
     sigma0 below the model range returns 0 flagged "low"; above returns
     ``v_max`` flagged "high" (the one-day-scale storms of interest cap at
@@ -231,7 +229,6 @@ def gmf_invert(
         np.asarray(geom.incidence_deg),
         np.asarray(geom.rel_azimuth_deg),
         v_max,
-        tol,
     )
     clipped = "low" if bool(low) else "high" if bool(high) else None
     return InversionResult(float(v), clipped)
@@ -239,34 +236,23 @@ def gmf_invert(
 
 def retrieve_wind_grid(
     nrcs: GeoGrid,
-    geom: GmfGeometry | tuple[np.ndarray, np.ndarray],
+    geom: GmfGeometry,
     gmf: Gmf,
     v_max: float = V_MAX_DEFAULT,
-    tol: float = INVERT_TOL_MPS,
 ) -> GeoGrid:
-    """Cellwise GMF inversion of an NRCS grid; nodata propagates.
-
-    ``geom`` is either one GmfGeometry applied everywhere or a pair of
-    per-cell (incidence_deg, rel_azimuth_deg) arrays matching the grid.
-    """
+    """Cellwise GMF inversion of an NRCS grid seen at one viewing
+    geometry; nodata propagates."""
     if nrcs.variable is not Variable.NRCS:
         raise TypeError(f"retrieve_wind_grid needs an NRCS grid, got {nrcs.variable.value}")
-    if isinstance(geom, GmfGeometry):
-        _check_geometry(gmf, geom)
-        inc = np.full(nrcs.values.shape, geom.incidence_deg)
-        az = np.full(nrcs.values.shape, geom.rel_azimuth_deg)
-    else:
-        inc, az = (np.asarray(g, dtype=np.float64) for g in geom)
-        if inc.shape != nrcs.values.shape or az.shape != nrcs.values.shape:
-            raise ValueError(
-                f"geometry grids {inc.shape}/{az.shape} do not match NRCS grid {nrcs.values.shape}"
-            )
+    _check_geometry(gmf, geom)
+    inc = np.full(nrcs.values.shape, geom.incidence_deg)
+    az = np.full(nrcs.values.shape, geom.rel_azimuth_deg)
     finite = nrcs.finite_mask
     # nodata cells hold the sentinel; feed a harmless stand-in and mask after.
     sigma0 = np.where(finite, nrcs.values, 1.0)
-    v, _, _ = _invert_core(gmf, sigma0, inc, az, v_max, tol)
+    v, _, _ = _invert_core(gmf, sigma0, inc, az, v_max)
     out = np.where(finite, v, nrcs.nodata)
-    return nrcs.with_values(out, variable=Variable.WIND_SPEED, units="m/s")
+    return nrcs.with_values(out, variable=Variable.WIND_SPEED)
 
 
 def categorize(v: float, bins: Sequence[float] = DEFAULT_BINS) -> WindCategory:
@@ -297,7 +283,7 @@ def categorize_grid(wind: GeoGrid, bins: Sequence[float] = DEFAULT_BINS) -> GeoG
         raise ValueError("wind speeds must be >= 0")
     ranks = np.digitize(wind.values, (b1, b2, b3)).astype(np.float64)
     out = np.where(finite, ranks, wind.nodata)
-    return wind.with_values(out, variable=Variable.WIND_CAT, units="category")
+    return wind.with_values(out, variable=Variable.WIND_CAT)
 
 
 @dataclass(frozen=True)

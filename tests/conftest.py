@@ -30,12 +30,7 @@ def make_grid(values, variable=Variable.BT, geometry=None, time=T0, units=None, 
         variable=variable,
         units=units if units is not None else DEFAULT_UNITS[variable],
         time=time,
-        lat_min=geometry.lat_min,
-        lon_min=geometry.lon_min,
-        dlat=geometry.dlat,
-        dlon=geometry.dlon,
-        nrows=geometry.nrows,
-        ncols=geometry.ncols,
+        geometry=geometry,
         values=values,
         nodata=nodata,
     )

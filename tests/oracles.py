@@ -112,11 +112,12 @@ def best_assignment(prev, next, max_gap_km: float) -> list[tuple[int, int]]:
 
 def blob_stats(bt: GeoGrid, pixels: set[tuple[int, int]]) -> dict:
     """Exhaustive per-pixel statistics of one component on a BT grid."""
-    lats = [bt.cell_lat(r) for r, _ in sorted(pixels)]
-    lons = [bt.cell_lon(c) for _, c in sorted(pixels)]
+    geom = bt.geometry
+    lats = [geom.cell_lat(r) for r, _ in sorted(pixels)]
+    lons = [geom.cell_lon(c) for _, c in sorted(pixels)]
     vals = [bt.values[r, c] for r, c in sorted(pixels)]
     area = sum(
-        (bt.dlat * 111.195) * (bt.dlon * 111.195 * np.cos(np.radians(bt.cell_lat(r))))
+        (geom.dlat * 111.195) * (geom.dlon * 111.195 * np.cos(np.radians(geom.cell_lat(r))))
         for r, _ in sorted(pixels)
     )
     return {

@@ -513,6 +513,24 @@ class TestFuseValidate:
             kept = [row for row in before if misses_gap(row[epoch_key])]
             assert kept and kept == [row for row in after if misses_gap(row[epoch_key])]
 
+    def test_one_frame_rain_stack_is_not_observed(self, tmp_path, pipeline):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        rain = read_gsf(data / "rain.gsf")
+        write_gsf(GridStack([rain[3]]), data / "rain.gsf")
+        warnings = tmp_path / "warnings.csv"
+        rain_stats = tmp_path / "rain_stats.csv"
+        assert cli.main([
+            "fuse", str(data), str(pipeline["regions"]), "-o", str(warnings),
+            "--rain-stats-out", str(rain_stats),
+        ]) == 0
+        assert rain_stats.read_text(encoding="utf-8").splitlines() == [",".join(RAIN_STATS_HEADER)]
+        rows = read_rows(warnings)
+        assert len(rows) == len(read_rows(pipeline["warnings"]))
+        for row in rows:
+            assert float(row["max_rain_mmh"]) == 0.0
+            assert float(row["rain_persistence_h"]) == 0.0
+
     def test_unrecognised_gsf_is_not_read(self, tmp_path, pipeline):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)

@@ -161,8 +161,6 @@ class TestFloodMask:
                           reference_time=T0 - timedelta(days=2))
         assert mask.flood_time == T0
         assert mask.reference_time == T0 - timedelta(days=2)
-        assert mask.threshold_db == -3.0
-        assert mask.min_region_px == 8
 
     def test_flood_before_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -269,8 +267,6 @@ class TestValidate:
         warnings = [report("A", T0 - timedelta(seconds=3600), WarnLevel.WATCH)]
         score = validate(warnings, mask, self.REGIONS[:1])
         assert score.outcomes["A"] == "miss"
-        score = validate(warnings, mask, self.REGIONS[:1], min_level=WarnLevel.WATCH)
-        assert score.outcomes["A"] == "hit"
 
     def test_mixed_case_matches_hand_enumeration(self):
         # A flooded+warned, B flooded only, C warned only, D neither.

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
-from cswarn import tracking
+from cswarn import fusion, tracking
 from cswarn.convection import detect
 from cswarn.fusion import (
     FrameDetections,
@@ -218,6 +219,34 @@ class TestOncePerEpoch:
             assert sorted(fitted) == sorted(live)
         assert len(engine.tracks) >= 3
 
+    def test_footprint_wind_only_for_tracks_that_reach_a_region(self, busy_engine, monkeypatch):
+        engine = busy_engine
+        boxes = []
+        real = fusion.region_max_category
+
+        def counting(stacks, box, *args, **kwargs):
+            boxes.append(box)
+            return real(stacks, box, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "region_max_category", counting)
+        skipped = 0
+        for epoch in busy_epochs(engine):
+            boxes.clear()
+            engine.run_epoch(epoch)
+            start = epoch - timedelta(seconds=engine.window_s)
+            live = [t.up_to(epoch) for t in engine.tracks]
+            live = [t for t in live if len(t.observations) >= 2 and start < t.last.time]
+            reaching = [
+                t for t in live
+                if any(tracking.time_to_region(tracking.forecast(t, engine.fit_window), r)
+                       is not None for r in engine.regions)
+            ]
+            skipped += len(live) - len(reaching)
+            assert len(boxes) == len(engine.regions) + len(reaching)
+            footprints = Counter(b for b in boxes if b not in engine.regions)
+            assert footprints == Counter(t.last.bbox for t in reaching)
+        assert skipped > 0
+
 
 class TestDecide:
     def test_all_quiet_is_none(self):
@@ -349,6 +378,21 @@ class TestRunEpoch:
         reports = FusionEngine([REGION], bt=bt, rain=rain).run_epoch(epoch)
         assert reports[0].level >= WarnLevel.WARNING
         assert "R2" in reports[0].triggered_rules
+
+    def test_one_frame_rain_stack_is_not_observed(self):
+        # A lone frame has no cadence, so its heavy rain is not observed
+        # and must not combine with the cold cloud into R2.
+        bt = make_stack([np.full((4, 4), 205.0)] * 3, variable=Variable.BT, dt_s=1800)
+        rain = make_stack([np.full((4, 4), 9.0)], variable=Variable.RAIN_RATE)
+        epoch = T0 + timedelta(seconds=3600)
+        engine = FusionEngine([REGION], bt=bt, rain=rain)
+        report = engine.run_epoch(epoch)[0]
+        assert report.indicators.source_count == {"bt": 1, "rain": 0, "wind": 0}
+        assert report.indicators.rain_stats is None
+        assert report.indicators.max_rain_mmh == 0.0
+        assert report.triggered_rules == ("R1",)
+        assert report.level == WarnLevel.WATCH
+        assert engine.rain_stats_at(epoch, REGION) is None
 
     def test_region_off_every_grid_is_unobserved(self):
         # Stacks that would warn any region they cover: cold cloud, heavy

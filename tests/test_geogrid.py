@@ -95,8 +95,8 @@ class TestGeoGridValidation:
         with pytest.raises(ValueError):
             GeoGrid(
                 variable=Variable.BT, units="K", time=T0,
-                lat_min=10.0, lon_min=20.0, dlat=1.0, dlon=1.0,
-                nrows=3, ncols=3, values=np.full((2, 2), 280.0),
+                geometry=GridGeometry(lat_min=10.0, lon_min=20.0, dlat=1.0, dlon=1.0, nrows=3, ncols=3),
+                values=np.full((2, 2), 280.0),
             )
 
     @pytest.mark.parametrize(
@@ -206,8 +206,8 @@ class TestGsfSerialization:
 
     def test_row_zero_is_northernmost(self):
         frame = parse_gsf(GOLDEN_FRAME).frames[0]
-        assert frame.cell_lat(0) == 11.0
-        assert frame.cell_lat(1) == 10.0
+        assert frame.geometry.cell_lat(0) == 11.0
+        assert frame.geometry.cell_lat(1) == 10.0
 
     def test_reserialization_is_byte_identical(self):
         assert serialize_gsf(parse_gsf(GOLDEN_FRAME)) == GOLDEN_FRAME
@@ -369,7 +369,8 @@ class TestRegionIndices:
 
     def test_box_on_the_extent_selects_everything(self):
         grid = self.grid_16()
-        box = RegionBox("extent", grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max)
+        geom = grid.geometry
+        box = RegionBox("extent", geom.lat_min, geom.lat_max, geom.lon_min, geom.lon_max)
         assert np.array_equal(self.window(grid, box), grid.values)
 
     def test_far_box_is_none(self):

@@ -117,8 +117,8 @@ class TestGenerateBasics:
                      if (f.time - T0).total_seconds() == 5400)
         r, c = np.unravel_index(np.argmax(frame.values), frame.values.shape)
         lagged_lat, lagged_lon = cell.position(5400 - 1800)
-        assert frame.cell_lat(int(r)) == pytest.approx(lagged_lat, abs=GEOM.dlat)
-        assert frame.cell_lon(int(c)) == pytest.approx(lagged_lon, abs=GEOM.dlon)
+        assert frame.geometry.cell_lat(int(r)) == pytest.approx(lagged_lat, abs=GEOM.dlat)
+        assert frame.geometry.cell_lon(int(c)) == pytest.approx(lagged_lon, abs=GEOM.dlon)
 
     def test_wind_ring_peaks_at_requested_speed(self):
         spec = small_spec(cells=[storm(wind_peak_mps=20.0)])
@@ -272,8 +272,8 @@ class TestTruthFloodGrid:
         assert grid.time == spec.end_time
         rows_any = np.any(grid.values == 1.0)
         assert rows_any
-        lats = grid.lats()
-        lons = grid.lons()
+        lats = grid.geometry.lats()
+        lons = grid.geometry.lons()
         wet_rows, wet_cols = np.nonzero(grid.values == 1.0)
         assert all(region.contains(lats[r], lons[c])
                    for r, c in zip(wet_rows, wet_cols))

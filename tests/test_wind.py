@@ -209,14 +209,6 @@ class TestRetrieveWindGrid:
         wind = retrieve_wind_grid(nrcs, GEOM, SYNTH1)
         assert np.allclose(wind.values, truth, atol=1e-3)
 
-    def test_per_pixel_geometry_arrays(self):
-        sigma = gmf_forward(SYNTH1, 10.0, GEOM)
-        nrcs = make_grid(np.full((2, 2), sigma), variable=Variable.NRCS)
-        inc = np.full((2, 2), 35.0)
-        az = np.zeros((2, 2))
-        wind = retrieve_wind_grid(nrcs, (inc, az), SYNTH1)
-        assert np.allclose(wind.values, 10.0, atol=1e-3)
-
     def test_wrong_variable_rejected(self):
         bt = make_grid(np.full((2, 2), 280.0))
         with pytest.raises(TypeError):
