@@ -33,8 +33,16 @@ from typing import Callable, Sequence
 
 from . import floodmap as fm
 from . import scenario as sc
-from .convection import CSObject, detect
-from .fusion import FusionEngine, RegionIndicators, RuleSet, WarnLevel, WarningReport
+from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, CSObject, detect
+from .fusion import (
+    DEFAULT_EPOCH_S,
+    DEFAULT_WINDOW_S,
+    FusionEngine,
+    RegionIndicators,
+    RuleSet,
+    WarnLevel,
+    WarningReport,
+)
 from .geogrid import (
     GeoGrid,
     GridStack,
@@ -47,9 +55,23 @@ from .geogrid import (
     write_gsf,
     write_regions,
 )
-from .precip import RainStats
-from .tracking import Track, UndefinedMotionError, build_tracks, motion_vector
-from .wind import GmfGeometry, WindCategory, get_gmf, retrieve_wind_grid
+from .precip import R_HEAVY_DEFAULT_MMH, RainStats
+from .tracking import (
+    DEFAULT_FIT_WINDOW,
+    DEFAULT_MAX_GAP_KM,
+    Track,
+    UndefinedMotionError,
+    build_tracks,
+    motion_vector,
+)
+from .wind import (
+    DEFAULT_BINS,
+    V_MAX_DEFAULT,
+    GmfGeometry,
+    WindCategory,
+    get_gmf,
+    retrieve_wind_grid,
+)
 
 # Geometry assumed when inverting backscatter grids that carry no viewing
 # geometry of their own (mid-swath incidence, look along the wind).
@@ -66,21 +88,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    t_deep: float = 220.0
-    min_area_px: int = 4
+    t_deep: float = DEFAULT_T_DEEP_K
+    min_area_px: int = DEFAULT_MIN_AREA_PX
     gmf: str = "synth1"
-    v_max: float = 25.0
-    bins: tuple[float, float, float] = (5.0, 10.0, 15.0)
-    r_heavy: float = 8.0
-    persistence_h: float = 3.0
-    fraction: float = 0.2
-    epoch_s: int = 1800
-    window_s: int = 10800
-    threshold_db: float = -3.0
-    min_region_px: int = 8
-    f_flood: float = 0.01
-    max_gap_km: float = 50.0
-    fit_window: int = 6
+    v_max: float = V_MAX_DEFAULT
+    bins: tuple[float, float, float] = DEFAULT_BINS
+    r_heavy: float = R_HEAVY_DEFAULT_MMH
+    persistence_h: float = RuleSet.min_persistence_h
+    fraction: float = RuleSet.min_cloud_fraction
+    epoch_s: int = DEFAULT_EPOCH_S
+    window_s: int = DEFAULT_WINDOW_S
+    threshold_db: float = fm.THRESHOLD_DB_DEFAULT
+    min_region_px: int = fm.MIN_REGION_PX_DEFAULT
+    f_flood: float = fm.F_FLOOD_DEFAULT
+    max_gap_km: float = DEFAULT_MAX_GAP_KM
+    fit_window: int = DEFAULT_FIT_WINDOW
 
     def rules(self) -> RuleSet:
         return RuleSet(

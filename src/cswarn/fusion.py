@@ -33,11 +33,18 @@ from datetime import datetime, timedelta
 from enum import IntEnum
 from typing import Mapping, Sequence
 
-from .convection import CSObject, detect
+from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, CSObject, detect
 from .geogrid import GridGeometry, GridStack, RegionBox, region_indices
-from .precip import EmptyWindowError, RainStats, region_rain_stats
-from .tracking import DEFAULT_FIT_WINDOW, Track, build_tracks, forecast, time_to_region
-from .wind import RegionCategory, WindCategory, categorize_grid, region_max_category
+from .precip import R_HEAVY_DEFAULT_MMH, EmptyWindowError, RainStats, region_rain_stats
+from .tracking import (
+    DEFAULT_FIT_WINDOW,
+    DEFAULT_MAX_GAP_KM,
+    Track,
+    build_tracks,
+    forecast,
+    time_to_region,
+)
+from .wind import DEFAULT_BINS, RegionCategory, WindCategory, categorize_grid, region_max_category
 
 DEFAULT_WINDOW_S = 10800
 DEFAULT_EPOCH_S = 1800
@@ -88,7 +95,7 @@ class RuleSet:
     """
 
     min_cloud_fraction: float = 0.2
-    r_heavy_mmh: float = 8.0
+    r_heavy_mmh: float = R_HEAVY_DEFAULT_MMH
     min_persistence_h: float = 3.0
 
     def evaluate(self, ind: RegionIndicators) -> list[tuple[str, WarnLevel]]:
@@ -168,6 +175,11 @@ def _cloud_stats(
         for frame in frames:
             inside = 0
             for obj in frame.objects:
+                # A cell centre in the window lies in its object's bbox
+                # (centres +- half a cell, from the same lats/lons), so an
+                # object whose bbox misses the region has no hits.
+                if not obj.bbox.intersects(region):
+                    continue
                 hits = int(
                     (
                         (obj.rows >= rows.start) & (obj.rows < rows.stop)
@@ -260,12 +272,12 @@ class FusionEngine:
         rain: GridStack | None = None,
         wind_speed: Mapping[str, GridStack] | None = None,
         *,
-        t_deep: float = 220.0,
-        min_area_px: int = 4,
-        bins: tuple[float, float, float] = (5.0, 10.0, 15.0),
+        t_deep: float = DEFAULT_T_DEEP_K,
+        min_area_px: int = DEFAULT_MIN_AREA_PX,
+        bins: tuple[float, float, float] = DEFAULT_BINS,
         rules: RuleSet | None = None,
         window_s: int = DEFAULT_WINDOW_S,
-        max_gap_km: float = 50.0,
+        max_gap_km: float = DEFAULT_MAX_GAP_KM,
         fit_window: int = DEFAULT_FIT_WINDOW,
     ):
         names = [r.name for r in regions]

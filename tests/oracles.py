@@ -1,8 +1,9 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Each oracle deliberately takes a different algorithmic route from the
-module it verifies (union-find vs flood fill, exhaustive scans vs index
-arithmetic, enumeration vs greedy) so agreement is meaningful.
+module it verifies (per-pixel union-find vs run-based labeling,
+exhaustive scans vs index arithmetic, enumeration vs greedy) so agreement
+is meaningful.
 """
 
 from __future__ import annotations

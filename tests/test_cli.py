@@ -4,13 +4,15 @@ output files, and the synth -> detect/track -> fuse -> validate chain."""
 from __future__ import annotations
 
 import csv
+import dataclasses
+import inspect
 import shutil
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
-from cswarn import cli
+from cswarn import cli, convection, floodmap, fusion, precip, tracking, wind
 from cswarn.cli import (
     ConfigError,
     EngineConfig,
@@ -23,7 +25,7 @@ from cswarn.cli import (
     read_config,
     read_warnings_csv,
 )
-from cswarn.fusion import WarnLevel
+from cswarn.fusion import RuleSet, WarnLevel
 from cswarn.geogrid import (
     GridGeometry,
     GridStack,
@@ -150,6 +152,32 @@ class TestConfig:
         assert cfg == EngineConfig()
         assert cfg.t_deep == 220.0
         assert cfg.bins == (5.0, 10.0, 15.0)
+
+    def test_defaults_are_the_library_constants(self):
+        assert dataclasses.asdict(EngineConfig()) == {
+            "t_deep": convection.DEFAULT_T_DEEP_K,
+            "min_area_px": convection.DEFAULT_MIN_AREA_PX,
+            "gmf": "synth1",
+            "v_max": wind.V_MAX_DEFAULT,
+            "bins": wind.DEFAULT_BINS,
+            "r_heavy": precip.R_HEAVY_DEFAULT_MMH,
+            "persistence_h": RuleSet().min_persistence_h,
+            "fraction": RuleSet().min_cloud_fraction,
+            "epoch_s": fusion.DEFAULT_EPOCH_S,
+            "window_s": fusion.DEFAULT_WINDOW_S,
+            "threshold_db": floodmap.THRESHOLD_DB_DEFAULT,
+            "min_region_px": floodmap.MIN_REGION_PX_DEFAULT,
+            "f_flood": floodmap.F_FLOOD_DEFAULT,
+            "max_gap_km": tracking.DEFAULT_MAX_GAP_KM,
+            "fit_window": tracking.DEFAULT_FIT_WINDOW,
+        }
+        assert EngineConfig().rules() == RuleSet()
+        engine = inspect.signature(fusion.FusionEngine).parameters
+        assert engine["t_deep"].default == convection.DEFAULT_T_DEEP_K
+        assert engine["min_area_px"].default == convection.DEFAULT_MIN_AREA_PX
+        assert engine["bins"].default == wind.DEFAULT_BINS
+        assert engine["max_gap_km"].default == tracking.DEFAULT_MAX_GAP_KM
+        assert RuleSet().r_heavy_mmh == precip.R_HEAVY_DEFAULT_MMH
 
     def test_overrides_parse(self, tmp_path):
         path = tmp_path / "engine.ini"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cswarn.convection import (
@@ -18,6 +18,7 @@ from cswarn.convection import (
     summarize,
 )
 from cswarn.geogrid import GridGeometry, RegionBox, Variable
+from cswarn.scenario import CellSpec, ScenarioSpec, generate
 
 from conftest import T0, make_grid
 from oracles import blob_stats, union_find_components
@@ -27,6 +28,76 @@ def bt_from_mask(mask, cold=210.0, warm=280.0, geometry=None):
     """BT grid that is cold exactly where ``mask`` is truthy."""
     mask = np.asarray(mask, dtype=bool)
     return make_grid(np.where(mask, cold, warm), geometry=geometry)
+
+
+# Masks whose runs join in an order other than raster order: the first
+# run of a component is not always the first run to meet the others.
+RUN_ORDER_MASKS = {
+    "U": [
+        "#...#",
+        "#...#",
+        "#...#",
+        "#####",
+    ],
+    "W": [
+        "#.......#",
+        "#...#...#",
+        ".#.#.#.#.",
+        "..#...#..",
+    ],
+    "spiral": [
+        "#########",
+        "........#",
+        "#######.#",
+        "#.....#.#",
+        "#.###.#.#",
+        "#.#...#.#",
+        "#.#####.#",
+        "#.......#",
+        "#########",
+    ],
+    "comb": [
+        "#.#.#.#.#.#",
+        "#.#.#.#.#.#",
+        "#.#.#.#.#.#",
+        "###########",
+    ],
+    "last_column": [
+        "....#..#",
+        "#......#",
+        "..##...#",
+        "......#.",
+        "#.#.....",
+        ".......#",
+    ],
+    "checkerboard": [
+        "#.#.#.#.",
+        ".#.#.#.#",
+        "#.#.#.#.",
+        ".#.#.#.#",
+        "#.#.#.#.",
+    ],
+}
+
+
+def mask_from_art(rows):
+    return np.array([[ch == "#" for ch in row] for row in rows], dtype=bool)
+
+
+def assert_labels_match_union_find(mask) -> int:
+    """Labels equal the union-find oracle's partition, numbered in its
+    first-pixel order; returns the component count."""
+    labels, count = label_array(mask)
+    expected = union_find_components(mask)
+    assert labels.dtype == np.int32
+    assert labels.shape == mask.shape
+    assert count == len(expected)
+    want = np.zeros(mask.shape, dtype=np.int32)
+    for label_id, pixels in enumerate(expected, start=1):
+        rows, cols = zip(*pixels)
+        want[list(rows), list(cols)] = label_id
+    np.testing.assert_array_equal(labels, want)
+    return count
 
 
 class TestConvectiveMask:
@@ -100,17 +171,32 @@ class TestLabelArray:
         assert np.all(labels == 1)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.floats(0.1, 0.7))
-    def test_partition_matches_union_find(self, seed, density):
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**31 - 1), st.floats(0.1, 0.7))
+    @example(1, 1, 0, 0.5)
+    @example(1, 40, 1, 0.5)
+    @example(40, 1, 2, 0.5)
+    def test_partition_matches_union_find(self, nrows, ncols, seed, density):
         rng = np.random.default_rng(seed)
-        mask = rng.uniform(size=(12, 12)) < density
-        labels, count = label_array(mask)
-        expected = union_find_components(mask)
-        assert count == len(expected)
-        for label_id, pixels in enumerate(expected, start=1):
-            rows, cols = zip(*sorted(pixels))
-            assert set(labels[list(rows), list(cols)].tolist()) == {label_id}
-        assert int((labels > 0).sum()) == sum(len(p) for p in expected)
+        assert_labels_match_union_find(rng.uniform(size=(nrows, ncols)) < density)
+
+    @pytest.mark.parametrize("name", sorted(RUN_ORDER_MASKS))
+    def test_run_order_masks_match_union_find(self, name):
+        assert_labels_match_union_find(mask_from_art(RUN_ORDER_MASKS[name]))
+
+    def test_full_size_scenario_frame_matches_union_find(self):
+        step = 0.05 / 3.0
+        geom = GridGeometry(lat_min=14.0, lon_min=103.0, dlat=step, dlon=step, nrows=300, ncols=330)
+        cells = tuple(
+            CellSpec(f"squall{b}", 14.0 + 1.65 * (b + 0.5), 108.0 - 0.3 * b, speed_mps=8.0,
+                     bearing_deg=270.0, radius_km=40.0, radius_ns_km=45.0)
+            for b in range(3)
+        )
+        spec = ScenarioSpec(geometry=geom, start_time=T0, duration_s=600, cells=cells,
+                            noise_std=4.0)
+        frame = generate(spec, seed=3).bt[-1]
+        mask = convective_mask(frame).values == 1.0
+        count = assert_labels_match_union_find(mask)
+        assert count > 3   # noise splits specks off the three squalls
 
 
 class TestLabelComponents:
@@ -143,6 +229,19 @@ class TestLabelComponents:
         assert obj.bbox.lon_min == pytest.approx(20.5)
         assert obj.bbox.lon_max == pytest.approx(22.5)
         assert obj.bbox.contains(obj.centroid_lat, obj.centroid_lon)
+
+    @pytest.mark.parametrize("seed, min_area_px", [(0, 1), (1, 1), (2, 3), (3, 3)])
+    def test_members_are_raster_sorted_union_find_components(self, seed, min_area_px):
+        rng = np.random.default_rng(seed)
+        mask = rng.uniform(size=(17, 23)) < 0.45
+        objects = label_components(convective_mask(bt_from_mask(mask)), min_area_px=min_area_px)
+        kept = [p for p in union_find_components(mask) if len(p) >= min_area_px]
+        assert [o.id for o in objects] == list(range(1, len(kept) + 1))
+        for obj, pixels in zip(objects, kept, strict=True):
+            rows, cols = map(list, zip(*sorted(pixels)))
+            assert obj.rows.tolist() == rows
+            assert obj.cols.tolist() == cols
+            assert obj.pixel_count == len(pixels)
 
     def test_object_count_antitone_in_min_area(self):
         rng = np.random.default_rng(11)

@@ -49,6 +49,68 @@ def detections_frame(bt_grid):
                            objects=tuple(detect(bt_grid)))
 
 
+def random_cloud_case(seed):
+    """Three frames, each with one cold 3x3 block, and a random box."""
+    rng = np.random.default_rng(seed)
+    geom = GridGeometry(
+        lat_min=float(rng.uniform(10, 12)), lon_min=float(rng.uniform(100, 102)),
+        dlat=0.1, dlon=0.1, nrows=int(rng.integers(6, 12)), ncols=int(rng.integers(6, 12)))
+    frames = []
+    for k in range(3):
+        values = rng.uniform(230.0, 290.0, size=(geom.nrows, geom.ncols))
+        r0, c0 = rng.integers(0, geom.nrows - 2), rng.integers(0, geom.ncols - 2)
+        values[r0:r0 + 3, c0:c0 + 3] = rng.uniform(190.0, 215.0, size=(3, 3))
+        bt = make_grid(values, geometry=geom, time=T0 - timedelta(seconds=600 * k))
+        frames.append(detections_frame(bt))
+    lat0 = geom.lat_min + rng.uniform(-0.1, 0.6) * geom.nrows * geom.dlat
+    lon0 = geom.lon_min + rng.uniform(-0.1, 0.6) * geom.ncols * geom.dlon
+    box = RegionBox("B", lat0, lat0 + rng.uniform(0.1, 0.8),
+                    lon0, lon0 + rng.uniform(0.1, 0.8))
+    return geom, frames, box
+
+
+CLOUD_GEOM = GridGeometry(lat_min=10.0, lon_min=100.0, dlat=0.1, dlon=0.1, nrows=10, ncols=10)
+
+
+def bbox_edge_on_region_edge_case():
+    """The region starts exactly on the cold object's top bbox edge, so
+    its bbox touches the region but none of its pixels lie in it; a warmer
+    object inside the region is the only one that counts."""
+    values = np.full((10, 10), 280.0)
+    values[6:9, 2:5] = 190.0
+    values[1:3, 2:6] = 210.0
+    frame = detections_frame(make_grid(values, geometry=CLOUD_GEOM))
+    cold = next(o for o in frame.objects if o.min_bt == 190.0)
+    box = RegionBox("B", cold.bbox.lat_max, cold.bbox.lat_max + 0.6,
+                    cold.bbox.lon_min, cold.bbox.lon_max)
+    assert cold.bbox.intersects(box)
+    cold_pixels = {(int(r), int(c)) for r, c in zip(cold.rows, cold.cols)}
+    assert not cold_pixels & region_cells(CLOUD_GEOM, box)
+    return CLOUD_GEOM, [frame], box
+
+
+def l_shape_around_region_case():
+    """An L-shaped object whose bbox covers the region while none of its
+    pixels lie in it."""
+    values = np.full((10, 10), 280.0)
+    values[2:8, 2] = 200.0
+    values[7, 2:8] = 200.0
+    frame = detections_frame(make_grid(values, geometry=CLOUD_GEOM))
+    (obj,) = frame.objects
+    lat = CLOUD_GEOM.cell_lat
+    lon = CLOUD_GEOM.cell_lon
+    box = RegionBox("B", lat(5) - 0.01, lat(2) + 0.01, lon(4) - 0.01, lon(7) + 0.01)
+    assert obj.bbox.lat_min < box.lat_min < box.lat_max < obj.bbox.lat_max
+    assert obj.bbox.lon_min < box.lon_min < box.lon_max < obj.bbox.lon_max
+    return CLOUD_GEOM, [frame], box
+
+
+CLOUD_CASES = {
+    "bbox_edge_on_region_edge": bbox_edge_on_region_edge_case,
+    "l_shape_around_region": l_shape_around_region_case,
+}
+
+
 class TestRegionIndicatorsValidation:
     def test_fraction_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -126,23 +188,12 @@ class TestBuildIndicators:
                                wind_cat_stacks=[], rain_stats={}, window_s=10800)[0]
         assert ind.approach_s is None
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cloud_stats_match_per_cell_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        geom = GridGeometry(
-            lat_min=float(rng.uniform(10, 12)), lon_min=float(rng.uniform(100, 102)),
-            dlat=0.1, dlon=0.1, nrows=int(rng.integers(6, 12)), ncols=int(rng.integers(6, 12)))
-        frames = []
-        for k in range(3):
-            values = rng.uniform(230.0, 290.0, size=(geom.nrows, geom.ncols))
-            r0, c0 = rng.integers(0, geom.nrows - 2), rng.integers(0, geom.ncols - 2)
-            values[r0:r0 + 3, c0:c0 + 3] = rng.uniform(190.0, 215.0, size=(3, 3))
-            bt = make_grid(values, geometry=geom, time=T0 - timedelta(seconds=600 * k))
-            frames.append(detections_frame(bt))
-        lat0 = geom.lat_min + rng.uniform(-0.1, 0.6) * geom.nrows * geom.dlat
-        lon0 = geom.lon_min + rng.uniform(-0.1, 0.6) * geom.ncols * geom.dlon
-        box = RegionBox("B", lat0, lat0 + rng.uniform(0.1, 0.8),
-                        lon0, lon0 + rng.uniform(0.1, 0.8))
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, *CLOUD_CASES])
+    def test_cloud_stats_match_per_cell_oracle(self, case):
+        if isinstance(case, str):
+            geom, frames, box = CLOUD_CASES[case]()
+        else:
+            geom, frames, box = random_cloud_case(case)
         cells = region_cells(geom, box)
 
         fractions, touching_bt = [0.0], []
