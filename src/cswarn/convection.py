@@ -9,7 +9,7 @@ and components below ``min_area_px`` are dropped as noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 
 import numpy as np
@@ -206,21 +206,7 @@ def summarize(bt: GeoGrid, objects: list[CSObject]) -> list[CSObject]:
         member = member[member != bt.nodata]
         if member.size == 0:
             raise ValueError(f"object {obj.id}: no finite BT under its pixels")
-        out.append(
-            CSObject(
-                id=obj.id,
-                time=obj.time,
-                pixel_count=obj.pixel_count,
-                area_km2=obj.area_km2,
-                centroid_lat=obj.centroid_lat,
-                centroid_lon=obj.centroid_lon,
-                bbox=obj.bbox,
-                min_bt=float(member.min()),
-                mean_bt=float(member.mean()),
-                rows=obj.rows,
-                cols=obj.cols,
-            )
-        )
+        out.append(replace(obj, min_bt=float(member.min()), mean_bt=float(member.mean())))
     return out
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -253,6 +253,7 @@ class GridStack:
         if not frames:
             raise ValueError("empty stack")
         first = frames[0]
+        cadence = math.inf
         for i, fr in enumerate(frames[1:], start=1):
             if fr.geometry != first.geometry:
                 raise ValueError(f"frame {i} geometry differs from frame 0")
@@ -263,7 +264,9 @@ class GridStack:
                     f"frame times must be strictly increasing: "
                     f"{format_time(frames[i - 1].time)} then {format_time(frames[i].time)}"
                 )
+            cadence = min(cadence, (frames[i].time - frames[i - 1].time).total_seconds())
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "_cadence_s", cadence)
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -288,10 +291,11 @@ class GridStack:
 
     def cadence_s(self) -> float:
         """Nominal frame spacing in seconds: the smallest spacing between
-        consecutive frames, so a dropped frame shows as a longer gap."""
+        consecutive frames, so a dropped frame shows as a longer gap. It is
+        found once, when the stack is built."""
         if len(self.frames) < 2:
             raise ValueError("cannot infer cadence from a single frame")
-        return min((b.time - a.time).total_seconds() for a, b in zip(self.frames, self.frames[1:]))
+        return self._cadence_s
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +304,8 @@ class GridStack:
 
 _HEADER_KEYS = ("variable", "units", "time", "nrows", "ncols",
                 "lat_min", "lon_min", "dlat", "dlon", "nodata")
+# Parser of each header value, in _HEADER_KEYS order.
+_HEADER_PARSERS = (Variable, str, parse_time, int, int, float, float, float, float, float)
 
 
 def _fmt(v: float) -> str:
@@ -307,40 +313,36 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def frame_to_lines(grid: GeoGrid) -> list[str]:
-    lines = ["GSF1"]
-    geom = grid.geometry
-    head = {
-        "variable": grid.variable.value,
-        "units": grid.units,
-        "time": format_time(grid.time),
-        "nrows": str(geom.nrows),
-        "ncols": str(geom.ncols),
-        "lat_min": _fmt(geom.lat_min),
-        "lon_min": _fmt(geom.lon_min),
-        "dlat": _fmt(geom.dlat),
-        "dlon": _fmt(geom.dlon),
-        "nodata": _fmt(grid.nodata),
-    }
-    lines.extend(f"{k}={head[k]}" for k in _HEADER_KEYS)
-    for row in grid.values.tolist():
-        lines.append(" ".join(repr(v) for v in row))
-    return lines
-
-
-def serialize_gsf(stack: GridStack) -> str:
-    """Canonical GSF text: fixed key order, single spaces, LF endings."""
-    chunks: list[str] = []
-    for grid in stack:
-        chunks.append("\n".join(frame_to_lines(grid)))
-    return "\n---\n".join(chunks) + "\n"
+def gsf_lines(stack: GridStack) -> Iterator[str]:
+    """Canonical GSF text, one LF-terminated line at a time: fixed key
+    order, single spaces, frames separated by ``---`` lines."""
+    for i, grid in enumerate(stack):
+        if i:
+            yield "---\n"
+        geom = grid.geometry
+        head = {
+            "variable": grid.variable.value,
+            "units": grid.units,
+            "time": format_time(grid.time),
+            "nrows": str(geom.nrows),
+            "ncols": str(geom.ncols),
+            "lat_min": _fmt(geom.lat_min),
+            "lon_min": _fmt(geom.lon_min),
+            "dlat": _fmt(geom.dlat),
+            "dlon": _fmt(geom.dlon),
+            "nodata": _fmt(grid.nodata),
+        }
+        yield "GSF1\n"
+        for k in _HEADER_KEYS:
+            yield f"{k}={head[k]}\n"
+        for row in grid.values.tolist():
+            yield " ".join(map(repr, row)) + "\n"
 
 
 def write_gsf(stack: GridStack, path) -> None:
     """Write a stack in canonical GSF form (stable bytes for equal stacks)."""
-    text = serialize_gsf(stack)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(gsf_lines(stack))
 
 
 def _parse_frame(lines: list[str], lineno0: int) -> GeoGrid:
@@ -349,28 +351,17 @@ def _parse_frame(lines: list[str], lineno0: int) -> GeoGrid:
         raise GsfError(f"line {lineno0}: expected 'GSF1' magic, got {lines[0] if lines else '<eof>'!r}")
     if len(lines) < 1 + len(_HEADER_KEYS):
         raise GsfError(f"line {lineno0}: truncated frame header")
-    head: dict[str, str] = {}
-    for off, key in enumerate(_HEADER_KEYS, start=1):
+    head = {}
+    for off, (key, parse) in enumerate(zip(_HEADER_KEYS, _HEADER_PARSERS), start=1):
         line = lines[off]
         k, sep, v = line.partition("=")
         if sep != "=" or k != key:
             raise GsfError(f"line {lineno0 + off}: expected '{key}=...', got {line!r}")
-        head[key] = v
-    try:
-        variable = Variable(head["variable"])
-    except ValueError:
-        raise GsfError(f"line {lineno0 + 1}: unknown variable {head['variable']!r}") from None
-    try:
-        nrows = int(head["nrows"])
-        ncols = int(head["ncols"])
-        lat_min = float(head["lat_min"])
-        lon_min = float(head["lon_min"])
-        dlat = float(head["dlat"])
-        dlon = float(head["dlon"])
-        nodata = float(head["nodata"])
-    except ValueError as exc:
-        raise GsfError(f"line {lineno0}: bad numeric header field: {exc}") from None
-    time = parse_time(head["time"])
+        try:
+            head[key] = parse(v)
+        except ValueError as exc:
+            raise GsfError(f"line {lineno0 + off}: bad {key}: {exc}") from None
+    nrows, ncols = head["nrows"], head["ncols"]
 
     data_lines = lines[1 + len(_HEADER_KEYS):]
     if len(data_lines) != nrows:
@@ -386,32 +377,39 @@ def _parse_frame(lines: list[str], lineno0: int) -> GeoGrid:
                 f"expected {ncols} values, got {len(toks)}"
             )
         try:
-            rows.append([float(t) for t in toks])
+            rows.append(list(map(float, toks)))
         except ValueError as exc:
             raise GsfError(f"line {lineno0 + 1 + len(_HEADER_KEYS) + r}: bad value: {exc}") from None
     try:
-        geometry = GridGeometry(lat_min, lon_min, dlat, dlon, nrows, ncols)
+        geometry = GridGeometry(head["lat_min"], head["lon_min"], head["dlat"], head["dlon"],
+                                nrows, ncols)
         return GeoGrid(
-            variable=variable, units=head["units"], time=time,
-            geometry=geometry, values=np.array(rows), nodata=nodata,
+            variable=head["variable"], units=head["units"], time=head["time"],
+            geometry=geometry, values=np.array(rows), nodata=head["nodata"],
         )
     except ValueError as exc:
         raise GsfError(f"line {lineno0}: invalid frame: {exc}") from None
 
 
-def parse_gsf(text: str) -> GridStack:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # trailing newline
-    if not lines:
-        raise GsfError("line 1: empty file")
-    # split frames on separator lines
+def parse_gsf(lines: Iterable[str]) -> GridStack:
+    """Parse GSF text given line by line, e.g. an open file or
+    ``io.StringIO(text)``. Each frame is parsed as soon as its ``---``
+    line or the end of input arrives, so only one frame's text is held."""
     frames: list[GeoGrid] = []
-    start = 0
-    boundaries = [i for i, ln in enumerate(lines) if ln == "---"] + [len(lines)]
-    for b in boundaries:
-        frames.append(_parse_frame(lines[start:b], start + 1))
-        start = b + 1
+    frame: list[str] = []
+    start = 1  # file line of the current frame's 'GSF1'
+    lineno = 0
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if line == "---":
+            frames.append(_parse_frame(frame, start))
+            frame = []
+            start = lineno + 1
+        else:
+            frame.append(line)
+    if lineno == 0:
+        raise GsfError("line 1: empty file")
+    frames.append(_parse_frame(frame, start))
     try:
         return GridStack(frames)
     except GsfError:
@@ -423,7 +421,7 @@ def parse_gsf(text: str) -> GridStack:
 def read_gsf(path) -> GridStack:
     """Read a GSF file; frames come back in file order."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_gsf(fh.read())
+        return parse_gsf(fh)
 
 
 # ---------------------------------------------------------------------------

@@ -475,16 +475,55 @@ def read_truth_csv(path) -> TruthRecord:
 # Scenario spec file (INI)
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "lat_min", "lon_min", "dlat", "dlon", "nrows", "ncols", "start",
-    "duration_s", "bt_cadence_s", "rain_cadence_s", "rain_lag_s",
-    "background_bt", "noise_std", "wind_sources", "flooded",
+def _wind_sources(text: str) -> tuple[tuple[str, int], ...]:
+    """Comma-separated ``name:cadence_s`` entries."""
+    sources = []
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        name, sep, cadence = item.partition(":")
+        if sep != ":":
+            raise ValueError(f"wind_sources entries are name:cadence_s, got {item!r}")
+        sources.append((name.strip(), int(cadence)))
+    return tuple(sources)
+
+
+def _names(text: str) -> frozenset[str]:
+    return frozenset(n.strip() for n in text.split(",") if n.strip())
+
+
+# Optional keys: file key -> (dataclass field, parser). A key the file
+# leaves out is not passed, so the dataclass default applies.
+_SCENARIO_OPTIONAL = {
+    "bt_cadence_s": ("bt_cadence_s", int),
+    "rain_cadence_s": ("rain_cadence_s", int),
+    "rain_lag_s": ("rain_lag_s", int),
+    "background_bt": ("background_bt_K", float),
+    "noise_std": ("noise_std", float),
+    "wind_sources": ("wind_sources", _wind_sources),
+    "flooded": ("flooded_regions", _names),
 }
-_CELL_KEYS = {
-    "lat", "lon", "speed_mps", "bearing_deg", "min_bt", "radius_km",
-    "radius_ns_km", "wind_peak", "rain_peak", "birth_s", "death_s",
+_CELL_OPTIONAL = {
+    "min_bt": ("min_bt_K", float),
+    "radius_km": ("radius_km", float),
+    "radius_ns_km": ("radius_ns_km", float),
+    "wind_peak": ("wind_peak_mps", float),
+    "rain_peak": ("rain_peak_mmh", float),
+    "birth_s": ("birth_s", int),
+    "death_s": ("death_s", int),
 }
+_SCENARIO_REQUIRED = {"lat_min", "lon_min", "dlat", "dlon", "nrows", "ncols", "start", "duration_s"}
+_CELL_REQUIRED = {"lat", "lon", "speed_mps", "bearing_deg"}
 _REGION_KEYS = {"lat_min", "lat_max", "lon_min", "lon_max"}
+
+
+def _optional(path, section, keys: dict) -> dict:
+    """The optional ``keys`` present in ``section``, parsed, by field name."""
+    try:
+        return {field: parse(section[key]) for key, (field, parse) in keys.items() if key in section}
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad [{section.name}] value: {exc}") from None
 
 
 def read_scenario(path) -> ScenarioSpec:
@@ -503,11 +542,10 @@ def read_scenario(path) -> ScenarioSpec:
         raise ValueError(f"{path}: missing [scenario] section")
 
     sc = parser["scenario"]
-    unknown = set(sc) - _SCENARIO_KEYS
+    unknown = set(sc) - _SCENARIO_REQUIRED - set(_SCENARIO_OPTIONAL)
     if unknown:
         raise ValueError(f"{path}: unknown [scenario] keys: {sorted(unknown)}")
-    required = {"lat_min", "lon_min", "dlat", "dlon", "nrows", "ncols", "start", "duration_s"}
-    missing = required - set(sc)
+    missing = _SCENARIO_REQUIRED - set(sc)
     if missing:
         raise ValueError(f"{path}: missing [scenario] keys: {sorted(missing)}")
     try:
@@ -519,16 +557,6 @@ def read_scenario(path) -> ScenarioSpec:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad [scenario] geometry: {exc}") from None
 
-    wind_sources: list[tuple[str, int]] = []
-    for item in sc.get("wind_sources", "lr:1800").split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, sep, cadence = item.partition(":")
-        if sep != ":":
-            raise ValueError(f"{path}: wind_sources entries are name:cadence_s, got {item!r}")
-        wind_sources.append((name.strip(), int(cadence)))
-
     cells: list[CellSpec] = []
     regions: list[RegionBox] = []
     for section in parser.sections():
@@ -538,10 +566,10 @@ def read_scenario(path) -> ScenarioSpec:
         name = name.strip()
         if kind == "cell" and name:
             cs = parser[section]
-            unknown = set(cs) - _CELL_KEYS
+            unknown = set(cs) - _CELL_REQUIRED - set(_CELL_OPTIONAL)
             if unknown:
                 raise ValueError(f"{path}: unknown [cell {name}] keys: {sorted(unknown)}")
-            missing = {"lat", "lon", "speed_mps", "bearing_deg"} - set(cs)
+            missing = _CELL_REQUIRED - set(cs)
             if missing:
                 raise ValueError(f"{path}: missing [cell {name}] keys: {sorted(missing)}")
             cells.append(
@@ -550,13 +578,7 @@ def read_scenario(path) -> ScenarioSpec:
                     lat=cs.getfloat("lat"), lon=cs.getfloat("lon"),
                     speed_mps=cs.getfloat("speed_mps"),
                     bearing_deg=cs.getfloat("bearing_deg"),
-                    min_bt_K=cs.getfloat("min_bt", 200.0),
-                    radius_km=cs.getfloat("radius_km", 40.0),
-                    radius_ns_km=cs.getfloat("radius_ns_km", fallback=None),
-                    wind_peak_mps=cs.getfloat("wind_peak", 0.0),
-                    rain_peak_mmh=cs.getfloat("rain_peak", 0.0),
-                    birth_s=cs.getint("birth_s", 0),
-                    death_s=cs.getint("death_s", fallback=None),
+                    **_optional(path, cs, _CELL_OPTIONAL),
                 )
             )
         elif kind == "region" and name:
@@ -577,20 +599,11 @@ def read_scenario(path) -> ScenarioSpec:
         else:
             raise ValueError(f"{path}: unknown section [{section}]")
 
-    flooded = frozenset(
-        n.strip() for n in sc.get("flooded", "").split(",") if n.strip()
-    )
     return ScenarioSpec(
         geometry=geometry,
         start_time=parse_time(sc.get("start")),
         duration_s=sc.getint("duration_s"),
         cells=tuple(cells),
         regions=tuple(regions),
-        flooded_regions=flooded,
-        bt_cadence_s=sc.getint("bt_cadence_s", 600),
-        rain_cadence_s=sc.getint("rain_cadence_s", 1800),
-        wind_sources=tuple(wind_sources),
-        rain_lag_s=sc.getint("rain_lag_s", 1800),
-        background_bt_K=sc.getfloat("background_bt", 280.0),
-        noise_std=sc.getfloat("noise_std", 0.0),
+        **_optional(path, sc, _SCENARIO_OPTIONAL),
     )

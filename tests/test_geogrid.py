@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import math
+import tracemalloc
 from datetime import timedelta, timezone
 
 import numpy as np
@@ -21,13 +23,13 @@ from cswarn.geogrid import (
     RegionBox,
     Variable,
     format_time,
+    gsf_lines,
     haversine_km,
     parse_gsf,
     parse_time,
     read_gsf,
     read_regions,
     region_indices,
-    serialize_gsf,
     write_gsf,
     write_regions,
 )
@@ -183,20 +185,20 @@ class TestGsfSerialization:
         return make_stack([[[200.5, 201.0], [202.0, 203.0]]], variable=Variable.BT)
 
     def test_canonical_form(self):
-        assert serialize_gsf(self.golden_stack()) == GOLDEN_FRAME
+        assert "".join(gsf_lines(self.golden_stack())) == GOLDEN_FRAME
 
     def test_frames_separated_by_dashes(self):
         stack = make_stack(
             [[[200.5, 201.0], [202.0, 203.0]], [[210.0, 211.0], [212.0, 213.0]]],
             variable=Variable.BT,
         )
-        text = serialize_gsf(stack)
+        text = "".join(gsf_lines(stack))
         assert "\n---\n" in text
         assert text.endswith("\n")
         assert text.count("GSF1") == 2
 
     def test_parse_recovers_values_exactly(self):
-        stack = parse_gsf(GOLDEN_FRAME)
+        stack = parse_gsf(io.StringIO(GOLDEN_FRAME))
         assert len(stack.frames) == 1
         frame = stack.frames[0]
         assert frame.variable == Variable.BT
@@ -205,17 +207,17 @@ class TestGsfSerialization:
         assert frame.values.tolist() == [[200.5, 201.0], [202.0, 203.0]]
 
     def test_row_zero_is_northernmost(self):
-        frame = parse_gsf(GOLDEN_FRAME).frames[0]
+        frame = parse_gsf(io.StringIO(GOLDEN_FRAME)).frames[0]
         assert frame.geometry.cell_lat(0) == 11.0
         assert frame.geometry.cell_lat(1) == 10.0
 
     def test_reserialization_is_byte_identical(self):
-        assert serialize_gsf(parse_gsf(GOLDEN_FRAME)) == GOLDEN_FRAME
+        assert "".join(gsf_lines(parse_gsf(io.StringIO(GOLDEN_FRAME)))) == GOLDEN_FRAME
 
     def test_shortest_decimals_survive_round_trip(self):
         tricky = [[0.1, 1e-17], [123456.789012345, 2.5000000000000004]]
         stack = make_stack([tricky], variable=Variable.RAIN_RATE)
-        back = parse_gsf(serialize_gsf(stack))
+        back = parse_gsf(io.StringIO("".join(gsf_lines(stack))))
         assert np.array_equal(back.frames[0].values, np.asarray(tricky))
 
     def test_file_round_trip(self, tmp_path):
@@ -224,50 +226,92 @@ class TestGsfSerialization:
         write_gsf(stack, path)
         assert path.read_text(encoding="utf-8") == GOLDEN_FRAME
         back = read_gsf(path)
-        assert serialize_gsf(back) == GOLDEN_FRAME
+        assert "".join(gsf_lines(back)) == GOLDEN_FRAME
 
 
 class TestGsfErrors:
     def test_missing_magic(self):
         with pytest.raises(GsfError, match="GSF1"):
-            parse_gsf(GOLDEN_FRAME.replace("GSF1\n", "GSF2\n"))
+            parse_gsf(io.StringIO(GOLDEN_FRAME.replace("GSF1\n", "GSF2\n")))
 
     def test_missing_header_key_names_line(self):
         broken = GOLDEN_FRAME.replace("nodata=-9999.0\n", "")
         with pytest.raises(GsfError, match="line 11"):
-            parse_gsf(broken)
+            parse_gsf(io.StringIO(broken))
 
     def test_header_keys_must_be_in_order(self):
         swapped = GOLDEN_FRAME.replace(
             "nrows=2\nncols=2\n", "ncols=2\nnrows=2\n"
         )
         with pytest.raises(GsfError, match="line 5"):
-            parse_gsf(swapped)
+            parse_gsf(io.StringIO(swapped))
 
     def test_short_data_row_names_line(self):
         broken = GOLDEN_FRAME.replace("200.5 201.0\n", "200.5\n")
         with pytest.raises(GsfError, match="line 12"):
-            parse_gsf(broken)
+            parse_gsf(io.StringIO(broken))
 
     def test_non_numeric_value(self):
         broken = GOLDEN_FRAME.replace("200.5", "oops")
         with pytest.raises(GsfError, match="line 12"):
-            parse_gsf(broken)
+            parse_gsf(io.StringIO(broken))
+
+    def test_bad_time_names_its_line(self):
+        broken = GOLDEN_FRAME.replace("time=2020-10-05T00:00:00Z", "time=yesterday")
+        with pytest.raises(GsfError, match=r"^line 4: .*'yesterday'"):
+            parse_gsf(io.StringIO(broken))
+
+    def test_bad_integer_names_its_line(self):
+        broken = GOLDEN_FRAME.replace("nrows=2", "nrows=two")
+        with pytest.raises(GsfError, match=r"^line 5: .*'two'"):
+            parse_gsf(io.StringIO(broken))
+
+    def test_bad_float_names_its_line(self):
+        broken = GOLDEN_FRAME.replace("lat_min=10.0", "lat_min=x")
+        with pytest.raises(GsfError, match=r"^line 7: .*'x'"):
+            parse_gsf(io.StringIO(broken))
 
     def test_unknown_variable(self):
         broken = GOLDEN_FRAME.replace("variable=BT", "variable=VORTICITY")
         with pytest.raises(GsfError, match="VORTICITY"):
-            parse_gsf(broken)
+            parse_gsf(io.StringIO(broken))
 
     def test_duplicate_frame_times_rejected(self):
         text = GOLDEN_FRAME + "---\n" + GOLDEN_FRAME
         with pytest.raises(GsfError, match="strictly increasing"):
-            parse_gsf(text)
+            parse_gsf(io.StringIO(text))
 
     def test_unsorted_frame_times_rejected(self):
         earlier = GOLDEN_FRAME.replace("2020-10-05T00:00:00Z", "2020-10-04T00:00:00Z")
         with pytest.raises(GsfError, match="strictly increasing"):
-            parse_gsf(GOLDEN_FRAME + "---\n" + earlier)
+            parse_gsf(io.StringIO(GOLDEN_FRAME + "---\n" + earlier))
+
+
+class TestGsfStreaming:
+    """Writing and reading hold one line or one frame of text, never the
+    whole file."""
+
+    def peak_bytes(self, fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_and_read_peaks_stay_below_the_file_size(self, tmp_path):
+        rng = np.random.default_rng(0)
+        stack = make_stack([rng.uniform(180.0, 300.0, size=(100, 120)) for _ in range(20)],
+                           variable=Variable.BT)
+        path = tmp_path / "bt.gsf"
+        _, write_peak = self.peak_bytes(write_gsf, stack, path)
+        size = path.stat().st_size
+        assert size > 4_000_000
+        assert write_peak < size / 4
+        back, read_peak = self.peak_bytes(read_gsf, path)
+        value_bytes = sum(f.values.nbytes for f in back)
+        assert read_peak < value_bytes + size / 2
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(stack, back))
 
 
 class TestGridStack:
@@ -330,9 +374,9 @@ class TestGsfRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(random_stacks())
     def test_parse_serialize_round_trip(self, stack):
-        text = serialize_gsf(stack)
-        back = parse_gsf(text)
-        assert serialize_gsf(back) == text
+        text = "".join(gsf_lines(stack))
+        back = parse_gsf(io.StringIO(text))
+        assert "".join(gsf_lines(back)) == text
         for a, b in zip(stack.frames, back.frames):
             assert a.time == b.time
             assert np.array_equal(a.values, b.values)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cswarn.convection import detect
-from cswarn.geogrid import GridGeometry, KM_PER_DEG, RegionBox, serialize_gsf
+from cswarn.geogrid import GridGeometry, KM_PER_DEG, RegionBox, gsf_lines
 from cswarn.scenario import (
     CellSpec,
     ScenarioSpec,
@@ -164,21 +164,21 @@ class TestDeterminismAndNoise:
                           duration_s=3600, noise_std=0.5)
         a = generate(spec, seed=7)
         b = generate(spec, seed=7)
-        assert serialize_gsf(a.bt) == serialize_gsf(b.bt)
-        assert serialize_gsf(a.rain) == serialize_gsf(b.rain)
-        assert serialize_gsf(a.nrcs) == serialize_gsf(b.nrcs)
+        assert "".join(gsf_lines(a.bt)) == "".join(gsf_lines(b.bt))
+        assert "".join(gsf_lines(a.rain)) == "".join(gsf_lines(b.rain))
+        assert "".join(gsf_lines(a.nrcs)) == "".join(gsf_lines(b.nrcs))
 
     def test_different_seed_changes_noisy_output(self):
         spec = small_spec(cells=[storm()], noise_std=0.5)
         a = generate(spec, seed=1)
         b = generate(spec, seed=2)
-        assert serialize_gsf(a.bt) != serialize_gsf(b.bt)
+        assert "".join(gsf_lines(a.bt)) != "".join(gsf_lines(b.bt))
 
     def test_noise_free_output_ignores_seed(self):
         spec = small_spec(cells=[storm()])
         a = generate(spec, seed=1)
         b = generate(spec, seed=2)
-        assert serialize_gsf(a.bt) == serialize_gsf(b.bt)
+        assert "".join(gsf_lines(a.bt)) == "".join(gsf_lines(b.bt))
 
 
 class TestTruthCsv:
@@ -240,6 +240,27 @@ lon_max = 105.6
         assert len(spec.cells) == 1 and spec.cells[0].name == "storm"
         assert spec.cells[0].wind_peak_mps == 18.0
         assert len(spec.regions) == 1
+
+    def test_absent_optional_keys_take_the_dataclass_defaults(self, tmp_path):
+        text = """\
+[scenario]
+lat_min = 15.0
+lon_min = 105.0
+dlat = 0.05
+dlon = 0.05
+nrows = 40
+ncols = 40
+start = 2020-10-05T00:00:00Z
+duration_s = 3600
+
+[cell storm]
+lat = 16.0
+lon = 106.0
+speed_mps = 10.0
+bearing_deg = 270.0
+"""
+        spec = read_scenario(self.write(tmp_path, text))
+        assert spec == small_spec(cells=[storm(speed=10.0)])
 
     def test_unknown_key_rejected(self, tmp_path):
         path = self.write(tmp_path, self.VALID.replace("duration_s = 3600",
