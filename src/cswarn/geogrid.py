@@ -182,9 +182,11 @@ def _check_bounds(variable: Variable, finite: np.ndarray) -> None:
         raise ValueError(f"WIND_SPEED values outside [0, 100] m/s (min={lo}, max={hi})")
     if variable is Variable.NRCS and lo <= 0.0:
         raise ValueError(f"NRCS values must be > 0 linear (min={lo})")
-    if variable is Variable.FLOOD_MASK and not np.isin(finite, (0.0, 1.0)).all():
+    if variable is Variable.FLOOD_MASK and not ((finite == 0.0) | (finite == 1.0)).all():
         raise ValueError("FLOOD_MASK values must be 0 or 1")
-    if variable is Variable.WIND_CAT and not np.isin(finite, (0.0, 1.0, 2.0, 3.0)).all():
+    if variable is Variable.WIND_CAT and not (
+        (finite == 0.0) | (finite == 1.0) | (finite == 2.0) | (finite == 3.0)
+    ).all():
         raise ValueError("WIND_CAT values must be ranks 0..3")
 
 
@@ -345,6 +347,38 @@ def write_gsf(stack: GridStack, path) -> None:
         fh.writelines(gsf_lines(stack))
 
 
+def _parse_payload(data_lines: list[str], ncols: int, lineno: int) -> np.ndarray:
+    """Values of a frame's data lines; lineno is the file line of the first.
+
+    numpy's C text reader parses a well-formed payload in one call. A
+    payload it rejects or reads to another shape goes through the
+    per-token loop, which accepts every token ``float`` accepts (``1_0``,
+    non-ASCII digits) and names the first bad line. ``comments=None``
+    keeps ``#`` a bad token. A blank first line is malformed anyway and
+    skips the reader, which warns when every line is blank.
+    """
+    if data_lines and data_lines[0].strip():
+        try:
+            values = np.loadtxt(data_lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(data_lines), ncols):
+                return values
+    rows = []
+    for r, line in enumerate(data_lines):
+        toks = line.split()
+        if len(toks) != ncols:
+            raise GsfError(
+                f"line {lineno + r}: payload error: expected {ncols} values, got {len(toks)}"
+            )
+        try:
+            rows.append(list(map(float, toks)))
+        except ValueError as exc:
+            raise GsfError(f"line {lineno + r}: bad value: {exc}") from None
+    return np.array(rows)
+
+
 def _parse_frame(lines: list[str], lineno0: int) -> GeoGrid:
     """Parse one frame's lines; lineno0 is the 1-based file line of 'GSF1'."""
     if not lines or lines[0] != "GSF1":
@@ -368,24 +402,13 @@ def _parse_frame(lines: list[str], lineno0: int) -> GeoGrid:
         raise GsfError(
             f"line {lineno0}: payload error: expected {nrows} data lines, got {len(data_lines)}"
         )
-    rows = []
-    for r, line in enumerate(data_lines):
-        toks = line.split()
-        if len(toks) != ncols:
-            raise GsfError(
-                f"line {lineno0 + 1 + len(_HEADER_KEYS) + r}: payload error: "
-                f"expected {ncols} values, got {len(toks)}"
-            )
-        try:
-            rows.append(list(map(float, toks)))
-        except ValueError as exc:
-            raise GsfError(f"line {lineno0 + 1 + len(_HEADER_KEYS) + r}: bad value: {exc}") from None
+    values = _parse_payload(data_lines, ncols, lineno0 + 1 + len(_HEADER_KEYS))
     try:
         geometry = GridGeometry(head["lat_min"], head["lon_min"], head["dlat"], head["dlon"],
                                 nrows, ncols)
         return GeoGrid(
             variable=head["variable"], units=head["units"], time=head["time"],
-            geometry=geometry, values=np.array(rows), nodata=head["nodata"],
+            geometry=geometry, values=values, nodata=head["nodata"],
         )
     except ValueError as exc:
         raise GsfError(f"line {lineno0}: invalid frame: {exc}") from None

@@ -2,8 +2,8 @@
 
 Each oracle deliberately takes a different algorithmic route from the
 module it verifies (per-pixel union-find vs run-based labeling,
-exhaustive scans vs index arithmetic, enumeration vs greedy) so agreement
-is meaningful.
+exhaustive scans vs index arithmetic, enumeration vs greedy, per-token
+``float`` vs numpy's C text reader) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from cswarn.geogrid import GeoGrid, GridGeometry, RegionBox, haversine_km
+from cswarn.geogrid import GeoGrid, GridGeometry, GsfError, RegionBox, haversine_km
 from cswarn.tracking import _displacement_deg, motion_vector
 
 
@@ -142,3 +142,21 @@ def flood_mask_oracle(ratio: np.ndarray, nodata: float, threshold_db: float, min
                 keep[r, c] = True
     out = np.where(finite, keep.astype(float), nodata)
     return out
+
+
+def gsf_payload_loop(data_lines: list[str], ncols: int, lineno: int) -> np.ndarray:
+    """A GSF frame's data lines split on whitespace and read token by token
+    with ``float``; the first line with the wrong count or a bad token is
+    named. lineno is the file line of the first data line."""
+    rows = []
+    for r, line in enumerate(data_lines):
+        toks = line.split()
+        if len(toks) != ncols:
+            raise GsfError(
+                f"line {lineno + r}: payload error: expected {ncols} values, got {len(toks)}"
+            )
+        try:
+            rows.append(list(map(float, toks)))
+        except ValueError as exc:
+            raise GsfError(f"line {lineno + r}: bad value: {exc}") from None
+    return np.array(rows)

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import tracemalloc
 from datetime import timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cswarn import geogrid
 from cswarn.geogrid import (
     DEFAULT_NODATA,
     EARTH_RADIUS_KM,
@@ -35,7 +38,7 @@ from cswarn.geogrid import (
 )
 
 from conftest import GEOM_4X4, T0, make_grid, make_stack
-from oracles import region_cells
+from oracles import gsf_payload_loop, region_cells
 
 
 class TestConstants:
@@ -122,6 +125,22 @@ class TestGeoGridValidation:
         values = np.array([[280.0, DEFAULT_NODATA], [DEFAULT_NODATA, 300.0]])
         grid = make_grid(values)
         assert grid.finite_mask.tolist() == [[True, False], [False, True]]
+
+    @pytest.mark.parametrize("variable", [Variable.FLOOD_MASK, Variable.WIND_CAT])
+    def test_negative_zero_is_rank_zero(self, variable):
+        grid = make_grid(np.array([[-0.0, 1.0], [0.0, DEFAULT_NODATA]]), variable=variable)
+        assert grid.values[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "variable,bad,message",
+        [
+            (Variable.FLOOD_MASK, 0.5, "FLOOD_MASK values must be 0 or 1"),
+            (Variable.WIND_CAT, 4.0, "WIND_CAT values must be ranks 0..3"),
+        ],
+    )
+    def test_value_off_the_ranks_names_them(self, variable, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_grid(np.array([[0.0, bad], [1.0, DEFAULT_NODATA]]), variable=variable)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -380,6 +399,157 @@ class TestGsfRoundTripProperty:
         for a, b in zip(stack.frames, back.frames):
             assert a.time == b.time
             assert np.array_equal(a.values, b.values)
+
+
+def gsf_outcome(text: str, newline: str = "\n"):
+    """parse_gsf's frames, values as raw bytes, or its GsfError text."""
+    try:
+        stack = parse_gsf(io.StringIO(text, newline=newline))
+    except GsfError as exc:
+        return str(exc)
+    return [(f.variable, f.units, f.time, f.geometry, f.nodata, f.values.shape, f.values.tobytes())
+            for f in stack]
+
+
+def reference_outcome(text: str, newline: str = "\n"):
+    """gsf_outcome with every payload read by the per-token oracle."""
+    with mock.patch.object(geogrid, "_parse_payload", gsf_payload_loop):
+        return gsf_outcome(text, newline)
+
+
+# Tokens and separators where numpy's reader and ``float`` may part ways.
+ODD_TOKENS = ["1_0", "\u0662\u0660\u0660", "#x", "#", "nan", "-nan", "inf", "-Infinity",
+              "1e400", "0x10", "-0.0", "+.5", "5.", "1e-320", "2", "1,5", '"3"', "\x00", "\u200b7"]
+ODD_SEPARATORS = [" ", "  ", "\t", "\u2003", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000",
+                  "\r", "\r\n", "\n"]
+BLANK_LINES = ["", " ", "\t", "\x0c", "\r", "\u2003"]
+
+
+@st.composite
+def mutated_gsf_texts(draw):
+    """Canonical text of a random BT or LOG_RATIO stack (any finite
+    LOG_RATIO bits, so 17-digit and subnormal tokens occur), with up to
+    four payload mutations."""
+    variable = draw(st.sampled_from([Variable.BT, Variable.LOG_RATIO]))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    frames = []
+    for _ in range(draw(st.integers(1, 2))):
+        if variable is Variable.BT:
+            values = rng.uniform(150.0, 350.0, size=(nrows, ncols))
+        else:
+            values = rng.integers(0, 2**64, size=(nrows, ncols), dtype=np.uint64).view(np.float64)
+            values[~np.isfinite(values)] = 0.0
+        values[rng.uniform(size=(nrows, ncols)) < 0.1] = DEFAULT_NODATA
+        frames.append(values)
+    lines = "".join(gsf_lines(make_stack(frames, variable=variable))).split("\n")[:-1]
+    data = [i for i, line in enumerate(lines) if line not in ("GSF1", "---") and "=" not in line]
+    dropped = set()
+    for _ in range(draw(st.integers(0, 4))):
+        i, other = draw(st.sampled_from(data)), draw(st.sampled_from(data))
+        if dropped & {i, other}:
+            continue
+        toks = lines[i].split(" ")
+        kind = draw(st.sampled_from(["token", "insert", "separator", "move", "blank", "drop",
+                                     "dup", "crlf"]))
+        if kind == "token":
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+            lines[i] = " ".join(toks)
+        elif kind == "insert":
+            toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(ODD_TOKENS)))
+            lines[i] = " ".join(toks)
+        elif kind == "separator":
+            j = draw(st.integers(0, len(toks)))
+            lines[i] = " ".join(toks[:j]) + draw(st.sampled_from(ODD_SEPARATORS)) + " ".join(toks[j:])
+        elif kind == "move" and i != other:  # a ragged pair with the right total
+            lines[other] += " " + toks.pop()
+            lines[i] = " ".join(toks)
+        elif kind == "blank":
+            lines[i] = draw(st.sampled_from(BLANK_LINES))
+        elif kind == "drop":
+            dropped.add(i)
+        elif kind == "dup":
+            lines[i] += "\n" + lines[i]
+        elif kind == "crlf":
+            lines[i] += "\r"
+    return "".join(line + "\n" for i, line in enumerate(lines) if i not in dropped)
+
+
+LOG_RATIO_FRAME = GOLDEN_FRAME.replace("variable=BT\nunits=K\n", "variable=LOG_RATIO\nunits=dB\n")
+GOLDEN_PAYLOAD = "200.5 201.0\n202.0 203.0\n"
+FINITE = "line 1: invalid frame: grid values must be finite (use the nodata sentinel for gaps)"
+
+
+class TestGsfPayloadOracle:
+    """Frame payloads parse to the per-token oracle's value bits, or to its
+    exact GsfError text."""
+
+    @pytest.mark.parametrize(
+        "payload,newline,expected",
+        [
+            ("1_0 201.0\n202.0 203.0\n", "\n", [[10.0, 201.0], [202.0, 203.0]]),
+            ("\u0662\u0660\u0660 201.0\n202.0 203.0\n", "\n", [[200.0, 201.0], [202.0, 203.0]]),
+            ("200.5\u2003201.0\n202.0 203.0\n", "\n", [[200.5, 201.0], [202.0, 203.0]]),
+            ("200.5\t201.0\n202.0 203.0\n", "\n", [[200.5, 201.0], [202.0, 203.0]]),
+            ("200.5 201.0\r\n202.0 203.0\r\n", "", [[200.5, 201.0], [202.0, 203.0]]),
+            ("200.5 201.0 #x\n202.0 203.0\n", "\n", "line 12: payload error: expected 2 values, got 3"),
+            ("200.5 #x\n202.0 203.0\n", "\n", "line 12: bad value: could not convert string to float: '#x'"),
+            ("200.5 201.0 202.0\n203.0\n", "\n", "line 12: payload error: expected 2 values, got 3"),
+            ("200.5 201.0\n\n", "\n", "line 13: payload error: expected 2 values, got 0"),
+            ("\n\t\n", "\n", "line 12: payload error: expected 2 values, got 0"),
+            ("nan 201.0\n202.0 203.0\n", "\n", FINITE),
+            ("inf 201.0\n202.0 203.0\n", "\n", FINITE),
+            ("1e400 201.0\n202.0 203.0\n", "\n", FINITE),
+            ("0x10 201.0\n202.0 203.0\n", "\n", "line 12: bad value: could not convert string to float: '0x10'"),
+        ],
+        ids=["underscore", "arabic_indic", "em_space", "tab", "crlf", "hash_extra", "hash_token",
+             "ragged_pair", "blank_line", "all_blank", "nan", "inf", "overflow", "hex"],
+    )
+    def test_cases_match_the_oracle(self, payload, newline, expected):
+        text = LOG_RATIO_FRAME.replace(GOLDEN_PAYLOAD, payload)
+        got = gsf_outcome(text, newline)
+        assert got == reference_outcome(text, newline)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got[0][-1] == np.array(expected).tobytes()
+
+    def test_zero_row_frame_matches_the_oracle(self):
+        text = LOG_RATIO_FRAME.replace("nrows=2", "nrows=0").replace(GOLDEN_PAYLOAD, "")
+        got = gsf_outcome(text)
+        assert got == reference_outcome(text)
+        assert got == "line 1: invalid frame: grid shape must be >= 1x1, got 0x2"
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_gsf_texts(), st.sampled_from(["\n", ""]))
+    def test_mutated_frames_match_the_oracle(self, text, newline):
+        assert gsf_outcome(text, newline) == reference_outcome(text, newline)
+
+    def test_reader_rounds_17_digit_and_subnormal_tokens_like_float(self):
+        rng = np.random.default_rng(17)
+        n = 10_000
+        digits = rng.integers(10**16, 10**17, size=n)
+        exps = rng.integers(-340, 309, size=n)
+        tokens = [f"{d // 10**16}.{d % 10**16:016d}e{e}" for d, e in zip(digits.tolist(), exps.tolist())]
+        subnormal = rng.integers(1, 2**52, size=n, dtype=np.uint64).view(np.float64).tolist()
+        tokens += [repr(x) if k % 2 else f"{x:.17g}" for k, x in enumerate(subnormal)]
+        signs = rng.uniform(size=2 * n) < 0.5
+        tokens = ["-" + t if neg else t for t, neg in zip(tokens, signs)]
+        lines = [" ".join(tokens[k:k + 100]) for k in range(0, 2 * n, 100)]
+
+        loaded = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            loaded.append(loadtxt(*args, **kwargs))
+            return loaded[-1]
+
+        with mock.patch.object(np, "loadtxt", spy):
+            values = geogrid._parse_payload(lines, 100, 1)
+        assert len(loaded) == 1 and values is loaded[0]  # numpy's reader, not the loop
+        expected = np.array([[float(t) for t in line.split()] for line in lines])
+        assert values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
 
 
 class TestRegionIndices:
