@@ -14,7 +14,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .geogrid import KM_PER_DEG, GeoGrid, GridGeometry, RegionBox, Variable
+from .geogrid import GeoGrid, RegionBox, Variable
 
 DEFAULT_T_DEEP_K = 220.0
 DEFAULT_MIN_AREA_PX = 4
@@ -57,7 +57,7 @@ def convective_mask(bt: GeoGrid, t_deep: float = DEFAULT_T_DEEP_K) -> GeoGrid:
         raise TypeError(f"convective_mask needs a BT grid, got {bt.variable.value}")
     finite = bt.finite_mask
     out = np.where(finite, (bt.values <= t_deep).astype(np.float64), bt.nodata)
-    return bt.with_values(out, variable=Variable.FLOOD_MASK)
+    return bt._with_values_unchecked(out, Variable.FLOOD_MASK)
 
 
 def label_array(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -127,12 +127,6 @@ def label_array(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, int(is_root.sum())
 
 
-def _cell_areas_km2(geom: GridGeometry) -> np.ndarray:
-    """Per-row cell areas on the spherical-degree approximation."""
-    lat = geom.lats()
-    return (geom.dlat * KM_PER_DEG) * (geom.dlon * KM_PER_DEG * np.cos(np.radians(lat)))
-
-
 def label_components(mask: GeoGrid, min_area_px: int = DEFAULT_MIN_AREA_PX) -> list[CSObject]:
     """Retained components of a boolean mask, summarized geometrically.
 
@@ -145,7 +139,7 @@ def label_components(mask: GeoGrid, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
     on = mask.finite_mask & (mask.values != 0.0)
     labels, count = label_array(on)
     geom = mask.geometry
-    row_area = _cell_areas_km2(geom)
+    row_area = geom.cell_areas_km2()
     lats = geom.lats()
     lons = geom.lons()
     half_lat = geom.dlat / 2.0
@@ -170,6 +164,8 @@ def label_components(mask: GeoGrid, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
         cols = member_cols[end - size:end]
         cell_lats = lats[rows]
         cell_lons = lons[cols]
+        # sum / size is the arithmetic of ndarray.mean(), without its
+        # per-call Python wrapper, so the centroids are bit-equal to it.
         oid = len(objects) + 1
         bbox = RegionBox(
             f"cs{oid}",
@@ -184,8 +180,8 @@ def label_components(mask: GeoGrid, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
                 time=mask.time,
                 pixel_count=size,
                 area_km2=float(row_area[rows].sum()),
-                centroid_lat=float(cell_lats.mean()),
-                centroid_lon=float(cell_lons.mean()),
+                centroid_lat=float(cell_lats.sum() / size),
+                centroid_lon=float(cell_lons.sum() / size),
                 bbox=bbox,
                 rows=rows,
                 cols=cols,
@@ -206,7 +202,8 @@ def summarize(bt: GeoGrid, objects: list[CSObject]) -> list[CSObject]:
         member = member[member != bt.nodata]
         if member.size == 0:
             raise ValueError(f"object {obj.id}: no finite BT under its pixels")
-        out.append(replace(obj, min_bt=float(member.min()), mean_bt=float(member.mean())))
+        mean_bt = float(member.sum() / member.size)  # ndarray.mean(), bit for bit
+        out.append(replace(obj, min_bt=float(member.min()), mean_bt=mean_bt))
     return out
 
 

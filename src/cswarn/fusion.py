@@ -20,10 +20,11 @@ landfall, which is exactly too late for an early warning.
 
 An epoch is evaluated for all regions at once, so what does not depend on
 the region is computed once per epoch: the window's BT frames, and each
-live track's motion fit and forecast path. A track's footprint wind is
-looked up once per epoch too, and only when its path reaches a region. A
-region's BT cell window is found once per grid geometry, not once per
-frame.
+live track's motion fit and forecast path. A path holds the track's bbox
+edges at every horizon as arrays, so its first hit on a region is one
+vectorised test. A track's footprint wind is looked up once per epoch
+too, and only when its path reaches a region. A region's BT cell window
+is found once per grid geometry, not once per frame.
 """
 
 from __future__ import annotations

@@ -15,9 +15,11 @@ Conventions used throughout the engine:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -123,12 +125,28 @@ class GridGeometry:
     def cell_lon(self, col: int) -> float:
         return self.lon_min + col * self.dlon
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row latitudes, column longitudes, per-row cell areas), found on
+        first use and read-only, since the geometry never changes."""
+        lats = self.lat_min + (self.nrows - 1 - np.arange(self.nrows)) * self.dlat
+        lons = self.lon_min + np.arange(self.ncols) * self.dlon
+        areas = (self.dlat * KM_PER_DEG) * (self.dlon * KM_PER_DEG * np.cos(np.radians(lats)))
+        for axis in (lats, lons, areas):
+            axis.setflags(write=False)
+        return lats, lons, areas
+
     def lats(self) -> np.ndarray:
-        """Per-row center latitudes, north to south (index = row)."""
-        return self.lat_min + (self.nrows - 1 - np.arange(self.nrows)) * self.dlat
+        """Per-row center latitudes, north to south (index = row); read-only."""
+        return self._axes[0]
 
     def lons(self) -> np.ndarray:
-        return self.lon_min + np.arange(self.ncols) * self.dlon
+        """Per-column center longitudes, west to east; read-only."""
+        return self._axes[1]
+
+    def cell_areas_km2(self) -> np.ndarray:
+        """Per-row cell areas on the spherical-degree approximation; read-only."""
+        return self._axes[2]
 
 
 @dataclass(frozen=True)
@@ -197,8 +215,10 @@ class GeoGrid:
     ``geometry`` places the raster; ``values`` is a ``geometry.nrows x
     geometry.ncols`` float64 array with row 0 = north. Cells equal to
     ``nodata`` are missing; every other value must be finite and inside
-    the variable's physical bounds. The array is copied and frozen at
-    construction.
+    the variable's physical bounds. The constructor checks all of this,
+    copies the array and freezes the copy. Only the derived grids that are
+    correct by construction (threshold masks and category ranks) skip the
+    checks, through :meth:`_with_values_unchecked`.
     """
 
     variable: Variable
@@ -243,6 +263,19 @@ class GeoGrid:
             nodata=self.nodata,
         )
 
+    def _with_values_unchecked(self, values: np.ndarray, variable: Variable) -> "GeoGrid":
+        """:meth:`with_values` without the copy and the checks, for a fresh
+        float64 array the caller built to be valid: 0/1 or ranks 0..3 from a
+        threshold of this grid's finite cells, and ``nodata`` elsewhere.
+        The time is already normalised. ``values`` is frozen in place."""
+        values.setflags(write=False)
+        grid = object.__new__(GeoGrid)
+        for name, value in (("variable", variable), ("units", DEFAULT_UNITS[variable]),
+                            ("time", self.time), ("geometry", self.geometry),
+                            ("values", values), ("nodata", self.nodata)):
+            object.__setattr__(grid, name, value)
+        return grid
+
 
 @dataclass(frozen=True)
 class GridStack:
@@ -268,6 +301,7 @@ class GridStack:
                 )
             cadence = min(cadence, (frames[i].time - frames[i - 1].time).total_seconds())
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "_times", [fr.time for fr in frames])
         object.__setattr__(self, "_cadence_s", cadence)
 
     def __len__(self) -> int:
@@ -288,8 +322,9 @@ class GridStack:
         return self.frames[0].geometry
 
     def between(self, start: datetime, end: datetime) -> list[GeoGrid]:
-        """Frames in the trailing window ``start < t <= end``."""
-        return [f for f in self.frames if start < f.time <= end]
+        """Frames in the trailing window ``start < t <= end``, found by
+        bisection: frame times strictly increase."""
+        return list(self.frames[bisect_right(self._times, start):bisect_right(self._times, end)])
 
     def cadence_s(self) -> float:
         """Nominal frame spacing in seconds: the smallest spacing between

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,29 +129,53 @@ def _displacement_deg(motion: MotionVector, horizon_s: float, lat_ref: float) ->
     return north_km / KM_PER_DEG, east_km / (KM_PER_DEG * math.cos(math.radians(lat_ref)))
 
 
-def forecast(track: Track, fit_window: int = DEFAULT_FIT_WINDOW) -> list[tuple[int, RegionBox]]:
+class ForecastPath(NamedTuple):
+    """A bbox moved along one motion fit: the forecast horizons (s) and
+    the box's four edges at each of them, as parallel float64 arrays."""
+
+    horizons: np.ndarray
+    lat_min: np.ndarray
+    lat_max: np.ndarray
+    lon_min: np.ndarray
+    lon_max: np.ndarray
+
+
+def forecast(track: Track, fit_window: int = DEFAULT_FIT_WINDOW) -> ForecastPath:
     """The last bbox moved along one motion fit, at every forecast horizon.
 
     Horizons are multiples of HORIZON_STEP_S up to HORIZON_MAX_S (the
     one-day warning cap). A stationary track gets only the first horizon,
-    since every later one is identical.
+    since every later one is identical. Each edge is computed with the
+    same IEEE operations, in the same order, as :func:`_displacement_deg`
+    followed by :meth:`RegionBox.translated`, so it is bit-equal to theirs.
     """
     motion = motion_vector(track, fit_window)
     bbox = track.last.bbox
     lat_ref = (bbox.lat_min + bbox.lat_max) / 2.0
-    horizons = range(HORIZON_STEP_S, HORIZON_MAX_S + 1, HORIZON_STEP_S)
-    if motion.speed_mps == 0.0:
-        horizons = horizons[:1]  # stationary: later horizons are identical
-    return [(h, bbox.translated(*_displacement_deg(motion, h, lat_ref))) for h in horizons]
+    if motion.speed_mps == 0.0 or motion.bearing_deg is None:
+        horizons = np.array([float(HORIZON_STEP_S)])
+        dlat = dlon = np.zeros(1)
+    else:
+        horizons = np.arange(HORIZON_STEP_S, HORIZON_MAX_S + 1, HORIZON_STEP_S, dtype=np.float64)
+        dist_km = motion.speed_mps * horizons / 1000.0
+        theta = math.radians(motion.bearing_deg)
+        dlat = dist_km * math.cos(theta) / KM_PER_DEG
+        dlon = dist_km * math.sin(theta) / (KM_PER_DEG * math.cos(math.radians(lat_ref)))
+    return ForecastPath(horizons, bbox.lat_min + dlat, bbox.lat_max + dlat,
+                        bbox.lon_min + dlon, bbox.lon_max + dlon)
 
 
-def time_to_region(path: list[tuple[int, RegionBox]], region: RegionBox) -> int | None:
+def time_to_region(path: ForecastPath, region: RegionBox) -> int | None:
     """Smallest horizon of a :func:`forecast` path whose bbox meets ``region``.
 
-    Returns None when no horizon intersects, i.e. the cell is not
-    approaching.
+    The closed-interval test of :meth:`RegionBox.intersects`, at every
+    horizon at once. Returns None when no horizon intersects, i.e. the
+    cell is not approaching.
     """
-    return next((h for h, box in path if box.intersects(region)), None)
+    hit = ((path.lat_min <= region.lat_max) & (region.lat_min <= path.lat_max)
+           & (path.lon_min <= region.lon_max) & (region.lon_min <= path.lon_max))
+    first = int(hit.argmax())
+    return int(path.horizons[first]) if hit[first] else None
 
 
 def build_tracks(

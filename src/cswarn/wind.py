@@ -278,12 +278,9 @@ def categorize_grid(wind: GeoGrid, bins: Sequence[float] = DEFAULT_BINS) -> GeoG
     b1, b2, b3 = bins
     if not b1 < b2 < b3:
         raise ValueError(f"category bins must increase, got {bins}")
-    finite = wind.finite_mask
-    if (wind.values[finite] < 0).any():
-        raise ValueError("wind speeds must be >= 0")
     ranks = np.digitize(wind.values, (b1, b2, b3)).astype(np.float64)
-    out = np.where(finite, ranks, wind.nodata)
-    return wind.with_values(out, variable=Variable.WIND_CAT)
+    out = np.where(wind.finite_mask, ranks, wind.nodata)
+    return wind._with_values_unchecked(out, Variable.WIND_CAT)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,18 @@ class TestAreaAndStats:
             assert obj.mean_bt == pytest.approx(ref["mean_bt"], rel=1e-12)
             assert obj.area_km2 == pytest.approx(ref["area_km2"], rel=1e-10)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_means_are_ndarray_mean_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.uniform(size=(30, 40)) < 0.5, rng.uniform(185.0, 219.0, (30, 40)), 285.0)
+        geom = GridGeometry(lat_min=rng.uniform(-40, 40), lon_min=rng.uniform(90, 130),
+                            dlat=0.03, dlon=0.07, nrows=30, ncols=40)
+        bt = make_grid(values, geometry=geom)
+        for obj in detect(bt, min_area_px=1):
+            assert obj.centroid_lat == float(geom.lats()[obj.rows].mean())
+            assert obj.centroid_lon == float(geom.lons()[obj.cols].mean())
+            assert obj.mean_bt == float(bt.values[obj.rows, obj.cols].mean())
+
     def test_pixel_counts_partition_the_mask(self):
         rng = np.random.default_rng(3)
         mask = rng.uniform(size=(20, 20)) < 0.45

@@ -88,6 +88,16 @@ class TestGridGeometry:
     def test_lons_run_west_to_east(self):
         assert GEOM_4X4.lons().tolist() == [20.0, 21.0, 22.0, 23.0]
 
+    def test_axes_are_found_once_and_read_only(self):
+        geom = GridGeometry(lat_min=10.0, lon_min=20.0, dlat=0.5, dlon=0.25, nrows=3, ncols=2)
+        for axis in (geom.lats, geom.lons, geom.cell_areas_km2):
+            assert axis() is axis()
+            with pytest.raises(ValueError):
+                axis()[0] = 0.0
+        dy = 0.5 * KM_PER_DEG
+        assert geom.cell_areas_km2().tolist() == [
+            dy * (0.25 * KM_PER_DEG * math.cos(math.radians(lat))) for lat in (11.0, 10.5, 10.0)]
+
     def test_invalid_spacing_rejected(self):
         with pytest.raises(ValueError):
             GridGeometry(lat_min=10.0, lon_min=20.0, dlat=0.0, dlon=1.0, nrows=2, ncols=2)
@@ -354,6 +364,17 @@ class TestGridStack:
         assert [g.time for g in picked] == [t1]
         picked = stack.between(T0 - timedelta(seconds=1), T0)
         assert [g.time for g in picked] == [T0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 3600), min_size=1, max_size=12),
+           st.integers(-600, 30000), st.integers(-600, 30000))
+    def test_between_equals_a_scan_of_every_frame(self, gaps, lo_s, hi_s):
+        times = [T0 + timedelta(seconds=s) for s in np.cumsum(gaps).tolist()]
+        stack = GridStack([make_grid(np.full((1, 1), 280.0), time=t) for t in times])
+        # Window ends on frame times as well as between them.
+        start, end = (times[s % len(times)] if s % 3 == 0 else T0 + timedelta(seconds=s)
+                      for s in (lo_s, hi_s))
+        assert stack.between(start, end) == [f for f in stack.frames if start < f.time <= end]
 
     def test_cadence(self):
         stack = make_stack([np.zeros((2, 2))] * 3, dt_s=600)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import struct
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from cswarn.tracking import (
     HORIZON_STEP_S,
     Track,
     UndefinedMotionError,
+    _displacement_deg,
     associate,
     build_tracks,
     forecast,
@@ -218,13 +221,17 @@ class TestTimeToRegion:
 class TestForecast:
     def test_moving_track_gets_every_horizon(self):
         path = forecast(westward_track(10.0))
-        assert [h for h, _ in path] == list(range(HORIZON_STEP_S, HORIZON_MAX_S + 1, HORIZON_STEP_S))
-        lons = [box.lon_min for _, box in path]
+        assert path.horizons.tolist() == list(range(HORIZON_STEP_S, HORIZON_MAX_S + 1, HORIZON_STEP_S))
+        assert all(edge.dtype == np.float64 for edge in path)
+        lons = path.lon_min.tolist()
         assert lons == sorted(lons, reverse=True)
 
     def test_stationary_track_gets_first_horizon_only(self):
         track = track_from_positions([110.0, 110.0], lat=16.0)
-        assert forecast(track) == [(HORIZON_STEP_S, track.last.bbox)]
+        box = track.last.bbox
+        path = forecast(track)
+        assert [edge.tolist() for edge in path] == [
+            [HORIZON_STEP_S], [box.lat_min], [box.lat_max], [box.lon_min], [box.lon_max]]
 
 
 @st.composite
@@ -258,6 +265,45 @@ class TestForecastMatchesHorizonLoop:
         track, region, fit_window = case
         expected = horizon_loop_time_to_region(track, region, fit_window)
         assert time_to_region(forecast(track, fit_window), region) == expected
+
+
+class TestForecastEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(tracks_and_regions())
+    def test_edges_equal_translated_boxes_bit_for_bit(self, case):
+        track, _, fit_window = case
+        motion = motion_vector(track, fit_window)
+        box = track.last.bbox
+        lat_ref = (box.lat_min + box.lat_max) / 2.0
+        horizons = range(HORIZON_STEP_S, HORIZON_MAX_S + 1, HORIZON_STEP_S)
+        if motion.speed_mps == 0.0:
+            horizons = horizons[:1]
+        path = forecast(track, fit_window)
+        assert path.horizons.tolist() == list(horizons)
+        for i, h in enumerate(horizons):
+            moved = box.translated(*_displacement_deg(motion, h, lat_ref))
+            edges = (path.lat_min[i], path.lat_max[i], path.lon_min[i], path.lon_max[i])
+            want = (moved.lat_min, moved.lat_max, moved.lon_min, moved.lon_max)
+            assert struct.pack("<4d", *edges) == struct.pack("<4d", *want), h
+
+    @settings(max_examples=300, deadline=None)
+    @given(tracks_and_regions(), st.integers(0, HORIZON_MAX_S // HORIZON_STEP_S - 1),
+           st.sampled_from(["north", "south", "east", "west"]))
+    def test_region_touching_one_edge_matches_horizon_loop(self, case, k, side):
+        # Boxes that only share an edge line intersect: the test is closed.
+        track, _, fit_window = case
+        path = forecast(track, fit_window)
+        k = min(k, len(path.horizons) - 1)
+        lat_min, lat_max, lon_min, lon_max = (float(edge[k]) for edge in path[1:])
+        region = {
+            "north": RegionBox("R", lat_max, lat_max + 1.0, lon_min, lon_max),
+            "south": RegionBox("R", lat_min - 1.0, lat_min, lon_min, lon_max),
+            "east": RegionBox("R", lat_min, lat_max, lon_max, lon_max + 1.0),
+            "west": RegionBox("R", lat_min, lat_max, lon_min - 1.0, lon_min),
+        }[side]
+        arrival = time_to_region(path, region)
+        assert arrival is not None and arrival <= path.horizons[k]
+        assert arrival == horizon_loop_time_to_region(track, region, fit_window)
 
 
 class TestBuildTracks:
