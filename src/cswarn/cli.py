@@ -379,24 +379,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detections_per_frame(bt_path, cfg: EngineConfig) -> tuple[GridStack, list[list[CSObject]]]:
+def _detections_per_frame(bt_path, cfg: EngineConfig) -> list[list[CSObject]]:
     stack = read_gsf(bt_path)
     if stack.variable is not Variable.BT:
         raise ValueError(f"{bt_path}: expected BT frames, got {stack.variable.value}")
-    frames = [detect(f, t_deep=cfg.t_deep, min_area_px=cfg.min_area_px) for f in stack]
-    return stack, frames
+    return [detect(f, t_deep=cfg.t_deep, min_area_px=cfg.min_area_px) for f in stack]
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    _, frames = _detections_per_frame(args.bt, cfg)
+    frames = _detections_per_frame(args.bt, cfg)
     _write_atomic(args.out, objects_csv(frames))
     return 0
 
 
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    _, frames = _detections_per_frame(args.bt, cfg)
+    frames = _detections_per_frame(args.bt, cfg)
     tracks = build_tracks(frames, cfg.max_gap_km)
     _write_atomic(args.out, tracks_csv(tracks, cfg.fit_window))
     return 0

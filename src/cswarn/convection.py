@@ -22,7 +22,12 @@ DEFAULT_MIN_AREA_PX = 4
 
 @dataclass(frozen=True)
 class CSObject:
-    """One detected convective system in one frame."""
+    """One detected convective system in one frame.
+
+    ``rows`` and ``cols`` index its member pixels; from
+    :func:`label_components` they are read-only views of the frame's
+    labeling.
+    """
 
     id: int
     time: datetime
@@ -43,12 +48,6 @@ class CSObject:
             raise ValueError(f"object {self.id}: centroid outside bbox")
         if self.min_bt is not None and self.mean_bt is not None and self.min_bt > self.mean_bt:
             raise ValueError(f"object {self.id}: min_bt > mean_bt")
-        for name in ("rows", "cols"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=np.int64)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
 
 
 def convective_mask(bt: GeoGrid, t_deep: float = DEFAULT_T_DEEP_K) -> GeoGrid:
@@ -153,6 +152,9 @@ def label_components(mask: GeoGrid, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
     on_labels = flat[on_idx]
     by_label = on_idx[np.argsort(on_labels, kind="stable")]
     member_rows, member_cols = np.divmod(by_label, geom.ncols)
+    # Every object's rows and cols are views of these, so all are read-only.
+    member_rows.setflags(write=False)
+    member_cols.setflags(write=False)
     sizes = np.bincount(on_labels, minlength=count + 1)[1:]
     bounds = np.cumsum(sizes).tolist()
 
@@ -202,8 +204,11 @@ def summarize(bt: GeoGrid, objects: list[CSObject]) -> list[CSObject]:
         member = member[member != bt.nodata]
         if member.size == 0:
             raise ValueError(f"object {obj.id}: no finite BT under its pixels")
-        mean_bt = float(member.sum() / member.size)  # ndarray.mean(), bit for bit
-        out.append(replace(obj, min_bt=float(member.min()), mean_bt=mean_bt))
+        min_bt = float(member.min())
+        # ndarray.mean(), bit for bit, except that the rounded mean of equal
+        # values can fall below them: the mean never reads below the min.
+        mean_bt = max(float(member.sum() / member.size), min_bt)
+        out.append(replace(obj, min_bt=min_bt, mean_bt=mean_bt))
     return out
 
 

@@ -16,7 +16,6 @@ POD and FAR scores.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Mapping, Sequence
@@ -26,8 +25,6 @@ import numpy as np
 from .convection import label_array
 from .fusion import WarnLevel, WarningReport
 from .geogrid import GeoGrid, RegionBox, Variable, region_indices
-
-logger = logging.getLogger(__name__)
 
 THRESHOLD_DB_DEFAULT = -3.0
 MIN_REGION_PX_DEFAULT = 8
@@ -56,8 +53,8 @@ class FloodMask:
 def log_ratio_db(flood: GeoGrid, ref: GeoGrid) -> GeoGrid:
     """Cellwise 10*log10(flood/ref) in dB; nodata propagates.
 
-    Nonpositive backscatter cannot be ratioed; such cells become nodata
-    and their count is logged as a warning.
+    An NRCS grid holds only positive backscatter outside its nodata
+    cells, so every cell that is data in both grids has a ratio.
     """
     for grid, label in ((flood, "flood"), (ref, "reference")):
         if grid.variable is not Variable.NRCS:
@@ -65,13 +62,9 @@ def log_ratio_db(flood: GeoGrid, ref: GeoGrid) -> GeoGrid:
     if flood.geometry != ref.geometry:
         raise ValueError("flood and reference grids have different geometry")
     valid = flood.finite_mask & ref.finite_mask
-    positive = valid & (flood.values > 0) & (ref.values > 0)
-    bad = int((valid & ~positive).sum())
-    if bad:
-        logger.warning("%d nonpositive backscatter cells set to nodata", bad)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = 10.0 * np.log10(flood.values / ref.values)
-    out = np.where(positive, ratio, flood.nodata)
+    out = np.where(valid, ratio, flood.nodata)
     return flood.with_values(out, variable=Variable.LOG_RATIO)
 
 

@@ -23,8 +23,9 @@ the region is computed once per epoch: the window's BT frames, and each
 live track's motion fit and forecast path. A path holds the track's bbox
 edges at every horizon as arrays, so its first hit on a region is one
 vectorised test. A track's footprint wind is looked up once per epoch
-too, and only when its path reaches a region. A region's BT cell window
-is found once per grid geometry, not once per frame.
+too, and only when its path reaches a region. A BT stack has one
+geometry, so a region's BT cell window is found once per epoch, not once
+per frame.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from enum import IntEnum
 from typing import Mapping, Sequence
 
 from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, CSObject, detect
-from .geogrid import GridGeometry, GridStack, RegionBox, region_indices
+from .geogrid import GridStack, RegionBox, region_indices
 from .precip import R_HEAVY_DEFAULT_MMH, EmptyWindowError, RainStats, region_rain_stats
 from .tracking import (
     DEFAULT_FIT_WINDOW,
@@ -147,58 +148,46 @@ def decide(ind: RegionIndicators, rules: RuleSet | None = None) -> WarningReport
     )
 
 
-@dataclass(frozen=True)
-class FrameDetections:
-    """Detected objects of one BT frame plus the frame's geometry."""
-
-    time: datetime
-    geometry: GridGeometry
-    objects: tuple[CSObject, ...]
-
-
 def _cloud_stats(
-    frames_by_geometry: Mapping[GridGeometry, Sequence[FrameDetections]],
+    frames: Sequence[Sequence[CSObject]],
+    window: tuple[slice, slice],
     region: RegionBox,
-) -> tuple[float, float | None, int]:
-    """(max cover fraction, min BT of touching objects, frames covering the region)."""
+) -> tuple[float, float | None]:
+    """(max cover fraction, min BT of touching objects) over the objects of
+    each frame, for the region's BT cell window."""
     best_fraction = 0.0
     min_bt: float | None = None
-    frames_seen = 0
-    for geometry, frames in frames_by_geometry.items():
-        window = region_indices(geometry, region)
-        if window is None:
-            continue
-        frames_seen += len(frames)
-        # Region cells form a contiguous index block, so membership is a
-        # bounds check per pixel.
-        rows, cols = window
-        n_cells = (rows.stop - rows.start) * (cols.stop - cols.start)
-        for frame in frames:
-            inside = 0
-            for obj in frame.objects:
-                # A cell centre in the window lies in its object's bbox
-                # (centres +- half a cell, from the same lats/lons), so an
-                # object whose bbox misses the region has no hits.
-                if not obj.bbox.intersects(region):
-                    continue
-                hits = int(
-                    (
-                        (obj.rows >= rows.start) & (obj.rows < rows.stop)
-                        & (obj.cols >= cols.start) & (obj.cols < cols.stop)
-                    ).sum()
-                )
-                if hits:
-                    inside += hits
-                    if obj.min_bt is not None and (min_bt is None or obj.min_bt < min_bt):
-                        min_bt = obj.min_bt
-            best_fraction = max(best_fraction, inside / n_cells)
-    return best_fraction, min_bt, frames_seen
+    # Region cells form a contiguous index block, so membership is a
+    # bounds check per pixel.
+    rows, cols = window
+    n_cells = (rows.stop - rows.start) * (cols.stop - cols.start)
+    for objects in frames:
+        inside = 0
+        for obj in objects:
+            # A cell centre in the window lies in its object's bbox
+            # (centres +- half a cell, from the same lats/lons), so an
+            # object whose bbox misses the region has no hits.
+            if not obj.bbox.intersects(region):
+                continue
+            hits = int(
+                (
+                    (obj.rows >= rows.start) & (obj.rows < rows.stop)
+                    & (obj.cols >= cols.start) & (obj.cols < cols.stop)
+                ).sum()
+            )
+            if hits:
+                inside += hits
+                if obj.min_bt is not None and (min_bt is None or obj.min_bt < min_bt):
+                    min_bt = obj.min_bt
+        best_fraction = max(best_fraction, inside / n_cells)
+    return best_fraction, min_bt
 
 
 def build_indicators(
     epoch: datetime,
     regions: Sequence[RegionBox],
-    detections: Sequence[FrameDetections],
+    bt: GridStack | None,
+    detections: Sequence[Sequence[CSObject]],
     tracks: Sequence[Track],
     wind_cat_stacks: Sequence[GridStack],
     rain_stats: Mapping[str, RainStats | None],
@@ -207,16 +196,16 @@ def build_indicators(
 ) -> list[RegionIndicators]:
     """Condense all sensors into each region's indicators at ``epoch``.
 
-    ``detections`` and ``tracks`` may extend past ``epoch``; only frames
-    and observations in the trailing window count. ``rain_stats`` maps a
-    region name to its trailing-window summary; a missing or None entry
-    means rain was not observed there.
+    ``bt`` is the BT stack, or None when BT was not observed, and
+    ``detections`` the objects detected in each of its frames. ``bt`` and
+    ``tracks`` may extend past ``epoch``; only frames and observations in
+    the trailing window count. ``rain_stats`` maps a region name to its
+    trailing-window summary; a missing or None entry means rain was not
+    observed there.
     """
     window_start = epoch - timedelta(seconds=window_s)
-    frames_by_geometry: dict[GridGeometry, list[FrameDetections]] = {}
-    for d in detections:
-        if window_start < d.time <= epoch:
-            frames_by_geometry.setdefault(d.geometry, []).append(d)
+    frames = [objects for frame, objects in zip(bt or (), detections)
+              if window_start < frame.time <= epoch]
     observed = [t.up_to(epoch) for t in tracks]
     live = [t for t in observed if len(t.observations) >= 2 and window_start < t.last.time]
     paths = [forecast(t, fit_window) for t in live]
@@ -225,7 +214,8 @@ def build_indicators(
 
     out = []
     for region in regions:
-        fraction, min_bt, bt_frames = _cloud_stats(frames_by_geometry, region)
+        window = region_indices(bt.geometry, region) if frames else None
+        fraction, min_bt = (0.0, None) if window is None else _cloud_stats(frames, window, region)
 
         approach: int | None = None
         samples = [region_max_category(wind_cat_stacks, region, window_start, epoch)]
@@ -241,7 +231,7 @@ def build_indicators(
 
         stats = rain_stats.get(region.name)
         source_count = {
-            "bt": 1 if bt_frames else 0,
+            "bt": 0 if window is None else 1,
             "wind": samples[0].sources,
             "rain": 1 if stats is not None and stats.missing_fraction < 1.0 else 0,
         }
@@ -289,14 +279,14 @@ class FusionEngine:
         self.rules = rules or RuleSet()
         self.window_s = window_s
         self.fit_window = fit_window
+        self.bt = bt
         self.rain = rain
 
-        self.detections: list[FrameDetections] = []
-        if bt is not None:
-            for frame in bt:
-                objs = detect(frame, t_deep=t_deep, min_area_px=min_area_px)
-                self.detections.append(FrameDetections(frame.time, frame.geometry, tuple(objs)))
-        self.tracks = build_tracks([list(d.objects) for d in self.detections], max_gap_km)
+        # The objects detected in each BT frame, in frame order.
+        self.detections = [
+            detect(frame, t_deep=t_deep, min_area_px=min_area_px) for frame in bt or ()
+        ]
+        self.tracks = build_tracks(self.detections, max_gap_km)
 
         self.wind_cat_stacks: list[GridStack] = []
         for _, stack in sorted((wind_speed or {}).items()):
@@ -321,6 +311,7 @@ class FusionEngine:
         indicators = build_indicators(
             epoch,
             self.regions,
+            self.bt,
             self.detections,
             self.tracks,
             self.wind_cat_stacks,

@@ -118,13 +118,6 @@ class GridGeometry:
         """Center longitude of the easternmost column."""
         return self.lon_min + (self.ncols - 1) * self.dlon
 
-    def cell_lat(self, row: int) -> float:
-        """Center latitude of ``row`` (row 0 = north)."""
-        return self.lat_min + (self.nrows - 1 - row) * self.dlat
-
-    def cell_lon(self, col: int) -> float:
-        return self.lon_min + col * self.dlon
-
     @cached_property
     def _axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row latitudes, column longitudes, per-row cell areas), found on
@@ -177,15 +170,6 @@ class RegionBox:
             and other.lon_min <= self.lon_max
         )
 
-    def translated(self, dlat: float, dlon: float) -> "RegionBox":
-        return RegionBox(
-            self.name,
-            self.lat_min + dlat,
-            self.lat_max + dlat,
-            self.lon_min + dlon,
-            self.lon_max + dlon,
-        )
-
 
 def _check_bounds(variable: Variable, finite: np.ndarray) -> None:
     """Reject finite (non-nodata) values outside the variable's physical range."""
@@ -208,7 +192,7 @@ def _check_bounds(variable: Variable, finite: np.ndarray) -> None:
         raise ValueError("WIND_CAT values must be ranks 0..3")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeoGrid:
     """One georeferenced raster of a single variable at one timestamp.
 
@@ -219,6 +203,8 @@ class GeoGrid:
     copies the array and freezes the copy. Only the derived grids that are
     correct by construction (threshold masks and category ranks) skip the
     checks, through :meth:`_with_values_unchecked`.
+
+    Grids compare and hash by identity: ``==`` is ``is``.
     """
 
     variable: Variable
@@ -277,9 +263,11 @@ class GeoGrid:
         return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridStack:
-    """Time-ordered frames of one variable on one shared geometry."""
+    """Time-ordered frames of one variable on one shared geometry.
+
+    Stacks compare and hash by identity, like their grids."""
 
     frames: tuple[GeoGrid, ...]
 

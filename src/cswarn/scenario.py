@@ -27,7 +27,8 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -493,9 +494,19 @@ def _names(text: str) -> frozenset[str]:
     return frozenset(n.strip() for n in text.split(",") if n.strip())
 
 
-# Optional keys: file key -> (dataclass field, parser). A key the file
-# leaves out is not passed, so the dataclass default applies.
-_SCENARIO_OPTIONAL = {
+# Keys of each section kind: file key -> (field, parser). A key the file
+# leaves out is not passed, so its default applies; the _REQUIRED keys
+# have none.
+_GEOMETRY_KEYS = ("lat_min", "lon_min", "dlat", "dlon", "nrows", "ncols")
+_SCENARIO_KEYS = {
+    "lat_min": ("lat_min", float),
+    "lon_min": ("lon_min", float),
+    "dlat": ("dlat", float),
+    "dlon": ("dlon", float),
+    "nrows": ("nrows", int),
+    "ncols": ("ncols", int),
+    "start": ("start_time", parse_time),
+    "duration_s": ("duration_s", int),
     "bt_cadence_s": ("bt_cadence_s", int),
     "rain_cadence_s": ("rain_cadence_s", int),
     "rain_lag_s": ("rain_lag_s", int),
@@ -504,7 +515,11 @@ _SCENARIO_OPTIONAL = {
     "wind_sources": ("wind_sources", _wind_sources),
     "flooded": ("flooded_regions", _names),
 }
-_CELL_OPTIONAL = {
+_CELL_KEYS = {
+    "lat": ("lat", float),
+    "lon": ("lon", float),
+    "speed_mps": ("speed_mps", float),
+    "bearing_deg": ("bearing_deg", float),
     "min_bt": ("min_bt_K", float),
     "radius_km": ("radius_km", float),
     "radius_ns_km": ("radius_ns_km", float),
@@ -513,17 +528,36 @@ _CELL_OPTIONAL = {
     "birth_s": ("birth_s", int),
     "death_s": ("death_s", int),
 }
-_SCENARIO_REQUIRED = {"lat_min", "lon_min", "dlat", "dlon", "nrows", "ncols", "start", "duration_s"}
+_REGION_KEYS = {key: (key, float) for key in ("lat_min", "lat_max", "lon_min", "lon_max")}
+_SCENARIO_REQUIRED = {*_GEOMETRY_KEYS, "start", "duration_s"}
 _CELL_REQUIRED = {"lat", "lon", "speed_mps", "bearing_deg"}
-_REGION_KEYS = {"lat_min", "lat_max", "lon_min", "lon_max"}
 
 
-def _optional(path, section, keys: dict) -> dict:
-    """The optional ``keys`` present in ``section``, parsed, by field name."""
+def _read_section(path, section, keys: dict, required: set, build: Callable):
+    """``build`` called with the keys of ``section`` parsed, by field name.
+
+    An unknown key, a missing required key, a value its parser rejects and
+    a ValueError from ``build`` all fail with a message that starts with
+    the file and the section.
+    """
+    where = f"{path}: [{section.name}]"
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ValueError(f"{where} unknown keys: {sorted(unknown)}")
+    missing = required - set(section)
+    if missing:
+        raise ValueError(f"{where} missing keys: {sorted(missing)}")
+    fields = {}
+    for key, (field, parse) in keys.items():
+        if key in section:
+            try:
+                fields[field] = parse(section[key])
+            except ValueError as exc:
+                raise ValueError(f"{where} bad {key}: {exc}") from None
     try:
-        return {field: parse(section[key]) for key, (field, parse) in keys.items() if key in section}
+        return build(**fields)
     except ValueError as exc:
-        raise ValueError(f"{path}: bad [{section.name}] value: {exc}") from None
+        raise ValueError(f"{where} {exc}") from None
 
 
 def read_scenario(path) -> ScenarioSpec:
@@ -541,22 +575,6 @@ def read_scenario(path) -> ScenarioSpec:
     if "scenario" not in parser:
         raise ValueError(f"{path}: missing [scenario] section")
 
-    sc = parser["scenario"]
-    unknown = set(sc) - _SCENARIO_REQUIRED - set(_SCENARIO_OPTIONAL)
-    if unknown:
-        raise ValueError(f"{path}: unknown [scenario] keys: {sorted(unknown)}")
-    missing = _SCENARIO_REQUIRED - set(sc)
-    if missing:
-        raise ValueError(f"{path}: missing [scenario] keys: {sorted(missing)}")
-    try:
-        geometry = GridGeometry(
-            lat_min=sc.getfloat("lat_min"), lon_min=sc.getfloat("lon_min"),
-            dlat=sc.getfloat("dlat"), dlon=sc.getfloat("dlon"),
-            nrows=sc.getint("nrows"), ncols=sc.getint("ncols"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad [scenario] geometry: {exc}") from None
-
     cells: list[CellSpec] = []
     regions: list[RegionBox] = []
     for section in parser.sections():
@@ -565,45 +583,17 @@ def read_scenario(path) -> ScenarioSpec:
         kind, _, name = section.partition(" ")
         name = name.strip()
         if kind == "cell" and name:
-            cs = parser[section]
-            unknown = set(cs) - _CELL_REQUIRED - set(_CELL_OPTIONAL)
-            if unknown:
-                raise ValueError(f"{path}: unknown [cell {name}] keys: {sorted(unknown)}")
-            missing = _CELL_REQUIRED - set(cs)
-            if missing:
-                raise ValueError(f"{path}: missing [cell {name}] keys: {sorted(missing)}")
-            cells.append(
-                CellSpec(
-                    name=name,
-                    lat=cs.getfloat("lat"), lon=cs.getfloat("lon"),
-                    speed_mps=cs.getfloat("speed_mps"),
-                    bearing_deg=cs.getfloat("bearing_deg"),
-                    **_optional(path, cs, _CELL_OPTIONAL),
-                )
-            )
+            cells.append(_read_section(path, parser[section], _CELL_KEYS, _CELL_REQUIRED,
+                                       partial(CellSpec, name)))
         elif kind == "region" and name:
-            rs = parser[section]
-            unknown = set(rs) - _REGION_KEYS
-            if unknown:
-                raise ValueError(f"{path}: unknown [region {name}] keys: {sorted(unknown)}")
-            missing = _REGION_KEYS - set(rs)
-            if missing:
-                raise ValueError(f"{path}: missing [region {name}] keys: {sorted(missing)}")
-            regions.append(
-                RegionBox(
-                    name,
-                    rs.getfloat("lat_min"), rs.getfloat("lat_max"),
-                    rs.getfloat("lon_min"), rs.getfloat("lon_max"),
-                )
-            )
+            regions.append(_read_section(path, parser[section], _REGION_KEYS, set(_REGION_KEYS),
+                                         partial(RegionBox, name)))
         else:
             raise ValueError(f"{path}: unknown section [{section}]")
 
-    return ScenarioSpec(
-        geometry=geometry,
-        start_time=parse_time(sc.get("start")),
-        duration_s=sc.getint("duration_s"),
-        cells=tuple(cells),
-        regions=tuple(regions),
-        **_optional(path, sc, _SCENARIO_OPTIONAL),
-    )
+    def spec(**fields) -> ScenarioSpec:
+        geometry = GridGeometry(**{key: fields.pop(key) for key in _GEOMETRY_KEYS})
+        return ScenarioSpec(geometry=geometry, cells=tuple(cells), regions=tuple(regions),
+                            **fields)
+
+    return _read_section(path, parser["scenario"], _SCENARIO_KEYS, _SCENARIO_REQUIRED, spec)

@@ -147,7 +147,8 @@ def forecast(track: Track, fit_window: int = DEFAULT_FIT_WINDOW) -> ForecastPath
     one-day warning cap). A stationary track gets only the first horizon,
     since every later one is identical. Each edge is computed with the
     same IEEE operations, in the same order, as :func:`_displacement_deg`
-    followed by :meth:`RegionBox.translated`, so it is bit-equal to theirs.
+    followed by adding its (dlat, dlon) to the bbox edges one horizon at a
+    time, so it is bit-equal to that loop (``tests/oracles.py``).
     """
     motion = motion_vector(track, fit_window)
     bbox = track.last.bbox

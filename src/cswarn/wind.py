@@ -4,10 +4,10 @@ A geophysical model function (GMF) maps wind speed and viewing geometry to
 expected NRCS; inverting it by bisection retrieves speed from measured
 backscatter. The GMF contract required here: deterministic, sigma0 strictly
 increasing in speed on [0, 25] m/s at every valid geometry, and positive
-for any positive speed. Models live in a name registry so the engine can
-select them from config.
+for any positive speed. The shipped models are looked up by name, so the
+engine can select one from config.
 
-Two models ship by default:
+Two models ship:
 
 - ``synth1``: sigma0 = 0.001 * (1 + v)^1.5, geometry independent. A
   synthetic anchor for tests with closed-form values.
@@ -135,13 +135,7 @@ def _cmod5n(v: np.ndarray, incidence_deg: np.ndarray, rel_azimuth_deg: np.ndarra
 SYNTH1 = Gmf("synth1", _synth1)
 CMOD5N = Gmf("cmod5n", _cmod5n, incidence_min=18.0, incidence_max=58.0)
 
-_REGISTRY: dict[str, Gmf] = {}
-
-
-def register_gmf(gmf: Gmf) -> None:
-    if gmf.name in _REGISTRY:
-        raise ValueError(f"GMF {gmf.name!r} already registered")
-    _REGISTRY[gmf.name] = gmf
+_REGISTRY: dict[str, Gmf] = {gmf.name: gmf for gmf in (SYNTH1, CMOD5N)}
 
 
 def get_gmf(name: str) -> Gmf:
@@ -153,10 +147,6 @@ def get_gmf(name: str) -> Gmf:
 
 def registered_gmfs() -> list[str]:
     return sorted(_REGISTRY)
-
-
-register_gmf(SYNTH1)
-register_gmf(CMOD5N)
 
 
 def _check_geometry(gmf: Gmf, geom: GmfGeometry) -> None:

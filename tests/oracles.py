@@ -57,13 +57,30 @@ def union_find_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
     return [groups[root] for root in order]
 
 
+def cell_lat(geometry: GridGeometry, row: int) -> float:
+    """Center latitude of one ``row`` (row 0 = north), by itself, not from
+    the geometry's latitude array."""
+    return geometry.lat_min + (geometry.nrows - 1 - row) * geometry.dlat
+
+
+def cell_lon(geometry: GridGeometry, col: int) -> float:
+    """Center longitude of one ``col``, by itself."""
+    return geometry.lon_min + col * geometry.dlon
+
+
+def translated(box: RegionBox, dlat: float, dlon: float) -> RegionBox:
+    """``box`` with each edge moved by (dlat, dlon)."""
+    return RegionBox(box.name, box.lat_min + dlat, box.lat_max + dlat,
+                     box.lon_min + dlon, box.lon_max + dlon)
+
+
 def region_cells(geometry: GridGeometry, box: RegionBox) -> set[tuple[int, int]]:
     """Every (row, col) whose own cell center passes the closed box test."""
     return {
         (r, c)
         for r in range(geometry.nrows)
         for c in range(geometry.ncols)
-        if box.contains(geometry.cell_lat(r), geometry.cell_lon(c))
+        if box.contains(cell_lat(geometry, r), cell_lon(geometry, c))
     }
 
 
@@ -77,7 +94,7 @@ def horizon_loop_time_to_region(track, region: RegionBox, fit_window: int = 6,
     lat_ref = (bbox.lat_min + bbox.lat_max) / 2.0
     for h in range(step_s, max_s + 1, step_s):
         dlat, dlon = _displacement_deg(motion, h, lat_ref)
-        if bbox.translated(dlat, dlon).intersects(region):
+        if translated(bbox, dlat, dlon).intersects(region):
             return h
         if motion.speed_mps == 0.0:
             return None
@@ -114,11 +131,11 @@ def best_assignment(prev, next, max_gap_km: float) -> list[tuple[int, int]]:
 def blob_stats(bt: GeoGrid, pixels: set[tuple[int, int]]) -> dict:
     """Exhaustive per-pixel statistics of one component on a BT grid."""
     geom = bt.geometry
-    lats = [geom.cell_lat(r) for r, _ in sorted(pixels)]
-    lons = [geom.cell_lon(c) for _, c in sorted(pixels)]
+    lats = [cell_lat(geom, r) for r, _ in sorted(pixels)]
+    lons = [cell_lon(geom, c) for _, c in sorted(pixels)]
     vals = [bt.values[r, c] for r, c in sorted(pixels)]
     area = sum(
-        (geom.dlat * 111.195) * (geom.dlon * 111.195 * np.cos(np.radians(geom.cell_lat(r))))
+        (geom.dlat * 111.195) * (geom.dlon * 111.195 * np.cos(np.radians(cell_lat(geom, r))))
         for r, _ in sorted(pixels)
     )
     return {

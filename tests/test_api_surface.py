@@ -1,6 +1,7 @@
-"""Every public module-level function and class in ``cswarn`` has a caller
-outside the unit tests: the package itself, the benchmark, or the
-acceptance checks. A public name that only unit tests use is dead API."""
+"""Every public module-level function and class in ``cswarn``, and every
+public method and property of a public class, has a caller outside the
+unit tests: the package itself, the benchmark, or the acceptance checks.
+A public name that only unit tests use is dead API."""
 
 from __future__ import annotations
 
@@ -14,12 +15,20 @@ CALLERS = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
 
 
 def public_definitions(path: Path) -> list[str]:
+    """Public module-level functions and classes, and ``Class.method`` for
+    the public methods and properties of each public class."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    ]
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return names
 
 
 def referenced_names(paths) -> set[str]:
@@ -43,6 +52,6 @@ def test_every_public_definition_has_a_caller_outside_unit_tests():
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in public_definitions(path)
-        if name not in used
+        if name.rpartition(".")[2] not in used
     ]
     assert unused == []

@@ -243,6 +243,16 @@ class TestLabelComponents:
             assert obj.cols.tolist() == cols
             assert obj.pixel_count == len(pixels)
 
+    def test_member_pixels_are_read_only(self):
+        rng = np.random.default_rng(5)
+        bt = bt_from_mask(rng.uniform(size=(12, 12)) < 0.45)
+        labeled = label_components(convective_mask(bt), min_area_px=1)
+        assert len(labeled) > 1
+        for obj in labeled + summarize(bt, labeled):
+            for pixels in (obj.rows, obj.cols):
+                with pytest.raises(ValueError):
+                    pixels[0] = 0
+
     def test_object_count_antitone_in_min_area(self):
         rng = np.random.default_rng(11)
         mask = rng.uniform(size=(16, 16)) < 0.4
@@ -313,6 +323,14 @@ class TestAreaAndStats:
             assert obj.centroid_lat == float(geom.lats()[obj.rows].mean())
             assert obj.centroid_lon == float(geom.lons()[obj.cols].mean())
             assert obj.mean_bt == float(bt.values[obj.rows, obj.cols].mean())
+
+    @pytest.mark.parametrize("value, width", [(185.05, 6), (185.06, 6), (203.7, 3)])
+    def test_uniform_cold_blob_mean_equals_its_min(self, value, width):
+        # The float mean of these equal values rounds below the value.
+        values = np.full((3, 8), 280.0)
+        values[1, 1:1 + width] = value
+        (obj,) = detect(make_grid(values), min_area_px=3)
+        assert obj.min_bt == obj.mean_bt == value
 
     def test_pixel_counts_partition_the_mask(self):
         rng = np.random.default_rng(3)

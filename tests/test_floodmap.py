@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from datetime import timedelta
 
 import numpy as np
@@ -80,20 +79,6 @@ class TestLogRatio:
         bt = make_grid(np.full((2, 2), 280.0))
         with pytest.raises(TypeError):
             log_ratio_db(bt, bt)
-
-    def test_nonpositive_cells_become_nodata_with_logged_count(self, caplog):
-        # The grid type forbids nonpositive backscatter, so corrupt one
-        # behind its back to exercise the defensive path.
-        ref = nrcs_grid(np.full((2, 2), 0.1))
-        flood = nrcs_grid(np.full((2, 2), 0.1))
-        hacked = flood.values.copy()
-        hacked[0, 0] = 0.0
-        hacked.setflags(write=False)
-        object.__setattr__(flood, "values", hacked)
-        with caplog.at_level(logging.WARNING, logger="cswarn.floodmap"):
-            out = log_ratio_db(flood, ref)
-        assert out.values[0, 0] == out.nodata
-        assert "1 nonpositive" in caplog.text
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(29)

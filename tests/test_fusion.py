@@ -13,7 +13,6 @@ import pytest
 from cswarn import fusion, tracking
 from cswarn.convection import detect
 from cswarn.fusion import (
-    FrameDetections,
     FusionEngine,
     RegionIndicators,
     RuleSet,
@@ -27,7 +26,7 @@ from cswarn.tracking import Track
 from cswarn.wind import WindCategory
 
 from conftest import T0, make_grid, make_stack
-from oracles import region_cells
+from oracles import cell_lat, cell_lon, region_cells
 from test_tracking import obj_at
 
 REGION = RegionBox("R", 10.5, 12.5, 20.5, 22.5)
@@ -44,9 +43,9 @@ def indicators(region="R", epoch=T0, fraction=0.0, min_bt=None,
     )
 
 
-def detections_frame(bt_grid):
-    return FrameDetections(time=bt_grid.time, geometry=bt_grid.geometry,
-                           objects=tuple(detect(bt_grid)))
+def detected(*grids):
+    """A BT stack of ``grids`` and the objects detected in each frame."""
+    return GridStack(grids), [detect(grid) for grid in grids]
 
 
 def random_cloud_case(seed):
@@ -55,18 +54,17 @@ def random_cloud_case(seed):
     geom = GridGeometry(
         lat_min=float(rng.uniform(10, 12)), lon_min=float(rng.uniform(100, 102)),
         dlat=0.1, dlon=0.1, nrows=int(rng.integers(6, 12)), ncols=int(rng.integers(6, 12)))
-    frames = []
+    grids = []
     for k in range(3):
         values = rng.uniform(230.0, 290.0, size=(geom.nrows, geom.ncols))
         r0, c0 = rng.integers(0, geom.nrows - 2), rng.integers(0, geom.ncols - 2)
         values[r0:r0 + 3, c0:c0 + 3] = rng.uniform(190.0, 215.0, size=(3, 3))
-        bt = make_grid(values, geometry=geom, time=T0 - timedelta(seconds=600 * k))
-        frames.append(detections_frame(bt))
+        grids.insert(0, make_grid(values, geometry=geom, time=T0 - timedelta(seconds=600 * k)))
     lat0 = geom.lat_min + rng.uniform(-0.1, 0.6) * geom.nrows * geom.dlat
     lon0 = geom.lon_min + rng.uniform(-0.1, 0.6) * geom.ncols * geom.dlon
     box = RegionBox("B", lat0, lat0 + rng.uniform(0.1, 0.8),
                     lon0, lon0 + rng.uniform(0.1, 0.8))
-    return geom, frames, box
+    return (*detected(*grids), box)
 
 
 CLOUD_GEOM = GridGeometry(lat_min=10.0, lon_min=100.0, dlat=0.1, dlon=0.1, nrows=10, ncols=10)
@@ -79,14 +77,14 @@ def bbox_edge_on_region_edge_case():
     values = np.full((10, 10), 280.0)
     values[6:9, 2:5] = 190.0
     values[1:3, 2:6] = 210.0
-    frame = detections_frame(make_grid(values, geometry=CLOUD_GEOM))
-    cold = next(o for o in frame.objects if o.min_bt == 190.0)
+    bt, detections = detected(make_grid(values, geometry=CLOUD_GEOM))
+    cold = next(o for o in detections[0] if o.min_bt == 190.0)
     box = RegionBox("B", cold.bbox.lat_max, cold.bbox.lat_max + 0.6,
                     cold.bbox.lon_min, cold.bbox.lon_max)
     assert cold.bbox.intersects(box)
     cold_pixels = {(int(r), int(c)) for r, c in zip(cold.rows, cold.cols)}
     assert not cold_pixels & region_cells(CLOUD_GEOM, box)
-    return CLOUD_GEOM, [frame], box
+    return bt, detections, box
 
 
 def l_shape_around_region_case():
@@ -95,14 +93,13 @@ def l_shape_around_region_case():
     values = np.full((10, 10), 280.0)
     values[2:8, 2] = 200.0
     values[7, 2:8] = 200.0
-    frame = detections_frame(make_grid(values, geometry=CLOUD_GEOM))
-    (obj,) = frame.objects
-    lat = CLOUD_GEOM.cell_lat
-    lon = CLOUD_GEOM.cell_lon
-    box = RegionBox("B", lat(5) - 0.01, lat(2) + 0.01, lon(4) - 0.01, lon(7) + 0.01)
+    bt, detections = detected(make_grid(values, geometry=CLOUD_GEOM))
+    (obj,) = detections[0]
+    box = RegionBox("B", cell_lat(CLOUD_GEOM, 5) - 0.01, cell_lat(CLOUD_GEOM, 2) + 0.01,
+                    cell_lon(CLOUD_GEOM, 4) - 0.01, cell_lon(CLOUD_GEOM, 7) + 0.01)
     assert obj.bbox.lat_min < box.lat_min < box.lat_max < obj.bbox.lat_max
     assert obj.bbox.lon_min < box.lon_min < box.lon_max < obj.bbox.lon_max
-    return CLOUD_GEOM, [frame], box
+    return bt, detections, box
 
 
 CLOUD_CASES = {
@@ -130,7 +127,7 @@ class TestRegionIndicatorsValidation:
 
 class TestBuildIndicators:
     def test_all_quiet(self):
-        ind = build_indicators(T0, [REGION], detections=[], tracks=[],
+        ind = build_indicators(T0, [REGION], bt=None, detections=[], tracks=[],
                                wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == 0.0
         assert ind.min_bt_K is None
@@ -141,8 +138,8 @@ class TestBuildIndicators:
         assert ind.approach_s is None
 
     def test_region_fully_covered_by_cold_cloud(self):
-        bt = make_grid(np.full((4, 4), 205.0))
-        ind = build_indicators(T0, [REGION], detections=[detections_frame(bt)],
+        bt, detections = detected(make_grid(np.full((4, 4), 205.0)))
+        ind = build_indicators(T0, [REGION], bt, detections,
                                tracks=[], wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == 1.0
         assert ind.min_bt_K == 205.0
@@ -153,8 +150,8 @@ class TestBuildIndicators:
         values[1, 1] = 205.0
         values[1, 2] = 205.0
         values[2, 1] = 205.0    # region block is rows 1-2 x cols 1-2
-        bt = make_grid(values)
-        ind = build_indicators(T0, [REGION], detections=[detections_frame(bt)],
+        bt, detections = detected(make_grid(values))
+        ind = build_indicators(T0, [REGION], bt, detections,
                                tracks=[], wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == pytest.approx(0.75)
 
@@ -174,7 +171,7 @@ class TestBuildIndicators:
 
         near = westward(1, 35.9)    # arrives at the 3600 s horizon
         far = westward(2, 71.9)     # arrives at the 7200 s horizon
-        ind = build_indicators(T0, [region], detections=[], tracks=[far, near],
+        ind = build_indicators(T0, [region], bt=None, detections=[], tracks=[far, near],
                                wind_cat_stacks=[], rain_stats={})[0]
         assert ind.approach_s == 3600
 
@@ -184,22 +181,22 @@ class TestBuildIndicators:
         old = T0 - timedelta(seconds=20000)
         track.add(obj_at(1, lat, lon, time=old))
         track.add(obj_at(2, lat, lon - 0.05, time=old + timedelta(seconds=600)))
-        ind = build_indicators(T0, [REGION], detections=[], tracks=[track],
+        ind = build_indicators(T0, [REGION], bt=None, detections=[], tracks=[track],
                                wind_cat_stacks=[], rain_stats={}, window_s=10800)[0]
         assert ind.approach_s is None
 
     @pytest.mark.parametrize("case", [0, 1, 2, 3, *CLOUD_CASES])
     def test_cloud_stats_match_per_cell_oracle(self, case):
         if isinstance(case, str):
-            geom, frames, box = CLOUD_CASES[case]()
+            bt, detections, box = CLOUD_CASES[case]()
         else:
-            geom, frames, box = random_cloud_case(case)
-        cells = region_cells(geom, box)
+            bt, detections, box = random_cloud_case(case)
+        cells = region_cells(bt.geometry, box)
 
         fractions, touching_bt = [0.0], []
-        for frame in frames:
+        for objects in detections:
             covered = set()
-            for obj in frame.objects:
+            for obj in objects:
                 hits = {(int(r), int(c)) for r, c in zip(obj.rows, obj.cols)} & cells
                 if hits:
                     covered |= hits
@@ -207,7 +204,7 @@ class TestBuildIndicators:
             if cells:
                 fractions.append(len(covered) / len(cells))
 
-        ind = build_indicators(T0, [box], detections=frames, tracks=[],
+        ind = build_indicators(T0, [box], bt, detections, tracks=[],
                                wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == pytest.approx(max(fractions))
         assert ind.min_bt_K == (min(touching_bt) if touching_bt else None)
@@ -234,7 +231,7 @@ def busy_engine():
 
 
 def busy_epochs(engine):
-    return [d.time for d in engine.detections[::3]]
+    return [frame.time for frame in engine.bt.frames[::3]]
 
 
 class TestOncePerEpoch:
@@ -243,7 +240,7 @@ class TestOncePerEpoch:
         together = []
         for epoch in busy_epochs(engine):
             rain = {r.name: engine.rain_stats_at(epoch, r) for r in engine.regions}
-            args = (engine.detections, engine.tracks, engine.wind_cat_stacks, rain)
+            args = (engine.bt, engine.detections, engine.tracks, engine.wind_cat_stacks, rain)
             inds = build_indicators(epoch, engine.regions, *args)
             assert inds == [build_indicators(epoch, [r], *args)[0] for r in engine.regions]
             together += inds

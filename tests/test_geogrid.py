@@ -38,7 +38,7 @@ from cswarn.geogrid import (
 )
 
 from conftest import GEOM_4X4, T0, make_grid, make_stack
-from oracles import gsf_payload_loop, region_cells
+from oracles import gsf_payload_loop, region_cells, translated
 
 
 class TestConstants:
@@ -82,8 +82,6 @@ class TestGridGeometry:
     def test_rows_run_north_to_south(self):
         lats = GEOM_4X4.lats()
         assert lats.tolist() == [13.0, 12.0, 11.0, 10.0]
-        assert GEOM_4X4.cell_lat(0) == 13.0
-        assert GEOM_4X4.cell_lat(3) == 10.0
 
     def test_lons_run_west_to_east(self):
         assert GEOM_4X4.lons().tolist() == [20.0, 21.0, 22.0, 23.0]
@@ -165,6 +163,16 @@ class TestGeoGridValidation:
             grid.values[0, 0] = 290.0
 
 
+    def test_grids_and_stacks_compare_by_identity(self):
+        a = make_grid(np.full((2, 2), 280.0))
+        b = make_grid(np.full((2, 2), 280.0))
+        assert a.geometry == b.geometry
+        assert a != b and a == a
+        stack = GridStack([a])
+        assert stack != GridStack([a]) and stack == stack
+        assert len({a, b, a, stack, stack}) == 3
+
+
 class TestRegionBox:
     BOX = RegionBox("DN", 15.8, 16.05, 107.6, 108.4)
 
@@ -180,7 +188,7 @@ class TestRegionBox:
         assert not self.BOX.intersects(apart)
 
     def test_translated(self):
-        moved = self.BOX.translated(0.1, -0.2)
+        moved = translated(self.BOX, 0.1, -0.2)
         assert moved.lat_min == pytest.approx(15.9)
         assert moved.lon_max == pytest.approx(108.2)
         assert moved.name == self.BOX.name
@@ -237,8 +245,7 @@ class TestGsfSerialization:
 
     def test_row_zero_is_northernmost(self):
         frame = parse_gsf(io.StringIO(GOLDEN_FRAME)).frames[0]
-        assert frame.geometry.cell_lat(0) == 11.0
-        assert frame.geometry.cell_lat(1) == 10.0
+        assert frame.geometry.lats().tolist() == [11.0, 10.0]
 
     def test_reserialization_is_byte_identical(self):
         assert "".join(gsf_lines(parse_gsf(io.StringIO(GOLDEN_FRAME)))) == GOLDEN_FRAME

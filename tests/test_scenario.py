@@ -24,6 +24,7 @@ from cswarn.tracking import build_tracks, motion_vector
 from cswarn.wind import SYNTH1, WindCategory, categorize
 
 from conftest import T0
+from oracles import cell_lat, cell_lon
 
 GEOM = GridGeometry(lat_min=15.0, lon_min=105.0, dlat=0.05, dlon=0.05, nrows=40, ncols=40)
 
@@ -117,8 +118,8 @@ class TestGenerateBasics:
                      if (f.time - T0).total_seconds() == 5400)
         r, c = np.unravel_index(np.argmax(frame.values), frame.values.shape)
         lagged_lat, lagged_lon = cell.position(5400 - 1800)
-        assert frame.geometry.cell_lat(int(r)) == pytest.approx(lagged_lat, abs=GEOM.dlat)
-        assert frame.geometry.cell_lon(int(c)) == pytest.approx(lagged_lon, abs=GEOM.dlon)
+        assert cell_lat(frame.geometry, int(r)) == pytest.approx(lagged_lat, abs=GEOM.dlat)
+        assert cell_lon(frame.geometry, int(c)) == pytest.approx(lagged_lon, abs=GEOM.dlon)
 
     def test_wind_ring_peaks_at_requested_speed(self):
         spec = small_spec(cells=[storm(wind_peak_mps=20.0)])
@@ -277,6 +278,20 @@ bearing_deg = 270.0
         path = self.write(tmp_path, self.VALID + "\n[volcano X]\nlat = 1\n")
         with pytest.raises(ValueError, match="volcano"):
             read_scenario(path)
+
+    @pytest.mark.parametrize("old, new, section", [
+        ("lat = 16.0", "lat = north", "[cell storm]"),
+        ("speed_mps = 10.0", "speed_mps = 80", "[cell storm]"),
+        ("duration_s = 3600", "duration_s = long", "[scenario]"),
+        ("start = 2020-10-05T00:00:00Z", "start = yesterday", "[scenario]"),
+        ("lat_max = 16.3", "lat_max = 16,3", "[region W]"),
+    ])
+    def test_bad_value_names_file_and_section(self, tmp_path, old, new, section):
+        assert old in self.VALID
+        path = self.write(tmp_path, self.VALID.replace(old, new))
+        with pytest.raises(ValueError) as info:
+            read_scenario(path)
+        assert str(info.value).startswith(f"{path}: {section} ")
 
     def test_generated_spec_runs(self, tmp_path):
         spec = read_scenario(self.write(tmp_path, self.VALID))

@@ -23,7 +23,6 @@ from cswarn.wind import (
     gmf_forward,
     gmf_invert,
     region_max_category,
-    register_gmf,
     registered_gmfs,
     retrieve_wind_grid,
 )
@@ -117,8 +116,7 @@ class TestForwardModels:
 
 class TestRegistry:
     def test_builtins_present(self):
-        assert "synth1" in registered_gmfs()
-        assert "cmod5n" in registered_gmfs()
+        assert registered_gmfs() == ["cmod5n", "synth1"]
         assert get_gmf("synth1") is SYNTH1
         assert get_gmf("cmod5n") is CMOD5N
 
@@ -126,18 +124,11 @@ class TestRegistry:
         with pytest.raises(KeyError, match="synth1"):
             get_gmf("missing")
 
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_gmf(Gmf("synth1", lambda v, inc, az: np.asarray(v)))
-
-    def test_registered_custom_model_round_trips(self):
+    def test_custom_model_round_trips(self):
         def cubic(v, incidence_deg, rel_azimuth_deg):
             return 1e-3 * (1.0 + np.asarray(v, dtype=float)) ** 3
 
-        name = "cubic-test"
-        if name not in registered_gmfs():
-            register_gmf(Gmf(name, cubic))
-        gmf = get_gmf(name)
+        gmf = Gmf("cubic-test", cubic)
         for v in np.arange(0.0, 25.5, 0.5):
             sigma = gmf_forward(gmf, float(v), GEOM)
             back = gmf_invert(gmf, sigma, GEOM)
