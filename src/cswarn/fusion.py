@@ -26,6 +26,12 @@ vectorised test. A track's footprint wind is looked up once per epoch
 too, and only when its path reaches a region. A BT stack has one
 geometry, so a region's BT cell window is found once per epoch, not once
 per frame.
+
+What depends only on one frame and fixed parameters is computed once per
+frame, not once per engine or epoch: a BT frame's detections, a wind
+frame's categories, and a rain or wind frame's reduction over a region's
+cell window (see ``geogrid._per_frame``). Engines rebuilt on overlapping
+trailing windows, as a nowcast does at every new frame, share them.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from enum import IntEnum
 from typing import Mapping, Sequence
 
 from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, CSObject, detect
-from .geogrid import GridStack, RegionBox, region_indices
+from .geogrid import GridStack, RegionBox, _per_frame, region_indices
 from .precip import R_HEAVY_DEFAULT_MMH, EmptyWindowError, RainStats, region_rain_stats
 from .tracking import (
     DEFAULT_FIT_WINDOW,
@@ -252,9 +258,15 @@ def build_indicators(
 
 
 class FusionEngine:
-    """Precomputes detections, tracks, and wind categories, then answers
-    per-epoch warning queries. One instance per data set; epochs may be
-    queried in any order once constructed."""
+    """Builds tracks from the detections of every BT frame and categorizes
+    every wind frame, then answers per-epoch warning queries in any order.
+
+    A frame's detections (for ``t_deep`` and ``min_area_px``) and wind
+    categories (for ``bins``) are computed by the first engine that needs
+    them and shared, as tuples and read-only grids, with every later
+    engine given the same frame objects and parameters. Building an engine
+    per trailing window therefore costs tracking, not detection, for the
+    frames earlier engines already saw."""
 
     def __init__(
         self,
@@ -282,15 +294,22 @@ class FusionEngine:
         self.bt = bt
         self.rain = rain
 
-        # The objects detected in each BT frame, in frame order.
+        # The objects detected in each BT frame, in frame order: a tuple per
+        # frame, shared with every engine given the frame and parameters.
+        detect_key = ("detect", t_deep, min_area_px)
         self.detections = [
-            detect(frame, t_deep=t_deep, min_area_px=min_area_px) for frame in bt or ()
+            _per_frame(frame, detect_key,
+                       lambda: tuple(detect(frame, t_deep=t_deep, min_area_px=min_area_px)))
+            for frame in bt or ()
         ]
         self.tracks = build_tracks(self.detections, max_gap_km)
 
+        categorize_key = ("categorize", tuple(bins))
         self.wind_cat_stacks: list[GridStack] = []
         for _, stack in sorted((wind_speed or {}).items()):
-            self.wind_cat_stacks.append(GridStack([categorize_grid(f, bins) for f in stack]))
+            self.wind_cat_stacks.append(GridStack([
+                _per_frame(f, categorize_key, lambda: categorize_grid(f, bins)) for f in stack
+            ]))
 
     def rain_stats_at(self, epoch: datetime, region: RegionBox) -> RainStats | None:
         """Trailing-window rain summary of ``region``, or None when rain was

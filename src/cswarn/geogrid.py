@@ -10,17 +10,22 @@ Conventions used throughout the engine:
   excluded from every statistic.
 - Grids are immutable after construction; all operations here are pure
   functions, so frames may be processed in parallel by callers.
+- A product that depends only on one frame and fixed parameters (its
+  detections, its wind categories, its reduction over a region window) is
+  computed once per frame through :func:`_per_frame` and shared by every
+  engine and epoch that asks for it while the frame lives.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -278,7 +283,7 @@ class GridStack:
         first = frames[0]
         cadence = math.inf
         for i, fr in enumerate(frames[1:], start=1):
-            if fr.geometry != first.geometry:
+            if fr.geometry is not first.geometry and fr.geometry != first.geometry:
                 raise ValueError(f"frame {i} geometry differs from frame 0")
             if fr.variable != first.variable:
                 raise ValueError(f"frame {i} variable {fr.variable.value} differs from {first.variable.value}")
@@ -321,6 +326,33 @@ class GridStack:
         if len(self.frames) < 2:
             raise ValueError("cannot infer cadence from a single frame")
         return self._cadence_s
+
+
+_T = TypeVar("_T")
+# Per-frame products, keyed on the frame: an entry goes when its frame does.
+_FRAME_MEMO: "weakref.WeakKeyDictionary[GeoGrid, dict]" = weakref.WeakKeyDictionary()
+
+
+def _per_frame(frame: GeoGrid, key: Hashable, make: Callable[[], _T]) -> _T:
+    """``make()`` for ``frame``, computed on the first call with ``key`` and
+    returned again by every later one while the frame lives.
+
+    A grid is immutable and hashes by identity, so a product that depends
+    only on the frame and on the parameters named in ``key`` stays valid
+    for the frame's life. ``key`` names the product and its parameters.
+    The result is shared, so it must be immutable (a tuple, a read-only
+    array), and it must not refer to ``frame``, which would keep the frame
+    and its entry alive. Two threads may both compute a missing entry;
+    they store equal values.
+    """
+    memo = _FRAME_MEMO.get(frame)
+    if memo is None:
+        memo = _FRAME_MEMO[frame] = {}
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = make()
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +434,22 @@ def _parse_payload(data_lines: list[str], ncols: int, lineno: int) -> np.ndarray
     return np.array(rows)
 
 
-def _parse_frame(lines: list[str], lineno0: int) -> GeoGrid:
-    """Parse one frame's lines; lineno0 is the 1-based file line of 'GSF1'."""
+def _same_numbers(fields: tuple, geometry: GridGeometry) -> bool:
+    """True when ``fields`` equal ``geometry``'s six values bit for bit."""
+    own = (geometry.lat_min, geometry.lon_min, geometry.dlat, geometry.dlon,
+           geometry.nrows, geometry.ncols)
+    return fields == own and repr(fields) == repr(own)
+
+
+def _parse_frame(lines: list[str], lineno0: int, previous: GridGeometry | None) -> GeoGrid:
+    """Parse one frame's lines; lineno0 is the 1-based file line of 'GSF1'.
+
+    The frame takes ``previous`` (the geometry of the frame before it) when
+    its six geometry values are the same numbers bit for bit, so a stack
+    read back holds one geometry object and its axes are computed once.
+    Equal values with unequal reprs (``0.0`` and ``-0.0``) and NaN keep
+    their own geometry, so the bytes written back and the checks of
+    :class:`GridStack` are those of a geometry per frame."""
     if not lines or lines[0] != "GSF1":
         raise GsfError(f"line {lineno0}: expected 'GSF1' magic, got {lines[0] if lines else '<eof>'!r}")
     if len(lines) < 1 + len(_HEADER_KEYS):
@@ -426,9 +472,12 @@ def _parse_frame(lines: list[str], lineno0: int) -> GeoGrid:
             f"line {lineno0}: payload error: expected {nrows} data lines, got {len(data_lines)}"
         )
     values = _parse_payload(data_lines, ncols, lineno0 + 1 + len(_HEADER_KEYS))
+    fields = (head["lat_min"], head["lon_min"], head["dlat"], head["dlon"], nrows, ncols)
     try:
-        geometry = GridGeometry(head["lat_min"], head["lon_min"], head["dlat"], head["dlon"],
-                                nrows, ncols)
+        if previous is not None and _same_numbers(fields, previous):
+            geometry = previous
+        else:
+            geometry = GridGeometry(*fields)
         return GeoGrid(
             variable=head["variable"], units=head["units"], time=head["time"],
             geometry=geometry, values=values, nodata=head["nodata"],
@@ -448,14 +497,14 @@ def parse_gsf(lines: Iterable[str]) -> GridStack:
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if line == "---":
-            frames.append(_parse_frame(frame, start))
+            frames.append(_parse_frame(frame, start, frames[-1].geometry if frames else None))
             frame = []
             start = lineno + 1
         else:
             frame.append(line)
     if lineno == 0:
         raise GsfError("line 1: empty file")
-    frames.append(_parse_frame(frame, start))
+    frames.append(_parse_frame(frame, start, frames[-1].geometry if frames else None))
     try:
         return GridStack(frames)
     except GsfError:

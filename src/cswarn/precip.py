@@ -19,7 +19,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .geogrid import GeoGrid, GridStack, RegionBox, Variable, region_indices
+from .geogrid import GeoGrid, GridStack, RegionBox, Variable, _per_frame, region_indices
 
 R_HEAVY_DEFAULT_MMH = 8.0
 
@@ -75,6 +75,18 @@ def accumulate(stack: GridStack, start: datetime, end: datetime) -> Accumulation
     return Accumulation(grid, missing / len(frames))
 
 
+def _window_rain(frame: GeoGrid, window: tuple[slice, slice]) -> tuple[int, int, float, np.ndarray]:
+    """One frame's rain over a region window: missing and finite cell
+    counts, the max finite rate (0.0 when none), and the rates with
+    missing cells as 0.0, read-only."""
+    block = frame.values[window]
+    finite = block != frame.nodata
+    vals = block[finite]
+    filled = np.where(finite, block, 0.0)
+    filled.setflags(write=False)
+    return int((~finite).sum()), int(vals.size), float(vals.max()) if vals.size else 0.0, filled
+
+
 def region_rain_stats(
     stack: GridStack,
     region: RegionBox,
@@ -97,6 +109,12 @@ def region_rain_stats(
     as heavy. Raises EmptyWindowError when the window holds no samples:
     no frames, or a region outside the rain grid. A one-frame stack has
     no cadence and raises ValueError.
+
+    A frame's reduction over the region's cells (missing and finite
+    counts, max rate, rates with missing cells as zero) is computed once
+    per frame and cell window, and every later call on that frame reuses
+    it. ``r_heavy`` and the cadence are applied per call, in the order a
+    fresh reduction would apply them, so the results are bit-identical.
     """
     if stack.variable is not Variable.RAIN_RATE:
         raise TypeError(f"region_rain_stats needs RAIN_RATE frames, got {stack.variable.value}")
@@ -109,21 +127,20 @@ def region_rain_stats(
     frame_s = stack.cadence_s()
     dt_h = frame_s / 3600.0
 
+    rows, cols = window
+    key = ("rain window", rows.start, rows.stop, cols.start, cols.stop)
     max_rate = 0.0
     missing = 0
     longest = run = 0
     accum = np.zeros(frames[0].values[window].shape)
     for prev, f in zip([None, *frames], frames):
-        block = f.values[window]
-        finite = block != f.nodata
-        missing += int((~finite).sum())
-        vals = block[finite]
-        frame_max = float(vals.max()) if vals.size else 0.0
+        n_missing, n_finite, frame_max, filled = _per_frame(f, key, lambda: _window_rain(f, window))
+        missing += n_missing
         max_rate = max(max_rate, frame_max)
-        accum += np.where(finite, block, 0.0) * dt_h
+        accum += filled * dt_h
         if prev is not None and (f.time - prev.time).total_seconds() > frame_s:
             run = 0  # a dropped frame was not observed
-        run = run + 1 if vals.size > 0 and frame_max >= r_heavy else 0
+        run = run + 1 if n_finite > 0 and frame_max >= r_heavy else 0
         longest = max(longest, run)
     # A window whose edges fall inside frame intervals can admit more frame
     # coverage than its own span; persistence never exceeds the window.

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geogrid import GeoGrid, GridStack, RegionBox, Variable, region_indices
+from .geogrid import GeoGrid, GridStack, RegionBox, Variable, _per_frame, region_indices
 
 V_MAX_DEFAULT = 25.0
 V_FORWARD_LIMIT = 60.0
@@ -290,7 +290,9 @@ def region_max_category(
     """Max category over all sources, region cells, and window frames.
 
     Frames count when ``window_start < t <= window_end``. With no finite
-    cell anywhere, returns NONE from zero sources.
+    cell anywhere, returns NONE from zero sources. A frame's max rank over
+    the region's cell window, or "unobserved", is computed once per frame
+    and cell window, and every later call on that frame reuses it.
     """
     best = 0
     observed = 0
@@ -300,12 +302,21 @@ def region_max_category(
         window = region_indices(stack.geometry, region)
         if window is None:
             continue
+        rows, cols = window
+        key = ("wind window", rows.start, rows.stop, cols.start, cols.stop)
         seen = False
         for frame in stack.between(window_start, window_end):
-            block = frame.values[window]
-            block = block[block != frame.nodata]
-            if block.size:
+            rank = _per_frame(frame, key, lambda: _window_max_rank(frame, window))
+            if rank is not None:
                 seen = True
-                best = max(best, int(block.max()))
+                best = max(best, rank)
         observed += seen
     return RegionCategory(WindCategory(best), observed)
+
+
+def _window_max_rank(frame: GeoGrid, window: tuple[slice, slice]) -> int | None:
+    """Max category rank over the frame's finite cells in ``window``, or
+    None when none is finite."""
+    block = frame.values[window]
+    block = block[block != frame.nodata]
+    return int(block.max()) if block.size else None

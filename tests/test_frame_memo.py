@@ -1,0 +1,208 @@
+"""Per-frame products are computed once and shared, and sharing never
+changes a result.
+
+``FusionEngine`` gets each BT frame's detections and each wind frame's
+categories through ``geogrid._per_frame``, and ``region_rain_stats`` and
+``region_max_category`` get each frame's reduction over a region window
+the same way. Engines built nowcast-style on overlapping trailing windows
+share frame objects, so later engines reuse what earlier ones computed.
+The oracle is the same engine built on deep copies of the frames, which
+no memo entry belongs to.
+"""
+
+from __future__ import annotations
+
+import ast
+import copy
+import gc
+import weakref
+from collections import Counter
+from datetime import timedelta
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cswarn import fusion, geogrid
+from cswarn.fusion import FusionEngine
+from cswarn.geogrid import DEFAULT_NODATA, GridGeometry, GridStack, RegionBox, Variable
+
+from conftest import T0, make_grid
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cswarn"
+BT_GEOM = GridGeometry(lat_min=10.0, lon_min=100.0, dlat=0.1, dlon=0.1, nrows=12, ncols=14)
+# Rain and wind grids cover only part of the BT grid, on other spacings.
+RAIN_GEOM = GridGeometry(lat_min=10.25, lon_min=100.0, dlat=0.2, dlon=0.2, nrows=5, ncols=5)
+WIND_GEOM = GridGeometry(lat_min=10.0, lon_min=100.45, dlat=0.15, dlon=0.15, nrows=6, ncols=6)
+WINDOW_S = 3600
+HISTORY = timedelta(seconds=WINDOW_S + 3 * 600)
+
+
+def bt_values(rng, k: int) -> np.ndarray:
+    """Warm noise with two cold blocks drifting east, and a few gaps."""
+    values = rng.uniform(230.0, 290.0, size=(BT_GEOM.nrows, BT_GEOM.ncols))
+    for r0, c0 in ((2, k % 10), (7, (2 * k) % 11)):
+        values[r0:r0 + 3, c0:c0 + 3] = rng.uniform(190.0, 215.0, size=(3, 3))
+    values[rng.uniform(size=values.shape) < 0.03] = DEFAULT_NODATA
+    return values
+
+
+def rates(rng, geometry: GridGeometry, hi: float) -> np.ndarray:
+    values = rng.uniform(0.0, hi, size=(geometry.nrows, geometry.ncols))
+    values[rng.uniform(size=values.shape) < 0.15] = DEFAULT_NODATA
+    return values
+
+
+def make_data(seed: int, n_bt: int, bt_drop, rain_drop, wind_drop):
+    """BT every 10 min, rain and wind every 20 min, minus dropped frames.
+    Every frame of a sensor shares that sensor's geometry object."""
+    rng = np.random.default_rng(seed)
+
+    def frames(variable, geometry, cadence_s, count, drop, values):
+        return [make_grid(values(k), variable=variable, geometry=geometry,
+                          time=T0 + timedelta(seconds=cadence_s * k))
+                for k in range(count) if k not in drop]
+
+    bt = frames(Variable.BT, BT_GEOM, 600, n_bt, bt_drop, lambda k: bt_values(rng, k))
+    n_slow = (n_bt + 1) // 2
+    rain = frames(Variable.RAIN_RATE, RAIN_GEOM, 1200, n_slow, rain_drop,
+                  lambda k: rates(rng, RAIN_GEOM, 14.0))
+    wind = frames(Variable.WIND_SPEED, WIND_GEOM, 1200, n_slow, wind_drop,
+                  lambda k: rates(rng, WIND_GEOM, 22.0))
+    return bt, rain, wind
+
+
+REGIONS = [
+    RegionBox("A", 10.2, 10.6, 100.2, 100.7),
+    RegionBox("B", 10.7, 11.1, 100.6, 101.2),
+    # Partly off the rain grid (north) and the wind grid (west).
+    RegionBox("C", 10.9, 11.5, 100.1, 100.6),
+    # Off the rain and wind grids, on the BT grid.
+    RegionBox("D", 11.0, 11.1, 101.25, 101.35),
+]
+
+
+def window(frames, lo, hi):
+    picked = [f for f in frames if lo < f.time <= hi]
+    return GridStack(picked) if picked else None
+
+
+def nowcast(bt, rain, wind, fresh: bool, **params):
+    """At every BT frame, an engine on the trailing frames and its
+    reports for that epoch, as one repr per epoch. ``fresh`` builds each
+    engine on deep copies of its frames."""
+    out = []
+    for frame in bt:
+        epoch, lo = frame.time, frame.time - HISTORY
+        stacks = [window(frames, lo, epoch) for frames in (bt, rain, wind)]
+        if fresh:
+            stacks = [copy.deepcopy(s) for s in stacks]
+        bt_s, rain_s, wind_s = stacks
+        engine = FusionEngine(REGIONS, bt=bt_s, rain=rain_s,
+                              wind_speed={"lr": wind_s} if wind_s else None,
+                              window_s=WINDOW_S, **params)
+        out.append(repr((engine.detections, engine.run_epoch(epoch))))
+    return out
+
+
+class TestSharedFramesEqualFreshOnes:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_bt=st.integers(4, 14),
+           bt_drop=st.sets(st.integers(1, 13), max_size=3),
+           rain_drop=st.sets(st.integers(0, 6), max_size=3),
+           wind_drop=st.sets(st.integers(0, 6), max_size=3))
+    def test_nowcast_engines_match_engines_on_copies(self, seed, n_bt, bt_drop, rain_drop,
+                                                     wind_drop):
+        bt, rain, wind = make_data(seed, n_bt, bt_drop, rain_drop, wind_drop)
+        shared = nowcast(bt, rain, wind, fresh=False)
+        # Twice: the second pass reads every product from the memo.
+        assert nowcast(bt, rain, wind, fresh=False) == shared
+        assert nowcast(bt, rain, wind, fresh=True) == shared
+
+    def test_one_frame_rain_stack_and_gaps(self):
+        # Rain frames 1 to 4 dropped: some windows hold one rain frame,
+        # some none; wind and BT frames dropped too.
+        bt, rain, wind = make_data(7, 14, {3, 8}, {1, 2, 3, 4}, {2})
+        windows = [window(rain, f.time - HISTORY, f.time) for f in bt]
+        assert any(w is not None and len(w) == 1 for w in windows)
+        assert any(w is None for w in windows)
+        shared = nowcast(bt, rain, wind, fresh=False)
+        assert nowcast(bt, rain, wind, fresh=True) == shared
+        assert "source_count={'bt': 1, 'wind': 1, 'rain': 1}" in "".join(shared)
+
+
+def one_window_data():
+    bt, rain, wind = make_data(11, 8, set(), set(), set())
+    return GridStack(bt), GridStack(rain), {"lr": GridStack(wind)}
+
+
+def engine_repr(engine: FusionEngine) -> str:
+    epoch = engine.bt[-1].time
+    cats = [f.values.tobytes() for s in engine.wind_cat_stacks for f in s]
+    return repr((engine.detections, cats, engine.run(epoch - timedelta(seconds=3600), epoch, 600)))
+
+
+class TestParametersArePartOfTheKey:
+    @pytest.mark.parametrize("params", [{"t_deep": 205.0}, {"min_area_px": 9},
+                                        {"bins": (3.0, 6.0, 9.0)}])
+    def test_other_parameters_equal_a_fresh_engine(self, params):
+        bt, rain, wind = one_window_data()
+        default = FusionEngine(REGIONS, bt=bt, rain=rain, wind_speed=wind)
+        changed = FusionEngine(REGIONS, bt=bt, rain=rain, wind_speed=wind, **params)
+        fresh_default, fresh_changed = (
+            FusionEngine(REGIONS, *copy.deepcopy((bt, rain, wind)), **p) for p in ({}, params))
+        assert engine_repr(changed) == engine_repr(fresh_changed)
+        assert engine_repr(default) == engine_repr(fresh_default)
+        assert engine_repr(changed) != engine_repr(default)
+
+    def test_each_frame_and_parameters_computed_once(self, monkeypatch):
+        detected, categorized = Counter(), Counter()
+        real_detect, real_categorize = fusion.detect, fusion.categorize_grid
+
+        def counting_detect(frame, t_deep, min_area_px):
+            detected[id(frame), t_deep, min_area_px] += 1
+            return real_detect(frame, t_deep=t_deep, min_area_px=min_area_px)
+
+        def counting_categorize(frame, bins):
+            categorized[id(frame), tuple(bins)] += 1
+            return real_categorize(frame, bins)
+
+        monkeypatch.setattr(fusion, "detect", counting_detect)
+        monkeypatch.setattr(fusion, "categorize_grid", counting_categorize)
+        bt, rain, wind = make_data(5, 12, set(), set(), set())
+        param_sets = [{}, {"t_deep": 205.0, "bins": (3.0, 6.0, 9.0)}]
+        for params in param_sets * 2:
+            nowcast(bt, rain, wind, fresh=False, **params)
+        assert set(detected.values()) == {1}
+        assert set(categorized.values()) == {1}
+        assert len(detected) == len(bt) * len(param_sets)
+        assert len(categorized) == len(wind) * len(param_sets)
+
+
+def test_memo_never_keeps_a_frame_alive():
+    bt, rain, wind = one_window_data()
+    engine = FusionEngine(REGIONS, bt=bt, rain=rain, wind_speed=wind)
+    engine.run(bt[0].time, bt[-1].time, 600)
+    frames = [bt[3], rain[2], wind["lr"][1], engine.wind_cat_stacks[0][1]]
+    assert all(len(geogrid._FRAME_MEMO[f]) >= 1 for f in frames)
+    refs = [weakref.ref(f) for f in frames]
+    del bt, rain, wind, engine, frames
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
+
+
+def test_per_frame_is_defined_in_geogrid_and_called_by_three_modules():
+    defined, callers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_per_frame":
+                defined.append(path.stem)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_per_frame":
+                    callers.add(path.stem)
+    assert defined == ["geogrid"]
+    assert callers == {"fusion", "precip", "wind"}

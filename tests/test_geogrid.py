@@ -350,6 +350,55 @@ class TestGsfStreaming:
         assert all(np.array_equal(a.values, b.values) for a, b in zip(stack, back))
 
 
+def two_frames(first: str, second: str) -> str:
+    """GOLDEN_FRAME twice, ten minutes apart, with one header line of each
+    frame replaced by ``first`` and ``second`` (``key=value`` lines)."""
+    key = first.partition("=")[0] + "="
+    old = next(line for line in GOLDEN_FRAME.splitlines() if line.startswith(key))
+    later = GOLDEN_FRAME.replace("2020-10-05T00:00:00Z", "2020-10-05T00:10:00Z")
+    return GOLDEN_FRAME.replace(old, first) + "---\n" + later.replace(old, second)
+
+
+class TestGsfGeometryReuse:
+    """A stack read back holds one geometry object when its frames' six
+    geometry values are the same numbers, with the bytes and errors of a
+    geometry per frame."""
+
+    def test_read_back_stack_holds_one_geometry(self, tmp_path):
+        rng = np.random.default_rng(4)
+        stack = make_stack([rng.uniform(180.0, 300.0, size=(3, 4)) for _ in range(6)],
+                           variable=Variable.BT, dt_s=600)
+        path = tmp_path / "bt.gsf"
+        write_gsf(stack, path)
+        back = read_gsf(path)
+        assert len({id(f.geometry) for f in back}) == 1
+        assert len({id(f.geometry.lats()) for f in back}) == 1
+        again = tmp_path / "again.gsf"
+        write_gsf(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_zero_and_negative_zero_keep_their_own_geometry(self):
+        text = two_frames("lat_min=0.0", "lat_min=-0.0")
+        back = parse_gsf(io.StringIO(text))
+        assert back[0].geometry is not back[1].geometry
+        assert "".join(gsf_lines(back)) == text
+
+    def test_nan_geometry_still_differs(self):
+        with pytest.raises(GsfError) as exc:
+            parse_gsf(io.StringIO(two_frames("dlat=nan", "dlat=nan")))
+        assert str(exc.value) == "frame 1 geometry differs from frame 0"
+
+    def test_differing_geometry_error_is_unchanged(self):
+        with pytest.raises(GsfError) as exc:
+            parse_gsf(io.StringIO(two_frames("dlat=1.0", "dlat=2.0")))
+        assert str(exc.value) == "frame 1 geometry differs from frame 0"
+
+    def test_equal_values_written_differently_share_one_geometry(self):
+        back = parse_gsf(io.StringIO(two_frames("dlat=1.0", "dlat=1.00")))
+        assert back[0].geometry is back[1].geometry
+        assert "".join(gsf_lines(back)) == two_frames("dlat=1.0", "dlat=1.0")
+
+
 class TestGridStack:
     def test_mixed_geometry_rejected(self):
         g1 = make_grid(np.full((2, 2), 280.0))
