@@ -24,7 +24,7 @@ import numpy as np
 
 from .convection import label_array
 from .fusion import WarnLevel, WarningReport
-from .geogrid import GeoGrid, RegionBox, Variable, region_indices
+from .geogrid import GeoGrid, RegionBox, Variable, region_windows
 
 THRESHOLD_DB_DEFAULT = -3.0
 MIN_REGION_PX_DEFAULT = 8
@@ -95,16 +95,12 @@ def flooded_regions(
     regions: Sequence[RegionBox],
     f_flood: float = F_FLOOD_DEFAULT,
 ) -> dict[str, bool]:
-    """Region name -> whether its flooded-cell fraction reaches ``f_flood``."""
-    out: dict[str, bool] = {}
-    for region in regions:
-        window = region_indices(mask.grid.geometry, region)
-        if window is None:
-            out[region.name] = False
-            continue
-        block = mask.grid.values[window]
-        out[region.name] = float((block == 1.0).sum()) / block.size >= f_flood
-    return out
+    """Region name -> whether its flooded-cell fraction reaches ``f_flood``;
+    False for a region off the mask's grid."""
+    layout = region_windows(mask.grid.geometry, tuple(regions))
+    wet = (mask.grid.values.ravel()[layout.cells] == 1.0).astype(np.int64)
+    return {r.name: n > 0 and k / n >= f_flood for r, k, n in zip(
+        regions, layout.reduce(np.add, wet, 0).tolist(), layout.n_cells.tolist())}
 
 
 @dataclass(frozen=True)

@@ -18,32 +18,34 @@ measured around an offshore cell counts toward the coastal region it is
 bearing down on. Without that, wind evidence would only register after
 landfall, which is exactly too late for an early warning.
 
-An epoch is evaluated for all regions at once, so what does not depend on
-the region is computed once per epoch: the window's BT frames, and each
-live track's motion fit and forecast path. A path holds the track's bbox
-edges at every horizon as arrays, so its first hit on a region is one
-vectorised test. A track's footprint wind is looked up once per epoch
-too, and only when its path reaches a region. A BT stack has one
-geometry, so a region's BT cell window is found once per epoch, not once
-per frame.
-
-What depends only on one frame and fixed parameters is computed once per
-frame, not once per engine or epoch: a BT frame's detections, a wind
-frame's categories, and a rain or wind frame's reduction over a region's
-cell window (see ``geogrid._per_frame``). Engines rebuilt on overlapping
-trailing windows, as a nowcast does at every new frame, share them.
+An epoch is evaluated for all regions at once. What depends only on one
+frame and fixed parameters is computed once per frame and shared by every
+engine and epoch given that frame (``geogrid._per_frame``): a BT frame's
+detections, a wind frame's categories, and each frame's table over the
+regions' cell windows, laid out once per grid geometry
+(``geogrid.region_windows``). A BT table holds each window's object cover
+and coldest touching object, a rain table its missing count, max rate
+and cell rates, and a wind table its max rank. An epoch bisects the frame
+times and reduces its frames' tables for all regions at once. Each live
+track's motion fit and forecast path are found once per epoch, and only
+regions its swept envelope meets are tested; its footprint wind is looked
+up only when its path reaches a region.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import IntEnum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, CSObject, detect
-from .geogrid import GridStack, RegionBox, _per_frame, region_indices
-from .precip import R_HEAVY_DEFAULT_MMH, EmptyWindowError, RainStats, region_rain_stats
+from .geogrid import GeoGrid, GridStack, RegionBox, WindowLayout, _per_frame, region_windows
+from .precip import (R_HEAVY_DEFAULT_MMH, EmptyWindowError, RainStats, rain_stats_by_region,
+                     region_rain_stats)
 from .tracking import (
     DEFAULT_FIT_WINDOW,
     DEFAULT_MAX_GAP_KM,
@@ -52,7 +54,8 @@ from .tracking import (
     forecast,
     time_to_region,
 )
-from .wind import DEFAULT_BINS, RegionCategory, WindCategory, categorize_grid, region_max_category
+from .wind import (DEFAULT_BINS, RegionCategory, WindCategory, categorize_grid,
+                   max_category_by_region, region_max_category)
 
 DEFAULT_WINDOW_S = 10800
 DEFAULT_EPOCH_S = 1800
@@ -154,104 +157,100 @@ def decide(ind: RegionIndicators, rules: RuleSet | None = None) -> WarningReport
     )
 
 
-def _cloud_stats(
-    frames: Sequence[Sequence[CSObject]],
-    window: tuple[slice, slice],
-    region: RegionBox,
-) -> tuple[float, float | None]:
-    """(max cover fraction, min BT of touching objects) over the objects of
-    each frame, for the region's BT cell window."""
-    best_fraction = 0.0
-    min_bt: float | None = None
-    # Region cells form a contiguous index block, so membership is a
-    # bounds check per pixel.
-    rows, cols = window
-    n_cells = (rows.stop - rows.start) * (cols.stop - cols.start)
-    for objects in frames:
-        inside = 0
-        for obj in objects:
-            # A cell centre in the window lies in its object's bbox
-            # (centres +- half a cell, from the same lats/lons), so an
-            # object whose bbox misses the region has no hits.
-            if not obj.bbox.intersects(region):
-                continue
-            hits = int(
-                (
-                    (obj.rows >= rows.start) & (obj.rows < rows.stop)
-                    & (obj.cols >= cols.start) & (obj.cols < cols.stop)
-                ).sum()
-            )
-            if hits:
-                inside += hits
-                if obj.min_bt is not None and (min_bt is None or obj.min_bt < min_bt):
-                    min_bt = obj.min_bt
-        best_fraction = max(best_fraction, inside / n_cells)
-    return best_fraction, min_bt
+def _detections(frame: GeoGrid, t_deep: float, min_area_px: int) -> tuple[CSObject, ...]:
+    return _per_frame(frame, ("detect", t_deep, min_area_px),
+                      lambda: tuple(detect(frame, t_deep=t_deep, min_area_px=min_area_px)))
+
+
+def _cloud_table(frame: GeoGrid, layout: WindowLayout, t_deep: float,
+                 min_area_px: int) -> tuple[np.ndarray, np.ndarray]:
+    """A BT frame's retained-object cover of each window of ``layout``, and
+    the min BT of the objects touching it (+inf when none), read-only."""
+    # Each pixel's owning object's min_bt (always set by detect), +inf off-object.
+    owner_bt = np.full(frame.values.size, np.inf)
+    for obj in _detections(frame, t_deep, min_area_px):
+        owner_bt[obj.rows * frame.geometry.ncols + obj.cols] = obj.min_bt
+    cold = owner_bt[layout.cells]
+    cover = np.divide(layout.reduce(np.add, (cold < np.inf).astype(np.int64), 0), layout.n_cells,
+                      out=np.zeros(layout.n_cells.size), where=layout.n_cells > 0)
+    cover.setflags(write=False)
+    return cover, layout.reduce(np.minimum, cold, np.inf)
 
 
 def build_indicators(
     epoch: datetime,
     regions: Sequence[RegionBox],
     bt: GridStack | None,
-    detections: Sequence[Sequence[CSObject]],
     tracks: Sequence[Track],
     wind_cat_stacks: Sequence[GridStack],
     rain_stats: Mapping[str, RainStats | None],
     window_s: int = DEFAULT_WINDOW_S,
     fit_window: int = DEFAULT_FIT_WINDOW,
+    t_deep: float = DEFAULT_T_DEEP_K,
+    min_area_px: int = DEFAULT_MIN_AREA_PX,
 ) -> list[RegionIndicators]:
     """Condense all sensors into each region's indicators at ``epoch``.
 
-    ``bt`` is the BT stack, or None when BT was not observed, and
-    ``detections`` the objects detected in each of its frames. ``bt`` and
-    ``tracks`` may extend past ``epoch``; only frames and observations in
-    the trailing window count. ``rain_stats`` maps a region name to its
-    trailing-window summary; a missing or None entry means rain was not
-    observed there.
+    ``bt`` is the BT stack, or None when BT was not observed; its objects
+    are those :func:`detect` finds with ``t_deep`` and ``min_area_px``.
+    ``bt`` and ``tracks`` may extend past ``epoch``; only frames and
+    observations in the trailing window count. ``rain_stats`` maps a
+    region name to its trailing-window summary; a missing or None entry
+    means rain was not observed there.
     """
+    regions = tuple(regions)
     window_start = epoch - timedelta(seconds=window_s)
-    frames = [objects for frame, objects in zip(bt or (), detections)
-              if window_start < frame.time <= epoch]
+    fraction, min_bt = np.zeros(len(regions)), np.full(len(regions), np.inf)
+    bt_seen = np.zeros(len(regions), dtype=bool)
+    frames = bt.between(window_start, epoch) if bt is not None else []
+    if frames:
+        layout = region_windows(bt.geometry, regions)
+        key = ("cloud table", t_deep, min_area_px, layout.key)
+        for f in frames:
+            cover, cold = _per_frame(f, key, lambda: _cloud_table(f, layout, t_deep, min_area_px))
+            fraction, min_bt = np.maximum(fraction, cover), np.minimum(min_bt, cold)
+        bt_seen = layout.n_cells > 0
+    ranks, sources = max_category_by_region(wind_cat_stacks, regions, window_start, epoch)
+
     observed = [t.up_to(epoch) for t in tracks]
     live = [t for t in observed if len(t.observations) >= 2 and window_start < t.last.time]
-    paths = [forecast(t, fit_window) for t in live]
-    # A live track's footprint wind, looked up when its path first hits a region.
-    footprint_wind: list[RegionCategory | None] = [None] * len(live)
+    # Each region's first forecast hit, and the footprint wind of each live
+    # track whose path reaches it, looked up at the track's first hit.
+    approach: list[int | None] = [None] * len(regions)
+    footprints: list[list[RegionCategory]] = [[] for _ in regions]
+    edges = np.array([[r.lat_min, r.lat_max, r.lon_min, r.lon_max] for r in regions])
+    lat_min, lat_max, lon_min, lon_max = edges.reshape(-1, 4).T
+    for track in live:
+        path = forecast(track, fit_window)
+        # A region that misses the box's envelope over all horizons is never hit.
+        near = ((path.lat_min.min() <= lat_max) & (lat_min <= path.lat_max.max())
+                & (path.lon_min.min() <= lon_max) & (lon_min <= path.lon_max.max()))
+        footprint = None
+        for j in near.nonzero()[0]:
+            h = time_to_region(path, regions[j])
+            if h is not None:
+                approach[j] = h if approach[j] is None else min(approach[j], h)
+                footprint = footprint or region_max_category(
+                    wind_cat_stacks, track.last.bbox, window_start, epoch)
+                footprints[j].append(footprint)
 
     out = []
-    for region in regions:
-        window = region_indices(bt.geometry, region) if frames else None
-        fraction, min_bt = (0.0, None) if window is None else _cloud_stats(frames, window, region)
-
-        approach: int | None = None
-        samples = [region_max_category(wind_cat_stacks, region, window_start, epoch)]
-        for i, path in enumerate(paths):
-            h = time_to_region(path, region)
-            if h is not None:
-                approach = h if approach is None else min(approach, h)
-                if footprint_wind[i] is None:
-                    footprint_wind[i] = region_max_category(
-                        wind_cat_stacks, live[i].last.bbox, window_start, epoch
-                    )
-                samples.append(footprint_wind[i])
-
+    for region, cover, cold, seen, rank, n_wind, arrival, reaching in zip(
+            regions, fraction.tolist(), min_bt.tolist(), bt_seen.tolist(), ranks.tolist(),
+            sources.tolist(), approach, footprints):
         stats = rain_stats.get(region.name)
-        source_count = {
-            "bt": 0 if window is None else 1,
-            "wind": samples[0].sources,
-            "rain": 1 if stats is not None and stats.missing_fraction < 1.0 else 0,
-        }
         out.append(RegionIndicators(
             region=region.name,
             epoch=epoch,
-            deep_cloud_fraction=fraction,
-            min_bt_K=min_bt,
-            wind_cat=max(s.category for s in samples),
-            wind_no_observation=all(s.sources == 0 for s in samples),
+            deep_cloud_fraction=cover,
+            min_bt_K=cold if cold < math.inf else None,
+            wind_cat=WindCategory(max([rank, *(f.category for f in reaching)])),
+            wind_no_observation=n_wind == 0 and all(f.sources == 0 for f in reaching),
             max_rain_mmh=stats.max_rate_mmh if stats else 0.0,
             rain_persistence_h=stats.persistence_h if stats else 0.0,
-            approach_s=approach,
-            source_count=source_count,
+            approach_s=arrival,
+            source_count={"bt": int(seen), "wind": n_wind,
+                          "rain": int(stats is not None and stats.missing_fraction < 1.0)},
             rain_stats=stats,
         ))
     return out
@@ -261,12 +260,14 @@ class FusionEngine:
     """Builds tracks from the detections of every BT frame and categorizes
     every wind frame, then answers per-epoch warning queries in any order.
 
-    A frame's detections (for ``t_deep`` and ``min_area_px``) and wind
-    categories (for ``bins``) are computed by the first engine that needs
-    them and shared, as tuples and read-only grids, with every later
-    engine given the same frame objects and parameters. Building an engine
-    per trailing window therefore costs tracking, not detection, for the
-    frames earlier engines already saw."""
+    A frame's detections (for ``t_deep`` and ``min_area_px``), wind
+    categories (for ``bins``) and tables over the regions' windows are
+    computed by the first engine that needs them and shared, as tuples and
+    read-only arrays, with every later engine given the same frame objects,
+    parameters and regions. Building an engine per trailing window
+    therefore costs tracking, not detection, for the frames earlier
+    engines already saw. ``window_s`` must be > 0 and ``fit_window`` >= 2,
+    as for the CLI."""
 
     def __init__(
         self,
@@ -287,21 +288,22 @@ class FusionEngine:
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise ValueError(f"duplicate region names: {sorted(dupes)}")
+        if window_s <= 0:
+            raise ValueError(f"window_s must be > 0, got {window_s}")
+        if fit_window < 2:
+            raise ValueError(f"fit_window must be >= 2, got {fit_window}")
         self.regions = sorted(regions, key=lambda r: r.name)
         self.rules = rules or RuleSet()
         self.window_s = window_s
         self.fit_window = fit_window
+        self.t_deep = t_deep
+        self.min_area_px = min_area_px
         self.bt = bt
-        self.rain = rain
+        # A one-frame rain stack has no cadence to turn rates into depths,
+        # so its rain is not observed.
+        self.rain = rain if rain is not None and len(rain) >= 2 else None
 
-        # The objects detected in each BT frame, in frame order: a tuple per
-        # frame, shared with every engine given the frame and parameters.
-        detect_key = ("detect", t_deep, min_area_px)
-        self.detections = [
-            _per_frame(frame, detect_key,
-                       lambda: tuple(detect(frame, t_deep=t_deep, min_area_px=min_area_px)))
-            for frame in bt or ()
-        ]
+        self.detections = [_detections(frame, t_deep, min_area_px) for frame in bt or ()]
         self.tracks = build_tracks(self.detections, max_gap_km)
 
         categorize_key = ("categorize", tuple(bins))
@@ -313,10 +315,9 @@ class FusionEngine:
 
     def rain_stats_at(self, epoch: datetime, region: RegionBox) -> RainStats | None:
         """Trailing-window rain summary of ``region``, or None when rain was
-        not observed there: no stack, a one-frame stack (it has no cadence
-        to turn rates into depths), no frame in the window, or a region
-        off the rain grid."""
-        if self.rain is None or len(self.rain) < 2:
+        not observed there: no usable stack, no frame in the window, or a
+        region off the rain grid."""
+        if self.rain is None:
             return None
         start = epoch - timedelta(seconds=self.window_s)
         try:
@@ -326,26 +327,22 @@ class FusionEngine:
 
     def run_epoch(self, epoch: datetime) -> list[WarningReport]:
         """One WarningReport per region, ordered by region name."""
-        rain_stats = {r.name: self.rain_stats_at(epoch, r) for r in self.regions}
+        start = epoch - timedelta(seconds=self.window_s)
+        rain = ([None] * len(self.regions) if self.rain is None else
+                rain_stats_by_region(self.rain, self.regions, start, epoch, self.rules.r_heavy_mmh))
         indicators = build_indicators(
-            epoch,
-            self.regions,
-            self.bt,
-            self.detections,
-            self.tracks,
-            self.wind_cat_stacks,
-            rain_stats,
-            window_s=self.window_s,
-            fit_window=self.fit_window,
-        )
+            epoch, self.regions, self.bt, self.tracks, self.wind_cat_stacks,
+            {r.name: s for r, s in zip(self.regions, rain)}, self.window_s, self.fit_window,
+            self.t_deep, self.min_area_px)
         return [decide(ind, self.rules) for ind in indicators]
 
     def run(self, start: datetime, end: datetime, epoch_s: int = DEFAULT_EPOCH_S) -> list[WarningReport]:
         """Reports for every epoch start, start+epoch_s, ... up to end."""
+        if epoch_s <= 0:
+            raise ValueError(f"epoch_s must be > 0, got {epoch_s}")
         reports: list[WarningReport] = []
         epoch = start
         while epoch <= end:
             reports.extend(self.run_epoch(epoch))
             epoch += timedelta(seconds=epoch_s)
         return reports
-

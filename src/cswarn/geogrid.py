@@ -11,9 +11,9 @@ Conventions used throughout the engine:
 - Grids are immutable after construction; all operations here are pure
   functions, so frames may be processed in parallel by callers.
 - A product that depends only on one frame and fixed parameters (its
-  detections, its wind categories, its reduction over a region window) is
-  computed once per frame through :func:`_per_frame` and shared by every
-  engine and epoch that asks for it while the frame lives.
+  detections, its wind categories, its table over a :class:`WindowLayout`)
+  is computed once per frame through :func:`_per_frame` and shared by
+  every engine and epoch that asks for it while the frame lives.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from functools import cached_property, lru_cache
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -538,6 +538,46 @@ def region_indices(geometry: GridGeometry, box: RegionBox) -> tuple[slice, slice
     if not rows or not cols:
         return None
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+class WindowLayout(NamedTuple):
+    """The cell windows of some regions on one geometry, laid end to end:
+    ``key`` holds each region's ``(r0, r1, c0, c1)`` block, or None off the
+    grid, and names the layout in memo keys; ``cells`` holds the windows'
+    flat cell indices, and ``starts`` each on-grid window's offset in it.
+    A region off the grid has no segment, since ``reduceat`` gives an
+    element, not an empty reduction, for an empty one."""
+
+    key: tuple
+    cells: np.ndarray
+    starts: np.ndarray
+    n_cells: np.ndarray  # per region, 0 off the grid
+
+    def reduce(self, ufunc: np.ufunc, values: np.ndarray, empty: float) -> np.ndarray:
+        """``ufunc`` over each region's entries of ``values`` (one per
+        entry of ``cells``), ``empty`` off the grid; read-only."""
+        out = np.full(self.n_cells.size, empty, dtype=values.dtype)
+        out[self.n_cells > 0] = ufunc.reduceat(values, self.starts)
+        out.setflags(write=False)
+        return out
+
+
+@lru_cache(maxsize=256)
+def region_windows(geometry: GridGeometry, regions: tuple[RegionBox, ...]) -> WindowLayout:
+    """The :class:`WindowLayout` of ``regions`` on ``geometry``, found once
+    and kept for the 256 pairs used last."""
+    key = tuple(w and (w[0].start, w[0].stop, w[1].start, w[1].stop)
+                for w in (region_indices(geometry, r) for r in regions))
+    n = geometry.ncols
+    blocks = [(np.arange(r0 * n, r1 * n, n)[:, None] + np.arange(c0, c1)).ravel()
+              for r0, r1, c0, c1 in filter(None, key)]
+    n_cells = np.array([0 if k is None else (k[1] - k[0]) * (k[3] - k[2]) for k in key], np.int64)
+    sizes = n_cells[n_cells > 0]
+    layout = WindowLayout(key, np.concatenate([np.zeros(0, np.intp), *blocks]),
+                          np.cumsum(sizes) - sizes, n_cells)
+    for array in layout[1:]:
+        array.setflags(write=False)
+    return layout
 
 
 # ---------------------------------------------------------------------------

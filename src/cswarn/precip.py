@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
+from typing import Sequence
 
 import numpy as np
 
-from .geogrid import GeoGrid, GridStack, RegionBox, Variable, _per_frame, region_indices
+from .geogrid import (GeoGrid, GridStack, RegionBox, Variable, WindowLayout, _per_frame,
+                      region_windows)
 
 R_HEAVY_DEFAULT_MMH = 8.0
 
@@ -75,16 +77,65 @@ def accumulate(stack: GridStack, start: datetime, end: datetime) -> Accumulation
     return Accumulation(grid, missing / len(frames))
 
 
-def _window_rain(frame: GeoGrid, window: tuple[slice, slice]) -> tuple[int, int, float, np.ndarray]:
-    """One frame's rain over a region window: missing and finite cell
-    counts, the max finite rate (0.0 when none), and the rates with
-    missing cells as 0.0, read-only."""
-    block = frame.values[window]
+def _rain_table(frame: GeoGrid, layout: WindowLayout) -> tuple[np.ndarray, ...]:
+    """One frame's rain over each window of ``layout``: the missing cell
+    count, the max finite rate (NaN when none), and the window cells' rates
+    with missing cells as 0.0, all read-only."""
+    block = frame.values.ravel()[layout.cells]
     finite = block != frame.nodata
-    vals = block[finite]
+    # + 0.0 turns -0.0 into 0.0: numpy's fmax breaks a tie of 0.0 and -0.0
+    # one way on its scalar path and the other on its vector path, and a
+    # loop's running max(0.0, -0.0) keeps 0.0.
+    top = layout.reduce(np.fmax, np.where(finite, block, np.nan) + 0.0, np.nan)
     filled = np.where(finite, block, 0.0)
     filled.setflags(write=False)
-    return int((~finite).sum()), int(vals.size), float(vals.max()) if vals.size else 0.0, filled
+    return layout.reduce(np.add, (~finite).astype(np.int64), 0), top, filled
+
+
+def rain_stats_by_region(
+    stack: GridStack,
+    regions: Sequence[RegionBox],
+    start: datetime,
+    end: datetime,
+    r_heavy: float = R_HEAVY_DEFAULT_MMH,
+) -> list[RainStats | None]:
+    """:func:`region_rain_stats` of each of ``regions`` at once, or None
+    for a region off the rain grid or when no frame lies in the window.
+    Each frame's table over all the windows is computed once per frame and
+    layout (``geogrid._per_frame``); ``r_heavy`` and the cadence are applied
+    per call, cell by cell in frame order, as a loop over one region would.
+    """
+    if stack.variable is not Variable.RAIN_RATE:
+        raise TypeError(f"region_rain_stats needs RAIN_RATE frames, got {stack.variable.value}")
+    frames = stack.between(start, end)
+    if not frames:
+        return [None] * len(regions)
+    frame_s = stack.cadence_s()
+    dt_h = frame_s / 3600.0
+
+    layout = region_windows(stack.geometry, tuple(regions))
+    key = ("rain table", layout.key)
+    n_missing, top, filled = (np.array(column) for column in zip(
+        *[_per_frame(f, key, lambda: _rain_table(f, layout)) for f in frames]))
+    accum = np.zeros(layout.cells.size)
+    for depth in filled * dt_h:
+        accum += depth
+    # A window with no finite cell (NaN max) is not observed, so not heavy.
+    longest = run = 0
+    for prev, f, heavy in zip([None, *frames], frames, top >= r_heavy):
+        if prev is not None and (f.time - prev.time).total_seconds() > frame_s:
+            run = 0  # a dropped frame was not observed
+        run = (run + 1) * heavy
+        longest = np.maximum(longest, run)
+    # A window whose edges fall inside frame intervals can admit more frame
+    # coverage than its own span; persistence never exceeds the window.
+    window_h = (end - start).total_seconds() / 3600.0
+    per_region = zip(regions, np.fmax.reduce(top, axis=0, initial=0.0).tolist(),
+                     layout.reduce(np.maximum, accum, 0.0).tolist(), longest.tolist(),
+                     n_missing.sum(axis=0).tolist(), layout.n_cells.tolist())
+    return [RainStats(region.name, start, end, rate, wettest, min(frames_run * dt_h, window_h),
+                      missing / (len(frames) * cells)) if cells else None
+            for region, rate, wettest, frames_run, missing, cells in per_region]
 
 
 def region_rain_stats(
@@ -108,51 +159,13 @@ def region_rain_stats(
     interval (a dropped frame): rain that was not observed never counts
     as heavy. Raises EmptyWindowError when the window holds no samples:
     no frames, or a region outside the rain grid. A one-frame stack has
-    no cadence and raises ValueError.
-
-    A frame's reduction over the region's cells (missing and finite
-    counts, max rate, rates with missing cells as zero) is computed once
-    per frame and cell window, and every later call on that frame reuses
-    it. ``r_heavy`` and the cadence are applied per call, in the order a
-    fresh reduction would apply them, so the results are bit-identical.
+    no cadence and raises ValueError. This is :func:`rain_stats_by_region`
+    for the one region.
     """
-    if stack.variable is not Variable.RAIN_RATE:
-        raise TypeError(f"region_rain_stats needs RAIN_RATE frames, got {stack.variable.value}")
-    window = region_indices(stack.geometry, region)
-    if window is None:
+    on_grid = region_windows(stack.geometry, (region,)).n_cells[0] > 0
+    if stack.variable is Variable.RAIN_RATE and not on_grid:
         raise EmptyWindowError(f"region {region.name!r} is outside the rain grid extent")
-    frames = stack.between(start, end)
-    if not frames:
+    stats = rain_stats_by_region(stack, [region], start, end, r_heavy)[0]
+    if stats is None:
         raise EmptyWindowError(f"no rain frames in ({start}, {end}]")
-    frame_s = stack.cadence_s()
-    dt_h = frame_s / 3600.0
-
-    rows, cols = window
-    key = ("rain window", rows.start, rows.stop, cols.start, cols.stop)
-    max_rate = 0.0
-    missing = 0
-    longest = run = 0
-    accum = np.zeros(frames[0].values[window].shape)
-    for prev, f in zip([None, *frames], frames):
-        n_missing, n_finite, frame_max, filled = _per_frame(f, key, lambda: _window_rain(f, window))
-        missing += n_missing
-        max_rate = max(max_rate, frame_max)
-        accum += filled * dt_h
-        if prev is not None and (f.time - prev.time).total_seconds() > frame_s:
-            run = 0  # a dropped frame was not observed
-        run = run + 1 if n_finite > 0 and frame_max >= r_heavy else 0
-        longest = max(longest, run)
-    # A window whose edges fall inside frame intervals can admit more frame
-    # coverage than its own span; persistence never exceeds the window.
-    window_h = (end - start).total_seconds() / 3600.0
-    persistence_h = min(longest * dt_h, window_h)
-
-    return RainStats(
-        region=region.name,
-        window_start=start,
-        window_end=end,
-        max_rate_mmh=max_rate,
-        accum_mm=float(accum.max()),
-        persistence_h=persistence_h,
-        missing_fraction=missing / (len(frames) * accum.size),
-    )
+    return stats

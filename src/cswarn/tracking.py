@@ -118,17 +118,6 @@ def motion_vector(track: Track, fit_window: int = DEFAULT_FIT_WINDOW) -> MotionV
     return MotionVector(speed, bearing)
 
 
-def _displacement_deg(motion: MotionVector, horizon_s: float, lat_ref: float) -> tuple[float, float]:
-    """(dlat, dlon) a point at ``lat_ref`` drifts over ``horizon_s``."""
-    if motion.speed_mps == 0.0 or motion.bearing_deg is None:
-        return 0.0, 0.0
-    dist_km = motion.speed_mps * horizon_s / 1000.0
-    theta = math.radians(motion.bearing_deg)
-    north_km = dist_km * math.cos(theta)
-    east_km = dist_km * math.sin(theta)
-    return north_km / KM_PER_DEG, east_km / (KM_PER_DEG * math.cos(math.radians(lat_ref)))
-
-
 class ForecastPath(NamedTuple):
     """A bbox moved along one motion fit: the forecast horizons (s) and
     the box's four edges at each of them, as parallel float64 arrays."""
@@ -146,9 +135,10 @@ def forecast(track: Track, fit_window: int = DEFAULT_FIT_WINDOW) -> ForecastPath
     Horizons are multiples of HORIZON_STEP_S up to HORIZON_MAX_S (the
     one-day warning cap). A stationary track gets only the first horizon,
     since every later one is identical. Each edge is computed with the
-    same IEEE operations, in the same order, as :func:`_displacement_deg`
-    followed by adding its (dlat, dlon) to the bbox edges one horizon at a
-    time, so it is bit-equal to that loop (``tests/oracles.py``).
+    same IEEE operations, in the same order, as moving the bbox one
+    horizon at a time by the displacement of the motion over that horizon
+    (``tests/oracles.py``, ``displacement_deg`` and
+    ``horizon_loop_time_to_region``), so it is bit-equal to that loop.
     """
     motion = motion_vector(track, fit_window)
     bbox = track.last.bbox
@@ -171,7 +161,9 @@ def time_to_region(path: ForecastPath, region: RegionBox) -> int | None:
 
     The closed-interval test of :meth:`RegionBox.intersects`, at every
     horizon at once. Returns None when no horizon intersects, i.e. the
-    cell is not approaching.
+    cell is not approaching. A region that misses the path's envelope
+    (each edge's min or max over all horizons) is never met, so a caller
+    with many regions asks only about those that meet it.
     """
     hit = ((path.lat_min <= region.lat_max) & (region.lat_min <= path.lat_max)
            & (path.lon_min <= region.lon_max) & (region.lon_min <= path.lon_max))

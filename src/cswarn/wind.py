@@ -30,7 +30,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geogrid import GeoGrid, GridStack, RegionBox, Variable, _per_frame, region_indices
+from .geogrid import (GeoGrid, GridStack, RegionBox, Variable, WindowLayout, _per_frame,
+                      region_windows)
 
 V_MAX_DEFAULT = 25.0
 V_FORWARD_LIMIT = 60.0
@@ -281,6 +282,36 @@ class RegionCategory:
     sources: int  # stacks with a finite cell in the region and window
 
 
+def max_category_by_region(
+    sources: Iterable[GridStack],
+    regions: Sequence[RegionBox],
+    window_start: datetime,
+    window_end: datetime,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`region_max_category` of each of ``regions`` at once,
+    as arrays of category ranks and source counts in region order. Each
+    frame's max rank in every window of its layout (-1 with no finite
+    cell) is computed once per frame and layout (``geogrid._per_frame``).
+    """
+    best = observed = np.zeros(len(regions), dtype=np.int64)
+    for stack in sources:
+        if stack.variable is not Variable.WIND_CAT:
+            raise TypeError(f"expected WIND_CAT stacks, got {stack.variable.value}")
+        layout = region_windows(stack.geometry, tuple(regions))
+        seen = np.full(best.size, -1.0)
+        key = ("rank table", layout.key)
+        for f in stack.between(window_start, window_end):
+            seen = np.maximum(seen, _per_frame(f, key, lambda: _rank_table(f, layout)))
+        best, observed = np.maximum(best, seen.astype(np.int64)), observed + (seen >= 0)
+    return best, observed
+
+
+def _rank_table(frame: GeoGrid, layout: WindowLayout) -> np.ndarray:
+    """Each window's max category rank, -1 where no cell is finite."""
+    block = frame.values.ravel()[layout.cells]
+    return layout.reduce(np.maximum, np.where(block != frame.nodata, block, -1.0), -1.0)
+
+
 def region_max_category(
     sources: Iterable[GridStack],
     region: RegionBox,
@@ -290,33 +321,8 @@ def region_max_category(
     """Max category over all sources, region cells, and window frames.
 
     Frames count when ``window_start < t <= window_end``. With no finite
-    cell anywhere, returns NONE from zero sources. A frame's max rank over
-    the region's cell window, or "unobserved", is computed once per frame
-    and cell window, and every later call on that frame reuses it.
+    cell anywhere, returns NONE from zero sources. This is
+    :func:`max_category_by_region` for the one region.
     """
-    best = 0
-    observed = 0
-    for stack in sources:
-        if stack.variable is not Variable.WIND_CAT:
-            raise TypeError(f"expected WIND_CAT stacks, got {stack.variable.value}")
-        window = region_indices(stack.geometry, region)
-        if window is None:
-            continue
-        rows, cols = window
-        key = ("wind window", rows.start, rows.stop, cols.start, cols.stop)
-        seen = False
-        for frame in stack.between(window_start, window_end):
-            rank = _per_frame(frame, key, lambda: _window_max_rank(frame, window))
-            if rank is not None:
-                seen = True
-                best = max(best, rank)
-        observed += seen
-    return RegionCategory(WindCategory(best), observed)
-
-
-def _window_max_rank(frame: GeoGrid, window: tuple[slice, slice]) -> int | None:
-    """Max category rank over the frame's finite cells in ``window``, or
-    None when none is finite."""
-    block = frame.values[window]
-    block = block[block != frame.nodata]
-    return int(block.max()) if block.size else None
+    best, observed = max_category_by_region(sources, [region], window_start, window_end)
+    return RegionCategory(WindCategory(int(best[0])), int(observed[0]))

@@ -2,12 +2,12 @@
 changes a result.
 
 ``FusionEngine`` gets each BT frame's detections and each wind frame's
-categories through ``geogrid._per_frame``, and ``region_rain_stats`` and
-``region_max_category`` get each frame's reduction over a region window
-the same way. Engines built nowcast-style on overlapping trailing windows
-share frame objects, so later engines reuse what earlier ones computed.
-The oracle is the same engine built on deep copies of the frames, which
-no memo entry belongs to.
+categories through ``geogrid._per_frame``, and each BT, rain and wind
+category frame's table over a window layout (every region's cell window
+on the frame's geometry) the same way. Engines built nowcast-style on
+overlapping trailing windows share frame objects, so later engines reuse
+what earlier ones computed. The oracle is the same engine built on deep
+copies of the frames, which no memo entry belongs to.
 """
 
 from __future__ import annotations
@@ -144,6 +144,21 @@ def engine_repr(engine: FusionEngine) -> str:
     return repr((engine.detections, cats, engine.run(epoch - timedelta(seconds=3600), epoch, 600)))
 
 
+class TestLayoutIsPartOfTheKey:
+    @pytest.mark.parametrize("names", ["ABCD", "AC", "C", "BD"])
+    def test_region_lists_sharing_frames_equal_fresh_engines(self, names):
+        # Every list lays its windows out differently, and rain_stats_at and
+        # footprint wind read one-region layouts of the same frames.
+        bt, rain, wind = one_window_data()
+        for regions in (REGIONS, [r for r in REGIONS if r.name in names]):
+            shared = FusionEngine(regions, bt=bt, rain=rain, wind_speed=wind)
+            fresh = FusionEngine(regions, *copy.deepcopy((bt, rain, wind)))
+            epoch = bt[-1].time
+            assert engine_repr(shared) == engine_repr(fresh)
+            assert ([repr(shared.rain_stats_at(epoch, r)) for r in regions]
+                    == [repr(fresh.rain_stats_at(epoch, r)) for r in regions])
+
+
 class TestParametersArePartOfTheKey:
     @pytest.mark.parametrize("params", [{"t_deep": 205.0}, {"min_area_px": 9},
                                         {"bins": (3.0, 6.0, 9.0)}])
@@ -187,8 +202,14 @@ def test_memo_never_keeps_a_frame_alive():
     engine.run(bt[0].time, bt[-1].time, 600)
     frames = [bt[3], rain[2], wind["lr"][1], engine.wind_cat_stacks[0][1]]
     assert all(len(geogrid._FRAME_MEMO[f]) >= 1 for f in frames)
+    # The tables are read-only arrays that refer to no frame.
+    tables = {key[0]: value for f in frames for key, value in geogrid._FRAME_MEMO[f].items()
+              if key[0].endswith("table")}
+    assert set(tables) == {"cloud table", "rain table", "rank table"}
+    arrays = [a for value in tables.values() for a in (value if isinstance(value, tuple) else [value])]
+    assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
     refs = [weakref.ref(f) for f in frames]
-    del bt, rain, wind, engine, frames
+    del bt, rain, wind, engine, frames, tables, arrays
     gc.collect()
     assert [r() for r in refs] == [None] * 4
 

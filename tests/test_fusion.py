@@ -127,7 +127,7 @@ class TestRegionIndicatorsValidation:
 
 class TestBuildIndicators:
     def test_all_quiet(self):
-        ind = build_indicators(T0, [REGION], bt=None, detections=[], tracks=[],
+        ind = build_indicators(T0, [REGION], bt=None, tracks=[],
                                wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == 0.0
         assert ind.min_bt_K is None
@@ -138,8 +138,8 @@ class TestBuildIndicators:
         assert ind.approach_s is None
 
     def test_region_fully_covered_by_cold_cloud(self):
-        bt, detections = detected(make_grid(np.full((4, 4), 205.0)))
-        ind = build_indicators(T0, [REGION], bt, detections,
+        bt = GridStack([make_grid(np.full((4, 4), 205.0))])
+        ind = build_indicators(T0, [REGION], bt,
                                tracks=[], wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == 1.0
         assert ind.min_bt_K == 205.0
@@ -150,8 +150,8 @@ class TestBuildIndicators:
         values[1, 1] = 205.0
         values[1, 2] = 205.0
         values[2, 1] = 205.0    # region block is rows 1-2 x cols 1-2
-        bt, detections = detected(make_grid(values))
-        ind = build_indicators(T0, [REGION], bt, detections,
+        bt = GridStack([make_grid(values)])
+        ind = build_indicators(T0, [REGION], bt,
                                tracks=[], wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == pytest.approx(0.75)
 
@@ -171,7 +171,7 @@ class TestBuildIndicators:
 
         near = westward(1, 35.9)    # arrives at the 3600 s horizon
         far = westward(2, 71.9)     # arrives at the 7200 s horizon
-        ind = build_indicators(T0, [region], bt=None, detections=[], tracks=[far, near],
+        ind = build_indicators(T0, [region], bt=None, tracks=[far, near],
                                wind_cat_stacks=[], rain_stats={})[0]
         assert ind.approach_s == 3600
 
@@ -181,7 +181,7 @@ class TestBuildIndicators:
         old = T0 - timedelta(seconds=20000)
         track.add(obj_at(1, lat, lon, time=old))
         track.add(obj_at(2, lat, lon - 0.05, time=old + timedelta(seconds=600)))
-        ind = build_indicators(T0, [REGION], bt=None, detections=[], tracks=[track],
+        ind = build_indicators(T0, [REGION], bt=None, tracks=[track],
                                wind_cat_stacks=[], rain_stats={}, window_s=10800)[0]
         assert ind.approach_s is None
 
@@ -204,7 +204,7 @@ class TestBuildIndicators:
             if cells:
                 fractions.append(len(covered) / len(cells))
 
-        ind = build_indicators(T0, [box], bt, detections, tracks=[],
+        ind = build_indicators(T0, [box], bt, tracks=[],
                                wind_cat_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == pytest.approx(max(fractions))
         assert ind.min_bt_K == (min(touching_bt) if touching_bt else None)
@@ -240,9 +240,10 @@ class TestOncePerEpoch:
         together = []
         for epoch in busy_epochs(engine):
             rain = {r.name: engine.rain_stats_at(epoch, r) for r in engine.regions}
-            args = (engine.bt, engine.detections, engine.tracks, engine.wind_cat_stacks, rain)
+            args = (engine.bt, engine.tracks, engine.wind_cat_stacks, rain)
             inds = build_indicators(epoch, engine.regions, *args)
             assert inds == [build_indicators(epoch, [r], *args)[0] for r in engine.regions]
+            assert inds == [report.indicators for report in engine.run_epoch(epoch)]
             together += inds
         assert any(ind.approach_s is not None for ind in together)
         assert any(ind.wind_cat >= WindCategory.SEVERE for ind in together)
@@ -277,7 +278,7 @@ class TestOncePerEpoch:
             return real(stacks, box, *args, **kwargs)
 
         monkeypatch.setattr(fusion, "region_max_category", counting)
-        skipped = 0
+        skipped = reached = 0
         for epoch in busy_epochs(engine):
             boxes.clear()
             engine.run_epoch(epoch)
@@ -290,10 +291,11 @@ class TestOncePerEpoch:
                        is not None for r in engine.regions)
             ]
             skipped += len(live) - len(reaching)
-            assert len(boxes) == len(engine.regions) + len(reaching)
-            footprints = Counter(b for b in boxes if b not in engine.regions)
-            assert footprints == Counter(t.last.bbox for t in reaching)
-        assert skipped > 0
+            # The regions' own wind comes from the per-frame tables; each
+            # lookup left is one reaching track's footprint.
+            assert Counter(boxes) == Counter(t.last.bbox for t in reaching)
+            reached += len(reaching)
+        assert skipped > 0 and reached > 0
 
 
 class TestDecide:
@@ -466,6 +468,24 @@ class TestFusionEngine:
     def test_duplicate_regions_rejected_at_construction(self):
         with pytest.raises(ValueError, match="duplicate"):
             FusionEngine([REGION, REGION])
+
+    @pytest.mark.parametrize("params, match", [
+        ({"window_s": 0}, "window_s"), ({"window_s": -600}, "window_s"),
+        ({"fit_window": 1}, "fit_window"), ({"fit_window": 0}, "fit_window"),
+    ])
+    def test_bounds_the_cli_checks_are_rejected_at_construction(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            FusionEngine([REGION], **params)
+        FusionEngine([REGION], **{key: 2 for key in params})
+
+    @pytest.mark.parametrize("epoch_s", [0, -1800])
+    def test_run_rejects_a_step_that_never_advances(self, epoch_s):
+        # Without the check the epoch never advances past start and run
+        # never returns.
+        engine = FusionEngine([REGION])
+        with pytest.raises(ValueError, match="epoch_s"):
+            engine.run(T0, T0 + timedelta(seconds=3600), epoch_s)
+        assert len(engine.run(T0, T0 + timedelta(seconds=3600), 1800)) == 3
 
     def test_run_is_deterministic(self):
         bt = make_stack([np.full((4, 4), 205.0)] * 5, variable=Variable.BT, dt_s=1800)

@@ -18,7 +18,6 @@ from cswarn.tracking import (
     HORIZON_STEP_S,
     Track,
     UndefinedMotionError,
-    _displacement_deg,
     associate,
     build_tracks,
     forecast,
@@ -27,7 +26,12 @@ from cswarn.tracking import (
 )
 
 from conftest import T0
-from oracles import best_assignment, horizon_loop_time_to_region, translated
+from oracles import (
+    best_assignment,
+    displacement_deg,
+    horizon_loop_time_to_region,
+    translated,
+)
 
 
 def obj_at(id, lat, lon, time=T0, half_deg=0.25):
@@ -281,7 +285,7 @@ class TestForecastEdges:
         path = forecast(track, fit_window)
         assert path.horizons.tolist() == list(horizons)
         for i, h in enumerate(horizons):
-            moved = translated(box, *_displacement_deg(motion, h, lat_ref))
+            moved = translated(box, *displacement_deg(motion, h, lat_ref))
             edges = (path.lat_min[i], path.lat_max[i], path.lon_min[i], path.lon_max[i])
             want = (moved.lat_min, moved.lat_max, moved.lon_min, moved.lon_max)
             assert struct.pack("<4d", *edges) == struct.pack("<4d", *want), h
