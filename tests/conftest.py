@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cswarn.geogrid import DEFAULT_UNITS, GeoGrid, GridGeometry, GridStack, Variable
+from cswarn.geogrid import DEFAULT_UNITS, GeoGrid, GridGeometry, GridStack, Variable, write_gsf
 
 T0 = datetime(2020, 10, 5, 0, 0, 0, tzinfo=timezone.utc)
 
@@ -44,6 +46,14 @@ def make_stack(frames, variable=Variable.RAIN_RATE, geometry=None, t0=T0, dt_s=1
         for i, frame in enumerate(frames)
     ]
     return GridStack(grids)
+
+
+def gsf_text(stack: GridStack) -> str:
+    """The GSF text ``write_gsf`` writes for ``stack``, byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stack.gsf"
+        write_gsf(stack, path)
+        return path.read_bytes().decode("utf-8")
 
 
 @pytest.fixture

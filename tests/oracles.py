@@ -4,7 +4,8 @@ Each oracle deliberately takes a different algorithmic route from the
 module it verifies (per-pixel union-find vs run-based labeling,
 exhaustive scans vs index arithmetic, enumeration vs greedy, per-token
 ``float`` vs numpy's C text reader, per-cell and per-frame loops vs
-per-frame tables over window layouts) so agreement is meaningful.
+per-frame tables over window layouts, one string built cell by cell vs
+frames formatted in worker processes) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -15,7 +16,16 @@ from itertools import permutations
 
 import numpy as np
 
-from cswarn.geogrid import KM_PER_DEG, GeoGrid, GridGeometry, GsfError, RegionBox, haversine_km
+from cswarn.geogrid import (
+    KM_PER_DEG,
+    GeoGrid,
+    GridGeometry,
+    GridStack,
+    GsfError,
+    RegionBox,
+    format_time,
+    haversine_km,
+)
 from cswarn.fusion import RegionIndicators
 from cswarn.precip import RainStats
 from cswarn.tracking import MotionVector, motion_vector
@@ -194,6 +204,29 @@ def gsf_payload_loop(data_lines: list[str], ncols: int, lineno: int) -> np.ndarr
         except ValueError as exc:
             raise GsfError(f"line {lineno + r}: bad value: {exc}") from None
     return np.array(rows)
+
+
+def gsf_text_loop(stack: GridStack) -> str:
+    """A stack's canonical GSF text, built cell by cell: per frame the
+    ``GSF1`` line and the ten header lines in their fixed order, then each
+    row's cells as ``repr`` of the Python float, single spaces; ``---``
+    lines between frames."""
+    out = ""
+    for i, grid in enumerate(stack.frames):
+        if i:
+            out += "---\n"
+        geom = grid.geometry
+        out += "GSF1\n"
+        out += f"variable={grid.variable.value}\nunits={grid.units}\n"
+        out += f"time={format_time(grid.time)}\n"
+        out += f"nrows={geom.nrows}\nncols={geom.ncols}\n"
+        for key in ("lat_min", "lon_min", "dlat", "dlon"):
+            out += f"{key}={float(getattr(geom, key))!r}\n"
+        out += f"nodata={float(grid.nodata)!r}\n"
+        for r in range(geom.nrows):
+            cells = [repr(float(grid.values[r, c])) for c in range(geom.ncols)]
+            out += " ".join(cells) + "\n"
+    return out
 
 
 def _in_window(stack, start, end) -> list:

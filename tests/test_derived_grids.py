@@ -31,12 +31,11 @@ from cswarn.geogrid import (
     GridStack,
     GsfError,
     Variable,
-    gsf_lines,
     parse_gsf,
 )
 from cswarn.wind import DEFAULT_BINS, categorize_grid
 
-from conftest import T0, make_grid
+from conftest import T0, gsf_text, make_grid
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cswarn"
 UNCHECKED = "_with_values_unchecked"
@@ -107,7 +106,7 @@ class TestCategorizeGridOracle:
 
 def one_frame_gsf(variable: Variable, values: list[list[str]]) -> str:
     """GSF text of a one-frame 2x2 stack of ``variable`` holding ``values``."""
-    text = "".join(gsf_lines(GridStack([make_grid([[0.0, 0.0], [0.0, 0.0]], variable=Variable.FLOOD_MASK)])))
+    text = gsf_text(GridStack([make_grid([[0.0, 0.0], [0.0, 0.0]], variable=Variable.FLOOD_MASK)]))
     head = text.split("\n")[:11]
     head[1] = f"variable={variable.value}"
     head[2] = f"units={DEFAULT_UNITS[variable]}"

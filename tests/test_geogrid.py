@@ -26,7 +26,6 @@ from cswarn.geogrid import (
     RegionBox,
     Variable,
     format_time,
-    gsf_lines,
     haversine_km,
     parse_gsf,
     parse_time,
@@ -37,7 +36,7 @@ from cswarn.geogrid import (
     write_regions,
 )
 
-from conftest import GEOM_4X4, T0, make_grid, make_stack
+from conftest import GEOM_4X4, T0, gsf_text, make_grid, make_stack
 from oracles import gsf_payload_loop, region_cells, translated
 
 
@@ -222,14 +221,14 @@ class TestGsfSerialization:
         return make_stack([[[200.5, 201.0], [202.0, 203.0]]], variable=Variable.BT)
 
     def test_canonical_form(self):
-        assert "".join(gsf_lines(self.golden_stack())) == GOLDEN_FRAME
+        assert gsf_text(self.golden_stack()) == GOLDEN_FRAME
 
     def test_frames_separated_by_dashes(self):
         stack = make_stack(
             [[[200.5, 201.0], [202.0, 203.0]], [[210.0, 211.0], [212.0, 213.0]]],
             variable=Variable.BT,
         )
-        text = "".join(gsf_lines(stack))
+        text = gsf_text(stack)
         assert "\n---\n" in text
         assert text.endswith("\n")
         assert text.count("GSF1") == 2
@@ -248,12 +247,12 @@ class TestGsfSerialization:
         assert frame.geometry.lats().tolist() == [11.0, 10.0]
 
     def test_reserialization_is_byte_identical(self):
-        assert "".join(gsf_lines(parse_gsf(io.StringIO(GOLDEN_FRAME)))) == GOLDEN_FRAME
+        assert gsf_text(parse_gsf(io.StringIO(GOLDEN_FRAME))) == GOLDEN_FRAME
 
     def test_shortest_decimals_survive_round_trip(self):
         tricky = [[0.1, 1e-17], [123456.789012345, 2.5000000000000004]]
         stack = make_stack([tricky], variable=Variable.RAIN_RATE)
-        back = parse_gsf(io.StringIO("".join(gsf_lines(stack))))
+        back = parse_gsf(io.StringIO(gsf_text(stack)))
         assert np.array_equal(back.frames[0].values, np.asarray(tricky))
 
     def test_file_round_trip(self, tmp_path):
@@ -262,7 +261,7 @@ class TestGsfSerialization:
         write_gsf(stack, path)
         assert path.read_text(encoding="utf-8") == GOLDEN_FRAME
         back = read_gsf(path)
-        assert "".join(gsf_lines(back)) == GOLDEN_FRAME
+        assert gsf_text(back) == GOLDEN_FRAME
 
 
 class TestGsfErrors:
@@ -381,7 +380,7 @@ class TestGsfGeometryReuse:
         text = two_frames("lat_min=0.0", "lat_min=-0.0")
         back = parse_gsf(io.StringIO(text))
         assert back[0].geometry is not back[1].geometry
-        assert "".join(gsf_lines(back)) == text
+        assert gsf_text(back) == text
 
     def test_nan_geometry_still_differs(self):
         with pytest.raises(GsfError) as exc:
@@ -396,7 +395,7 @@ class TestGsfGeometryReuse:
     def test_equal_values_written_differently_share_one_geometry(self):
         back = parse_gsf(io.StringIO(two_frames("dlat=1.0", "dlat=1.00")))
         assert back[0].geometry is back[1].geometry
-        assert "".join(gsf_lines(back)) == two_frames("dlat=1.0", "dlat=1.0")
+        assert gsf_text(back) == two_frames("dlat=1.0", "dlat=1.0")
 
 
 class TestGridStack:
@@ -470,9 +469,9 @@ class TestGsfRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(random_stacks())
     def test_parse_serialize_round_trip(self, stack):
-        text = "".join(gsf_lines(stack))
+        text = gsf_text(stack)
         back = parse_gsf(io.StringIO(text))
-        assert "".join(gsf_lines(back)) == text
+        assert gsf_text(back) == text
         for a, b in zip(stack.frames, back.frames):
             assert a.time == b.time
             assert np.array_equal(a.values, b.values)
@@ -519,7 +518,7 @@ def mutated_gsf_texts(draw):
             values[~np.isfinite(values)] = 0.0
         values[rng.uniform(size=(nrows, ncols)) < 0.1] = DEFAULT_NODATA
         frames.append(values)
-    lines = "".join(gsf_lines(make_stack(frames, variable=variable))).split("\n")[:-1]
+    lines = gsf_text(make_stack(frames, variable=variable)).split("\n")[:-1]
     data = [i for i, line in enumerate(lines) if line not in ("GSF1", "---") and "=" not in line]
     dropped = set()
     for _ in range(draw(st.integers(0, 4))):

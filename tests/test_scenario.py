@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cswarn.convection import detect
-from cswarn.geogrid import GridGeometry, KM_PER_DEG, RegionBox, gsf_lines
+from cswarn.geogrid import GridGeometry, KM_PER_DEG, RegionBox
 from cswarn.scenario import (
     CellSpec,
     ScenarioSpec,
@@ -23,7 +23,7 @@ from cswarn.scenario import (
 from cswarn.tracking import build_tracks, motion_vector
 from cswarn.wind import SYNTH1, WindCategory, categorize
 
-from conftest import T0
+from conftest import T0, gsf_text
 from oracles import cell_lat, cell_lon
 
 GEOM = GridGeometry(lat_min=15.0, lon_min=105.0, dlat=0.05, dlon=0.05, nrows=40, ncols=40)
@@ -165,21 +165,21 @@ class TestDeterminismAndNoise:
                           duration_s=3600, noise_std=0.5)
         a = generate(spec, seed=7)
         b = generate(spec, seed=7)
-        assert "".join(gsf_lines(a.bt)) == "".join(gsf_lines(b.bt))
-        assert "".join(gsf_lines(a.rain)) == "".join(gsf_lines(b.rain))
-        assert "".join(gsf_lines(a.nrcs)) == "".join(gsf_lines(b.nrcs))
+        assert gsf_text(a.bt) == gsf_text(b.bt)
+        assert gsf_text(a.rain) == gsf_text(b.rain)
+        assert gsf_text(a.nrcs) == gsf_text(b.nrcs)
 
     def test_different_seed_changes_noisy_output(self):
         spec = small_spec(cells=[storm()], noise_std=0.5)
         a = generate(spec, seed=1)
         b = generate(spec, seed=2)
-        assert "".join(gsf_lines(a.bt)) != "".join(gsf_lines(b.bt))
+        assert gsf_text(a.bt) != gsf_text(b.bt)
 
     def test_noise_free_output_ignores_seed(self):
         spec = small_spec(cells=[storm()])
         a = generate(spec, seed=1)
         b = generate(spec, seed=2)
-        assert "".join(gsf_lines(a.bt)) == "".join(gsf_lines(b.bt))
+        assert gsf_text(a.bt) == gsf_text(b.bt)
 
 
 class TestTruthCsv:
