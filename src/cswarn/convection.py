@@ -5,6 +5,12 @@ deep-cloud threshold (default 220 K; the threshold itself is inclusive so
 the canonical value is detected). Convective cells are grouped into
 8-connected components so diagonal squall-line segments stay one system,
 and components below ``min_area_px`` are dropped as noise.
+
+A frame's detections depend only on the frame and the two parameters, so
+:func:`detect` labels a frame once for each ``t_deep`` and
+``min_area_px`` while the frame lives (``geogrid._per_frame``): the CLI,
+every ``FusionEngine`` and any caller of :func:`detect` given the same
+frame share one labeling.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .geogrid import GeoGrid, RegionBox, Variable
+from .geogrid import GeoGrid, RegionBox, Variable, _per_frame
 
 DEFAULT_T_DEEP_K = 220.0
 DEFAULT_MIN_AREA_PX = 4
@@ -217,5 +223,18 @@ def detect(
     t_deep: float = DEFAULT_T_DEEP_K,
     min_area_px: int = DEFAULT_MIN_AREA_PX,
 ) -> list[CSObject]:
-    """Threshold, label, and summarize one BT frame."""
-    return summarize(bt, label_components(convective_mask(bt, t_deep), min_area_px))
+    """Threshold, label, and summarize one BT frame.
+
+    The first call for a frame and parameters labels it; later calls
+    return the same frozen objects, each time in a new list.
+    """
+    return list(_per_frame(bt, ("detect", t_deep, min_area_px), lambda: tuple(
+        summarize(bt, label_components(convective_mask(bt, t_deep), min_area_px)))))
+
+
+def _frame_objects(bt: GeoGrid, t_deep: float, min_area_px: int) -> tuple[CSObject, ...]:
+    """:func:`detect`'s memo entry for ``bt``, calling ``detect`` only when
+    it is missing: a reader such as ``FusionEngine`` adds no ``detect``
+    call for a frame already detected with these parameters."""
+    return _per_frame(bt, ("detect", t_deep, min_area_px),
+                      lambda: tuple(detect(bt, t_deep, min_area_px)))

@@ -20,16 +20,17 @@ landfall, which is exactly too late for an early warning.
 
 An epoch is evaluated for all regions at once. What depends only on one
 frame and fixed parameters is computed once per frame and shared by every
-engine and epoch given that frame (``geogrid._per_frame``): a BT frame's
-detections, a wind frame's categories, and each frame's table over the
-regions' cell windows, laid out once per grid geometry
-(``geogrid.region_windows``). A BT table holds each window's object cover
-and coldest touching object, a rain table its missing count, max rate
-and cell rates, and a wind table its max rank. An epoch bisects the frame
-times and reduces its frames' tables for all regions at once. Each live
-track's motion fit and forecast path are found once per epoch, and only
-regions its swept envelope meets are tested; its footprint wind is looked
-up only when its path reaches a region.
+engine, epoch and caller given that frame (``geogrid._per_frame``): a BT
+frame's detections (kept by :func:`convection.detect`, so frames a caller
+detected first are not labeled again here), a wind frame's categories,
+and each frame's table over the regions' cell windows, laid out once per
+grid geometry (``geogrid.region_windows``). A BT table holds each
+window's object cover and coldest touching object, a rain table its
+missing count, max rate and cell rates, and a wind table its max rank.
+An epoch bisects the frame times and reduces its frames' tables for all
+regions at once. Each live track's motion fit and forecast path are found
+once per epoch, and only regions its swept envelope meets are tested; its
+footprint wind is looked up only when its path reaches a region.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, CSObject, detect
+from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, _frame_objects
 from .geogrid import GeoGrid, GridStack, RegionBox, WindowLayout, _per_frame, region_windows
 from .precip import (R_HEAVY_DEFAULT_MMH, EmptyWindowError, RainStats, rain_stats_by_region,
                      region_rain_stats)
@@ -157,18 +158,13 @@ def decide(ind: RegionIndicators, rules: RuleSet | None = None) -> WarningReport
     )
 
 
-def _detections(frame: GeoGrid, t_deep: float, min_area_px: int) -> tuple[CSObject, ...]:
-    return _per_frame(frame, ("detect", t_deep, min_area_px),
-                      lambda: tuple(detect(frame, t_deep=t_deep, min_area_px=min_area_px)))
-
-
 def _cloud_table(frame: GeoGrid, layout: WindowLayout, t_deep: float,
                  min_area_px: int) -> tuple[np.ndarray, np.ndarray]:
     """A BT frame's retained-object cover of each window of ``layout``, and
     the min BT of the objects touching it (+inf when none), read-only."""
     # Each pixel's owning object's min_bt (always set by detect), +inf off-object.
     owner_bt = np.full(frame.values.size, np.inf)
-    for obj in _detections(frame, t_deep, min_area_px):
+    for obj in _frame_objects(frame, t_deep, min_area_px):
         owner_bt[obj.rows * frame.geometry.ncols + obj.cols] = obj.min_bt
     cold = owner_bt[layout.cells]
     cover = np.divide(layout.reduce(np.add, (cold < np.inf).astype(np.int64), 0), layout.n_cells,
@@ -262,12 +258,12 @@ class FusionEngine:
 
     A frame's detections (for ``t_deep`` and ``min_area_px``), wind
     categories (for ``bins``) and tables over the regions' windows are
-    computed by the first engine that needs them and shared, as tuples and
-    read-only arrays, with every later engine given the same frame objects,
-    parameters and regions. Building an engine per trailing window
-    therefore costs tracking, not detection, for the frames earlier
-    engines already saw. ``window_s`` must be > 0 and ``fit_window`` >= 2,
-    as for the CLI."""
+    computed by the first caller that needs them and shared, as frozen
+    objects, tuples and read-only arrays, with every later engine given
+    the same frame objects, parameters and regions. Building an engine on
+    frames already passed to :func:`convection.detect`, or per trailing
+    window, therefore costs tracking, not detection, for the frames seen
+    before. ``window_s`` must be > 0 and ``fit_window`` >= 2, as for the CLI."""
 
     def __init__(
         self,
@@ -303,7 +299,7 @@ class FusionEngine:
         # so its rain is not observed.
         self.rain = rain if rain is not None and len(rain) >= 2 else None
 
-        self.detections = [_detections(frame, t_deep, min_area_px) for frame in bt or ()]
+        self.detections = [_frame_objects(frame, t_deep, min_area_px) for frame in bt or ()]
         self.tracks = build_tracks(self.detections, max_gap_km)
 
         categorize_key = ("categorize", tuple(bins))

@@ -16,7 +16,7 @@ Conventions used throughout the engine:
 - A product that depends only on one frame and fixed parameters (its
   detections, its wind categories, its table over a :class:`WindowLayout`)
   is computed once per frame through :func:`_per_frame` and shared by
-  every engine and epoch that asks for it while the frame lives.
+  every caller, engine and epoch that asks for it while the frame lives.
 """
 
 from __future__ import annotations
@@ -355,17 +355,16 @@ def _per_frame(frame: GeoGrid, key: Hashable, make: Callable[[], _T]) -> _T:
     for the frame's life. ``key`` names the product and its parameters.
     The result is shared, so it must be immutable (a tuple, a read-only
     array), and it must not refer to ``frame``, which would keep the frame
-    and its entry alive. Two threads may both compute a missing entry;
-    they store equal values.
+    and its entry alive. A ``make()`` that raises stores nothing, so the
+    next call raises again. Two threads may both compute a missing entry;
+    both get the first value stored.
     """
-    memo = _FRAME_MEMO.get(frame)
-    if memo is None:
-        memo = _FRAME_MEMO[frame] = {}
     try:
-        return memo[key]
+        return _FRAME_MEMO[frame][key]
     except KeyError:
-        value = memo[key] = make()
-        return value
+        pass
+    value = make()
+    return _FRAME_MEMO.setdefault(frame, {}).setdefault(key, value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Per-frame products are computed once and shared, and sharing never
 changes a result.
 
-``FusionEngine`` gets each BT frame's detections and each wind frame's
-categories through ``geogrid._per_frame``, and each BT, rain and wind
-category frame's table over a window layout (every region's cell window
-on the frame's geometry) the same way. Engines built nowcast-style on
-overlapping trailing windows share frame objects, so later engines reuse
-what earlier ones computed. The oracle is the same engine built on deep
-copies of the frames, which no memo entry belongs to.
+``convection.detect`` keeps each BT frame's detections through
+``geogrid._per_frame``; ``FusionEngine`` gets each wind frame's
+categories, and each BT, rain and wind category frame's table over a
+window layout (every region's cell window on the frame's geometry), the
+same way. Engines built nowcast-style on overlapping trailing windows
+share frame objects, so later engines reuse what earlier ones computed,
+and so does an engine built on frames a caller detected first. The
+oracle is the same computation on deep copies of the frames, which no
+memo entry belongs to.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cswarn import fusion, geogrid
+from cswarn import convection, fusion, geogrid
+from cswarn.convection import convective_mask, detect, label_components, summarize
 from cswarn.fusion import FusionEngine
 from cswarn.geogrid import DEFAULT_NODATA, GridGeometry, GridStack, RegionBox, Variable
+from cswarn.tracking import build_tracks
 
 from conftest import T0, make_grid
 
@@ -173,27 +177,63 @@ class TestParametersArePartOfTheKey:
         assert engine_repr(changed) != engine_repr(default)
 
     def test_each_frame_and_parameters_computed_once(self, monkeypatch):
-        detected, categorized = Counter(), Counter()
-        real_detect, real_categorize = fusion.detect, fusion.categorize_grid
-
-        def counting_detect(frame, t_deep, min_area_px):
-            detected[id(frame), t_deep, min_area_px] += 1
-            return real_detect(frame, t_deep=t_deep, min_area_px=min_area_px)
+        labeled, categorized = count_labelings(monkeypatch), Counter()
+        real_categorize = fusion.categorize_grid
 
         def counting_categorize(frame, bins):
             categorized[id(frame), tuple(bins)] += 1
             return real_categorize(frame, bins)
 
-        monkeypatch.setattr(fusion, "detect", counting_detect)
         monkeypatch.setattr(fusion, "categorize_grid", counting_categorize)
         bt, rain, wind = make_data(5, 12, set(), set(), set())
-        param_sets = [{}, {"t_deep": 205.0, "bins": (3.0, 6.0, 9.0)}]
+        param_sets = [{}, {"t_deep": 205.0, "min_area_px": 6, "bins": (3.0, 6.0, 9.0)}]
         for params in param_sets * 2:
             nowcast(bt, rain, wind, fresh=False, **params)
-        assert set(detected.values()) == {1}
+        assert set(labeled.values()) == {1}
         assert set(categorized.values()) == {1}
-        assert len(detected) == len(bt) * len(param_sets)
+        assert len(labeled) == len(bt) * len(param_sets)
         assert len(categorized) == len(wind) * len(param_sets)
+
+
+def count_labelings(monkeypatch) -> Counter:
+    """Counts ``convection.label_components`` calls per (BT frame, t_deep,
+    min_area_px), wherever they come from."""
+    labeled, masks = Counter(), {}
+    real_mask, real_label = convection.convective_mask, convection.label_components
+
+    def mask(bt, t_deep):
+        out = real_mask(bt, t_deep)
+        masks[id(out)] = (out, id(bt), t_deep)  # holds ``out``, so its id stays unique
+        return out
+
+    def label(mask, min_area_px):
+        _, frame, t_deep = masks[id(mask)]
+        labeled[frame, t_deep, min_area_px] += 1
+        return real_label(mask, min_area_px)
+
+    monkeypatch.setattr(convection, "convective_mask", mask)
+    monkeypatch.setattr(convection, "label_components", label)
+    return labeled
+
+
+def test_walkthrough_labels_each_frame_once(monkeypatch):
+    """detect every frame, track, build the engine and run it, as a script
+    would: the engine reuses the objects detect found, with no detect call."""
+    labeled, engine_detects = count_labelings(monkeypatch), []
+    real_detect = convection.detect
+    monkeypatch.setattr(convection, "detect",
+                        lambda *args: engine_detects.append(args) or real_detect(*args))
+    bt, rain, wind = make_data(3, 10, set(), set(), set())
+    detections = [real_detect(frame) for frame in bt]
+    tracks = build_tracks(detections)
+    engine = FusionEngine(REGIONS, bt=GridStack(bt), rain=GridStack(rain),
+                          wind_speed={"lr": GridStack(wind)}, window_s=WINDOW_S)
+    assert repr((engine.detections, engine.tracks)) == repr(([tuple(d) for d in detections],
+                                                            tracks))
+    engine.run(bt[0].time, bt[-1].time, 600)
+    assert set(labeled.values()) == {1}
+    assert len(labeled) == len(bt)
+    assert engine_detects == []
 
 
 def test_memo_never_keeps_a_frame_alive():
@@ -214,7 +254,95 @@ def test_memo_never_keeps_a_frame_alive():
     assert [r() for r in refs] == [None] * 4
 
 
-def test_per_frame_is_defined_in_geogrid_and_called_by_three_modules():
+def detect_frame(rng, nodata_share: float, blob) -> "geogrid.GeoGrid":
+    """Noise from cold to warm, one cold uniform block, nodata cells."""
+    values = rng.uniform(195.0, 290.0, size=(BT_GEOM.nrows, BT_GEOM.ncols))
+    r0, c0, height, width = blob
+    values[r0:r0 + height, c0:c0 + width] = 200.0
+    values[rng.uniform(size=values.shape) < nodata_share] = DEFAULT_NODATA
+    return make_grid(values, geometry=BT_GEOM, time=T0)
+
+
+def memo_free(frame, t_deep, min_area_px):
+    """detect's route without the memo, on a copy no memo entry belongs to."""
+    bt = copy.deepcopy(frame)
+    return summarize(bt, label_components(convective_mask(bt, t_deep), min_area_px))
+
+
+def assert_same_objects(got, want):
+    assert repr(got) == repr(want)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.rows, w.rows) and np.array_equal(g.cols, w.cols)
+
+
+class TestDetectKeepsEachFramesObjects:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), nodata_share=st.sampled_from([0.0, 0.05, 0.3]),
+           blob=st.tuples(st.integers(0, 9), st.integers(0, 11), st.integers(1, 4),
+                          st.integers(1, 4)),
+           params=st.lists(st.tuples(st.sampled_from([200.0, 205.0, 220.0, 240.0]),
+                                     st.integers(1, 9)), min_size=1, max_size=5))
+    def test_detect_equals_the_memo_free_route(self, seed, nodata_share, blob, params):
+        frame = detect_frame(np.random.default_rng(seed), nodata_share, blob)
+        # The second round reads every result from the memo.
+        for t_deep, min_area_px in params * 2:
+            assert_same_objects(detect(frame, t_deep, min_area_px),
+                                memo_free(frame, t_deep, min_area_px))
+
+    def test_each_parameter_is_part_of_the_key(self):
+        # Blocks of 12 px at 200 K and 212 K, 6 px at 210 K and 5 px at
+        # 200 K: each (t_deep, min_area_px) below keeps another set.
+        values = np.full((BT_GEOM.nrows, BT_GEOM.ncols), 280.0)
+        values[0:3, 0:4] = 200.0
+        values[5:7, 0:3] = 210.0
+        values[5:8, 6:10] = 212.0
+        values[10, 2:7] = 200.0
+        values[11, 13] = DEFAULT_NODATA
+        frame = make_grid(values, geometry=BT_GEOM, time=T0)
+        params = [(220.0, 4), (205.0, 4), (220.0, 9), (205.0, 9)]
+        results = [repr(memo_free(frame, *p)) for p in params]
+        assert len(set(results)) == len(params)
+        for p in params * 2:
+            assert_same_objects(detect(frame, *p), memo_free(frame, *p))
+
+    def test_a_second_call_shares_the_objects_in_a_new_list(self):
+        frame = detect_frame(np.random.default_rng(2), 0.05, (3, 4, 3, 3))
+        first, second = detect(frame), detect(frame)
+        assert first and first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        want = repr(first)
+        first.clear()
+        second.reverse()
+        second.append(None)
+        assert repr(detect(frame)) == want
+
+    def test_a_failing_call_raises_every_time_and_leaves_no_entry(self):
+        rain = make_grid(np.full((3, 3), 250.0), variable=Variable.RAIN_RATE)
+        frame = detect_frame(np.random.default_rng(3), 0.05, (3, 4, 3, 3))
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                detect(rain)
+            with pytest.raises(ValueError):
+                detect(frame, 220.0, 0)
+        assert rain not in geogrid._FRAME_MEMO
+        assert frame not in geogrid._FRAME_MEMO
+        detect(frame)
+        with pytest.raises(ValueError):
+            detect(frame, 220.0, 0)
+        assert list(geogrid._FRAME_MEMO[frame]) == [("detect", 220.0, 4)]
+
+    def test_a_frame_holding_only_detections_is_collected(self):
+        frame = detect_frame(np.random.default_rng(4), 0.05, (3, 4, 3, 3))
+        objects = detect(frame)
+        assert list(geogrid._FRAME_MEMO[frame]) == [("detect", 220.0, 4)]
+        ref = weakref.ref(frame)
+        del frame
+        gc.collect()
+        assert ref() is None
+        assert objects
+
+
+def test_per_frame_is_defined_in_geogrid_and_called_by_four_modules():
     defined, callers = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -226,4 +354,4 @@ def test_per_frame_is_defined_in_geogrid_and_called_by_three_modules():
                 if name == "_per_frame":
                     callers.add(path.stem)
     assert defined == ["geogrid"]
-    assert callers == {"fusion", "precip", "wind"}
+    assert callers == {"convection", "fusion", "precip", "wind"}
