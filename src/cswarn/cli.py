@@ -406,33 +406,36 @@ def _load_fuse_inputs(data_dir, cfg: EngineConfig):
 
     bt.gsf and rain.gsf are taken directly; every wind_<name>.gsf becomes
     a wind source; nrcs.gsf is inverted through the configured GMF into a
-    further wind source named "nrcs". Any other file is not read.
+    further wind source named "nrcs". Any other file is not read. Every
+    source is named before any file is read: an empty name or two files
+    giving one name fail.
     """
     data_dir = Path(data_dir)
-    bt = rain = None
-    wind: dict[str, GridStack] = {}
-    found = False
+    paths: dict[str, Path] = {}
+    wind: dict[str, Path] = {}
     for path in sorted(data_dir.glob("*.gsf")):
-        if path.name == "bt.gsf":
-            bt = read_gsf(path)
-        elif path.name == "rain.gsf":
-            rain = read_gsf(path)
-        elif path.name.startswith("wind_"):
-            wind[path.stem[len("wind_"):]] = read_gsf(path)
-        elif path.name == "nrcs.gsf":
-            gmf = get_gmf(cfg.gmf)
-            wind["nrcs"] = GridStack(
-                [
-                    retrieve_wind_grid(f, NRCS_DEFAULT_GEOMETRY, gmf, v_max=cfg.v_max)
-                    for f in read_gsf(path)
-                ]
-            )
-        else:
-            continue
-        found = True
-    if not found:
+        if path.name in ("bt.gsf", "rain.gsf"):
+            paths[path.stem] = path
+        elif path.name == "nrcs.gsf" or path.name.startswith("wind_"):
+            source = "nrcs" if path.name == "nrcs.gsf" else path.stem[len("wind_"):]
+            if not source:
+                raise ValueError(f"{data_dir}: {path.name} gives a wind source no name")
+            if source in wind:
+                raise ValueError(f"{data_dir}: {wind[source].name} and {path.name} "
+                                 f"both give the wind source {source!r}")
+            wind[source] = path
+    if not paths and not wind:
         raise FileNotFoundError(f"no .gsf stacks found in {data_dir}")
-    return bt, rain, wind
+
+    def wind_stack(path: Path) -> GridStack:
+        if path.name != "nrcs.gsf":
+            return read_gsf(path)
+        gmf = get_gmf(cfg.gmf)
+        return GridStack([retrieve_wind_grid(f, NRCS_DEFAULT_GEOMETRY, gmf, v_max=cfg.v_max)
+                          for f in read_gsf(path)])
+
+    bt, rain = (read_gsf(paths[k]) if k in paths else None for k in ("bt", "rain"))
+    return bt, rain, {source: wind_stack(path) for source, path in wind.items()}
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:

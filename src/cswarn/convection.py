@@ -61,7 +61,7 @@ def convective_mask(bt: GeoGrid, t_deep: float = DEFAULT_T_DEEP_K) -> GeoGrid:
     if bt.variable is not Variable.BT:
         raise TypeError(f"convective_mask needs a BT grid, got {bt.variable.value}")
     finite = bt.finite_mask
-    out = np.where(finite, (bt.values <= t_deep).astype(np.float64), bt.nodata)
+    out = np.where(finite, bt.values <= t_deep, bt.nodata)
     return bt._with_values_unchecked(out, Variable.FLOOD_MASK)
 
 

@@ -188,28 +188,29 @@ class ScenarioData:
 
 
 def _rho2(
-    geometry: GridGeometry, cell: CellSpec, clat: float, clon: float
+    geometry: GridGeometry, cell: CellSpec, clat: float, clon: float, out: np.ndarray
 ) -> np.ndarray:
-    """Squared normalized elliptical distance of every grid cell center."""
+    """Squared normalized elliptical distance of every grid cell center, into ``out``."""
     sig_lat, sig_lon = cell.sigmas_deg()
     dlat = (geometry.lats()[:, None] - clat) / sig_lat
     dlon = (geometry.lons()[None, :] - clon) / sig_lon
-    return dlat * dlat + dlon * dlon
+    return np.add(dlat * dlat, dlon * dlon, out=out)
 
 
-def _cell_bt_field(
-    geometry: GridGeometry, cell: CellSpec, t_s: float, background: float
+def _gaussian(
+    geometry: GridGeometry, cell: CellSpec, clat: float, clon: float, out: np.ndarray
 ) -> np.ndarray:
-    clat, clon = cell.position(t_s)
-    depth = background - cell.min_bt_K
-    return background - depth * np.exp(-_rho2(geometry, cell, clat, clon) / 2.0)
+    """The cell's unit Gaussian ``exp(-rho2 / 2)`` around (clat, clon), into ``out``."""
+    np.multiply(_rho2(geometry, cell, clat, clon, out), -0.5, out=out)
+    return np.exp(out, out=out)
 
 
 def _detected_bbox(
     geometry: GridGeometry, bt_field: np.ndarray, t_deep: float
 ) -> RegionBox | None:
     """Bounding box of cells at or under ``t_deep``, padded by half a cell."""
-    rows, cols = np.nonzero(bt_field <= t_deep)
+    deep = bt_field <= t_deep
+    rows, cols = np.flatnonzero(deep.any(axis=1)), np.flatnonzero(deep.any(axis=0))
     if rows.size == 0:
         return None
     lats = geometry.lats()
@@ -230,10 +231,15 @@ def generate(spec: ScenarioSpec, seed: int = 0) -> ScenarioData:
     boxes use the same rendered fields a detector at the default deep-cloud
     threshold would see (noise-free), so with noise_std = 0 they match
     detection exactly.
+
+    Each cell's field is rendered in place into one buffer and folded in
+    place into one frame buffer, which every grid copies, so a frame costs
+    no grid-sized temporaries beyond its own values and its noise.
     """
     rng = np.random.default_rng(seed)
     geom = spec.geometry
     shape = (geom.nrows, geom.ncols)
+    field, frame = np.empty(shape), np.empty(shape)
     extent = RegionBox("extent",
                        geom.lat_min - geom.dlat / 2.0, geom.lat_max + geom.dlat / 2.0,
                        geom.lon_min - geom.dlon / 2.0, geom.lon_max + geom.dlon / 2.0)
@@ -272,54 +278,59 @@ def generate(spec: ScenarioSpec, seed: int = 0) -> ScenarioData:
     intersections: dict[str, datetime] = {}
     for t_s in spec.frame_seconds(spec.bt_cadence_s):
         time = spec.start_time + timedelta(seconds=t_s)
-        bt = np.full(shape, spec.background_bt_K)
+        frame.fill(spec.background_bt_K)
         for cell in active_cells(t_s):
             clat, clon = cell.position(t_s)
-            field_c = _cell_bt_field(geom, cell, t_s, spec.background_bt_K)
-            bt = np.minimum(bt, field_c)
+            np.multiply(_gaussian(geom, cell, clat, clon, field),
+                        spec.background_bt_K - cell.min_bt_K, out=field)
+            np.subtract(spec.background_bt_K, field, out=field)
+            np.minimum(frame, field, out=frame)
             centroids.append(
                 CentroidSample(time, cell.name, clat, clon, cell.speed_mps, cell.bearing_deg)
             )
-            bbox = _detected_bbox(geom, field_c, DEFAULT_T_DEEP_K)
+            bbox = _detected_bbox(geom, field, DEFAULT_T_DEEP_K)
             if bbox is not None:
                 for region in spec.regions:
                     if region.name not in intersections and bbox.intersects(region):
                         intersections[region.name] = time
         if spec.noise_std > 0:
-            bt = np.clip(bt + rng.normal(0.0, spec.noise_std, shape), 100.0, 400.0)
-        bt_frames.append(make_grid(Variable.BT, "K", t_s, bt))
+            np.clip(frame + rng.normal(0.0, spec.noise_std, shape), 100.0, 400.0, out=frame)
+        bt_frames.append(make_grid(Variable.BT, "K", t_s, frame))
 
     # Rain, lagged behind the cell track.
     rain_frames: list[GeoGrid] = []
     for t_s in spec.frame_seconds(spec.rain_cadence_s):
-        rain = np.zeros(shape)
+        frame.fill(0.0)
         for cell in active_cells(t_s):
             if cell.rain_peak_mmh <= 0:
                 continue
             lag_t = max(cell.birth_s, t_s - spec.rain_lag_s)
             clat, clon = cell.position(lag_t)
-            rho2 = _rho2(geom, cell, clat, clon)
-            rain = np.maximum(rain, cell.rain_peak_mmh * np.exp(-rho2 / 2.0))
+            np.multiply(_gaussian(geom, cell, clat, clon, field), cell.rain_peak_mmh, out=field)
+            np.maximum(frame, field, out=frame)
         if spec.noise_std > 0:
-            rain = np.maximum(rain + rng.normal(0.0, spec.noise_std, shape), 0.0)
-        rain_frames.append(make_grid(Variable.RAIN_RATE, "mm/h", t_s, rain))
+            np.maximum(frame + rng.normal(0.0, spec.noise_std, shape), 0.0, out=frame)
+        rain_frames.append(make_grid(Variable.RAIN_RATE, "mm/h", t_s, frame))
 
     # Wind per source (gust ring around the current centroid).
     wind_stacks: dict[str, GridStack] = {}
     for source, cadence in spec.wind_sources:
         frames: list[GeoGrid] = []
         for t_s in spec.frame_seconds(cadence):
-            wind = np.zeros(shape)
+            frame.fill(0.0)
             for cell in active_cells(t_s):
                 if cell.wind_peak_mps <= 0:
                     continue
                 clat, clon = cell.position(t_s)
-                rho = np.sqrt(_rho2(geom, cell, clat, clon))
-                ring = cell.wind_peak_mps * np.exp(-((rho - RING_RHO) ** 2) / (2.0 * RING_SIGMA**2))
-                wind = np.maximum(wind, ring)
+                # peak * exp(-(rho - RING_RHO)**2 / (2 * RING_SIGMA**2))
+                np.sqrt(_rho2(geom, cell, clat, clon, field), out=field)
+                np.square(np.subtract(field, RING_RHO, out=field), out=field)
+                np.divide(field, -(2.0 * RING_SIGMA**2), out=field)
+                np.multiply(np.exp(field, out=field), cell.wind_peak_mps, out=field)
+                np.maximum(frame, field, out=frame)
             if spec.noise_std > 0:
-                wind = np.clip(wind + rng.normal(0.0, spec.noise_std, shape), 0.0, 100.0)
-            frames.append(make_grid(Variable.WIND_SPEED, "m/s", t_s, wind))
+                np.clip(frame + rng.normal(0.0, spec.noise_std, shape), 0.0, 100.0, out=frame)
+            frames.append(make_grid(Variable.WIND_SPEED, "m/s", t_s, frame))
         wind_stacks[source] = GridStack(frames)
 
     # Radar backscatter consistent with the first wind source.

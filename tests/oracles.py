@@ -5,7 +5,9 @@ module it verifies (per-pixel union-find vs run-based labeling,
 exhaustive scans vs index arithmetic, enumeration vs greedy, per-token
 ``float`` vs numpy's C text reader, per-cell and per-frame loops vs
 per-frame tables over window layouts, one string built cell by cell vs
-frames formatted in worker processes) so agreement is meaningful.
+frames formatted in worker processes, out-of-place array formulas vs
+fields rendered in place into one buffer, a compressed copy of the data
+cells vs the whole array when no cell is nodata) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
+from cswarn.convection import DEFAULT_T_DEEP_K
 from cswarn.geogrid import (
     KM_PER_DEG,
     GeoGrid,
@@ -23,13 +26,22 @@ from cswarn.geogrid import (
     GridStack,
     GsfError,
     RegionBox,
+    Variable,
     format_time,
     haversine_km,
 )
 from cswarn.fusion import RegionIndicators
 from cswarn.precip import RainStats
+from cswarn.scenario import (
+    RING_RHO,
+    RING_SIGMA,
+    CentroidSample,
+    ScenarioData,
+    ScenarioSpec,
+    TruthRecord,
+)
 from cswarn.tracking import MotionVector, motion_vector
-from cswarn.wind import WindCategory
+from cswarn.wind import SYNTH1, WindCategory
 
 
 def union_find_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
@@ -227,6 +239,154 @@ def gsf_text_loop(stack: GridStack) -> str:
             cells = [repr(float(grid.values[r, c])) for c in range(geom.ncols)]
             out += " ".join(cells) + "\n"
     return out
+
+
+def check_bounds_reference(variable: Variable, finite: np.ndarray) -> None:
+    """The physical-range check on a compressed 1-D copy of a grid's data
+    (non-nodata) cells: min and max of the copy, equality over every cell."""
+    if finite.size == 0:
+        return
+    lo, hi = finite.min(), finite.max()
+    if variable is Variable.BT and (lo < 100.0 or hi > 400.0):
+        raise ValueError(f"BT values outside [100, 400] K (min={lo}, max={hi})")
+    if variable in (Variable.RAIN_RATE, Variable.RAIN_ACCUM) and lo < 0.0:
+        raise ValueError(f"{variable.value} values must be >= 0 (min={lo})")
+    if variable is Variable.WIND_SPEED and (lo < 0.0 or hi > 100.0):
+        raise ValueError(f"WIND_SPEED values outside [0, 100] m/s (min={lo}, max={hi})")
+    if variable is Variable.NRCS and lo <= 0.0:
+        raise ValueError(f"NRCS values must be > 0 linear (min={lo})")
+    if variable is Variable.FLOOD_MASK and not ((finite == 0.0) | (finite == 1.0)).all():
+        raise ValueError("FLOOD_MASK values must be 0 or 1")
+    if variable is Variable.WIND_CAT and not (
+        (finite == 0.0) | (finite == 1.0) | (finite == 2.0) | (finite == 3.0)
+    ).all():
+        raise ValueError("WIND_CAT values must be ranks 0..3")
+
+
+def _reference_rho2(geometry, cell, clat, clon) -> np.ndarray:
+    sig_lat, sig_lon = cell.sigmas_deg()
+    dlat = (geometry.lats()[:, None] - clat) / sig_lat
+    dlon = (geometry.lons()[None, :] - clon) / sig_lon
+    return dlat * dlat + dlon * dlon
+
+
+def _reference_bt_field(geometry, cell, t_s, background) -> np.ndarray:
+    clat, clon = cell.position(t_s)
+    depth = background - cell.min_bt_K
+    return background - depth * np.exp(-_reference_rho2(geometry, cell, clat, clon) / 2.0)
+
+
+def _reference_bbox(geometry, bt_field, t_deep) -> RegionBox | None:
+    rows, cols = np.nonzero(bt_field <= t_deep)
+    if rows.size == 0:
+        return None
+    lats = geometry.lats()
+    lons = geometry.lons()
+    return RegionBox(
+        "truth",
+        float(lats[rows].min()) - geometry.dlat / 2.0,
+        float(lats[rows].max()) + geometry.dlat / 2.0,
+        float(lons[cols].min()) - geometry.dlon / 2.0,
+        float(lons[cols].max()) + geometry.dlon / 2.0,
+    )
+
+
+def render_reference(spec: ScenarioSpec, seed: int = 0) -> ScenarioData:
+    """Every stack and the truth record of ``spec``, each cell's field
+    built out of place by whole-array formulas (a new array per operation)
+    and folded into a new frame array per cell."""
+    rng = np.random.default_rng(seed)
+    geom = spec.geometry
+    shape = (geom.nrows, geom.ncols)
+    extent = RegionBox("extent",
+                       geom.lat_min - geom.dlat / 2.0, geom.lat_max + geom.dlat / 2.0,
+                       geom.lon_min - geom.dlon / 2.0, geom.lon_max + geom.dlon / 2.0)
+
+    def make_grid(variable, units, t_s, values):
+        return GeoGrid(variable=variable, units=units,
+                       time=spec.start_time + timedelta(seconds=t_s),
+                       geometry=geom, values=values)
+
+    notices = []
+    exit_s = {}
+    for t_s in spec.frame_seconds(spec.bt_cadence_s):
+        for cell in spec.cells:
+            if cell.name in exit_s or not cell.alive(t_s):
+                continue
+            if not extent.contains(*cell.position(t_s)):
+                exit_s[cell.name] = t_s
+                when = format_time(spec.start_time + timedelta(seconds=t_s))
+                notices.append(f"cell {cell.name} left the grid at {when}; truncated")
+
+    def active_cells(t_s):
+        return [cell for cell in spec.cells
+                if cell.alive(t_s) and t_s < exit_s.get(cell.name, spec.duration_s + 1)]
+
+    bt_frames = []
+    centroids = []
+    intersections = {}
+    for t_s in spec.frame_seconds(spec.bt_cadence_s):
+        time = spec.start_time + timedelta(seconds=t_s)
+        bt = np.full(shape, spec.background_bt_K)
+        for cell in active_cells(t_s):
+            clat, clon = cell.position(t_s)
+            field_c = _reference_bt_field(geom, cell, t_s, spec.background_bt_K)
+            bt = np.minimum(bt, field_c)
+            centroids.append(
+                CentroidSample(time, cell.name, clat, clon, cell.speed_mps, cell.bearing_deg)
+            )
+            bbox = _reference_bbox(geom, field_c, DEFAULT_T_DEEP_K)
+            if bbox is not None:
+                for region in spec.regions:
+                    if region.name not in intersections and bbox.intersects(region):
+                        intersections[region.name] = time
+        if spec.noise_std > 0:
+            bt = np.clip(bt + rng.normal(0.0, spec.noise_std, shape), 100.0, 400.0)
+        bt_frames.append(make_grid(Variable.BT, "K", t_s, bt))
+
+    rain_frames = []
+    for t_s in spec.frame_seconds(spec.rain_cadence_s):
+        rain = np.zeros(shape)
+        for cell in active_cells(t_s):
+            if cell.rain_peak_mmh <= 0:
+                continue
+            lag_t = max(cell.birth_s, t_s - spec.rain_lag_s)
+            clat, clon = cell.position(lag_t)
+            rho2 = _reference_rho2(geom, cell, clat, clon)
+            rain = np.maximum(rain, cell.rain_peak_mmh * np.exp(-rho2 / 2.0))
+        if spec.noise_std > 0:
+            rain = np.maximum(rain + rng.normal(0.0, spec.noise_std, shape), 0.0)
+        rain_frames.append(make_grid(Variable.RAIN_RATE, "mm/h", t_s, rain))
+
+    wind_stacks = {}
+    for source, cadence in spec.wind_sources:
+        frames = []
+        for t_s in spec.frame_seconds(cadence):
+            wind = np.zeros(shape)
+            for cell in active_cells(t_s):
+                if cell.wind_peak_mps <= 0:
+                    continue
+                clat, clon = cell.position(t_s)
+                rho = np.sqrt(_reference_rho2(geom, cell, clat, clon))
+                ring = cell.wind_peak_mps * np.exp(-((rho - RING_RHO) ** 2) / (2.0 * RING_SIGMA**2))
+                wind = np.maximum(wind, ring)
+            if spec.noise_std > 0:
+                wind = np.clip(wind + rng.normal(0.0, spec.noise_std, shape), 0.0, 100.0)
+            frames.append(make_grid(Variable.WIND_SPEED, "m/s", t_s, wind))
+        wind_stacks[source] = GridStack(frames)
+
+    nrcs_stack = None
+    if spec.wind_sources:
+        first = spec.wind_sources[0][0]
+        nrcs_stack = GridStack([
+            f.with_values(SYNTH1.sigma0(f.values, 35.0, 0.0), variable=Variable.NRCS)
+            for f in wind_stacks[first]
+        ])
+
+    truth = TruthRecord(centroids=tuple(centroids), intersections=intersections,
+                        flooded=frozenset(spec.flooded_regions), notices=tuple(notices))
+    return ScenarioData(bt=GridStack(bt_frames), rain=GridStack(rain_frames),
+                        wind=wind_stacks, nrcs=nrcs_stack, truth=truth)
 
 
 def _in_window(stack, start, end) -> list:

@@ -567,6 +567,30 @@ class TestFuseValidate:
         assert cli.main(["fuse", str(data), str(pipeline["regions"]), "-o", str(warnings)]) == 0
         assert warnings.read_bytes() == pipeline["warnings"].read_bytes()
 
+    @pytest.mark.parametrize(
+        "extra,named",
+        [("wind_nrcs.gsf", ["nrcs.gsf and wind_nrcs.gsf", "'nrcs'"]), ("wind_.gsf", ["wind_.gsf"])],
+        ids=["nrcs_twice", "empty_name"],
+    )
+    def test_bad_wind_source_name_is_1_before_any_read(self, tmp_path, pipeline, monkeypatch,
+                                                        capsys, extra, named):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        assert (data / "nrcs.gsf").exists()
+        shutil.copy(data / "wind_lr.gsf", data / extra)
+        reads = []
+        monkeypatch.setattr(cli, "read_gsf", reads.append)
+        out = tmp_path / "out" / "warnings.csv"
+        out.parent.mkdir()
+        code = cli.main(["fuse", str(data), str(pipeline["regions"]), "-o", str(out),
+                         "--rain-stats-out", str(out.parent / "rain.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert reads == []
+        assert list(out.parent.iterdir()) == []
+        assert err.startswith("cswarn fuse: ") and err.count("\n") == 1
+        assert all(fragment in err for fragment in named)
+
     def test_empty_data_dir_is_1(self, tmp_path, pipeline, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

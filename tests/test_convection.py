@@ -126,6 +126,18 @@ class TestConvectiveMask:
         with pytest.raises(TypeError):
             convective_mask(rain)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from([-9999.0, 0.0, -0.0, 1.0, 215.0]),
+           st.floats(150.0, 300.0))
+    def test_values_equal_the_float_mask_formula(self, seed, nodata, t_deep):
+        # The mask is written straight from the comparison, with no float
+        # copy of it; its bytes are those of the float-mask formula.
+        rng = np.random.default_rng(seed)
+        values = rng.choice([150.0, 215.0, 220.0, 260.0, t_deep, nodata], size=(7, 40))
+        bt = make_grid(values, nodata=nodata)
+        want = np.where(bt.finite_mask, (bt.values <= t_deep).astype(np.float64), nodata)
+        assert convective_mask(bt, t_deep).values.tobytes() == want.tobytes()
+
     def test_mask_monotone_in_threshold(self):
         rng = np.random.default_rng(7)
         bt = make_grid(rng.uniform(180.0, 300.0, size=(8, 8)))

@@ -37,7 +37,7 @@ from cswarn.geogrid import (
 )
 
 from conftest import GEOM_4X4, T0, gsf_text, make_grid, make_stack
-from oracles import gsf_payload_loop, region_cells, translated
+from oracles import check_bounds_reference, gsf_payload_loop, region_cells, translated
 
 
 class TestConstants:
@@ -172,6 +172,83 @@ class TestGeoGridValidation:
         assert len({a, b, a, stack, stack}) == 3
 
 
+def _steps(x: float) -> list[float]:
+    return [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+
+
+# Each bound, one step either side of it, both zeros, subnormals and values
+# well inside and well outside every variable's range.
+BOUND_VALUES = sorted({v for b in (0.0, 1.0, 2.0, 3.0, 100.0, 400.0) for v in _steps(b)}
+                      | {-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, 2.5, 20.0,
+                         280.0, -1.0, 1e300, -1e300, DEFAULT_NODATA})
+BOUND_NODATA = [DEFAULT_NODATA, 0.0, -0.0, 1.0, 100.0]
+
+
+@st.composite
+def bounds_grids(draw):
+    """(variable, values, nodata): cells drawn from BOUND_VALUES, some or
+    all of them the nodata sentinel, on grids big enough for SIMD loops."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    pool = draw(st.lists(st.sampled_from(BOUND_VALUES), min_size=1, max_size=4, unique=True))
+    nodata = draw(st.sampled_from(BOUND_NODATA))
+    cells = draw(st.lists(st.sampled_from(pool + [nodata]), min_size=nrows * ncols,
+                          max_size=nrows * ncols))
+    if draw(st.booleans()) and draw(st.booleans()):
+        cells = [nodata] * len(cells)
+    values = np.array(cells, dtype=np.float64).reshape(nrows, ncols)
+    return draw(st.sampled_from(list(Variable))), values, nodata
+
+
+def bounds_outcome(check) -> str | None:
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestBoundsOracle:
+    """The constructor accepts or rejects exactly the grids that the check
+    on a compressed copy of the data cells does, with the same message."""
+
+    def outcomes(self, variable, values, nodata):
+        got = bounds_outcome(lambda: make_grid(values, variable=variable, nodata=nodata))
+        want = bounds_outcome(lambda: check_bounds_reference(variable, values[values != nodata]))
+        return got, want
+
+    @settings(max_examples=150, deadline=None)
+    @given(bounds_grids())
+    def test_drawn_grids_match_the_oracle(self, case):
+        got, want = self.outcomes(*case)
+        assert got == want
+
+    @pytest.mark.parametrize("variable", list(Variable))
+    def test_every_bound_value_with_and_without_nodata(self, variable):
+        for value in BOUND_VALUES:
+            for values in (np.full((3, 37), value),
+                           np.where(np.eye(3, 37) > 0, DEFAULT_NODATA, value)):
+                got, want = self.outcomes(variable, values, DEFAULT_NODATA)
+                assert got == want, value
+
+    @pytest.mark.parametrize("variable", list(Variable))
+    def test_all_nodata_is_accepted(self, variable):
+        for nodata in BOUND_NODATA:
+            assert self.outcomes(variable, np.full((4, 33), nodata), nodata) == (None, None)
+
+    @pytest.mark.parametrize("cells", [[0.0, -0.0] * 20, [-0.0, 0.0] * 20,
+                                       [-0.0] * 39 + [0.0], [0.0] * 39 + [-0.0]])
+    def test_zero_prints_with_the_sign_of_the_copy(self, cells):
+        for variable in (Variable.BT, Variable.NRCS, Variable.WIND_SPEED):
+            for values in (np.array([cells]), np.array([cells + [DEFAULT_NODATA]])):
+                got, want = self.outcomes(variable, values, DEFAULT_NODATA)
+                assert got == want
+
+    @pytest.mark.parametrize("variable", [Variable.FLOOD_MASK, Variable.WIND_CAT])
+    def test_the_sentinel_is_not_a_rank(self, variable):
+        values = np.array([[0.0, 1.0, DEFAULT_NODATA] * 11])
+        assert self.outcomes(variable, values, DEFAULT_NODATA) == (None, None)
+
+
 class TestRegionBox:
     BOX = RegionBox("DN", 15.8, 16.05, 107.6, 108.4)
 
@@ -262,6 +339,74 @@ class TestGsfSerialization:
         assert path.read_text(encoding="utf-8") == GOLDEN_FRAME
         back = read_gsf(path)
         assert gsf_text(back) == GOLDEN_FRAME
+
+
+class TestGsfLineEndings:
+    """The writer writes LF; the reader takes LF, CRLF and CR alike."""
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_copies_read_equal_to_the_lf_file(self, tmp_path, newline):
+        rng = np.random.default_rng(3)
+        stack = make_stack([rng.uniform(180.0, 300.0, size=(7, 9)) for _ in range(4)],
+                           variable=Variable.BT)
+        lf = tmp_path / "lf.gsf"
+        write_gsf(stack, lf)
+        assert b"\r" not in lf.read_bytes()
+        other = tmp_path / "other.gsf"
+        other.write_bytes(lf.read_bytes().replace(b"\n", newline))
+        a, b = read_gsf(lf), read_gsf(other)
+        assert [f.time for f in a] == [f.time for f in b] == [f.time for f in stack]
+        assert all(x.values.tobytes() == y.values.tobytes() for x, y in zip(a, b))
+        assert gsf_text(b) == gsf_text(stack)
+
+
+class TestGsfNotUtf8:
+    """A byte that is not UTF-8 is reported with the line it is on, counted
+    as the reader counts lines (LF, CRLF and CR each end one)."""
+
+    def stack_bytes(self, tmp_path, frames=1):
+        stack = make_stack([np.full((3, 4), 280.0 + i / 1000) for i in range(frames)],
+                           variable=Variable.BT)
+        path = tmp_path / "ok.gsf"
+        write_gsf(stack, path)
+        return path.read_bytes()
+
+    def error(self, tmp_path, data: bytes) -> str:
+        path = tmp_path / "bad.gsf"
+        path.write_bytes(data)
+        with pytest.raises(GsfError) as info:
+            read_gsf(path)
+        return str(info.value)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_bad_byte_names_its_line(self, tmp_path, newline):
+        lines = self.stack_bytes(tmp_path).split(b"\n")
+        lines[3] = b"units=K\xff"
+        data = newline.join(lines)
+        assert self.error(tmp_path, data) == "line 4: byte 0xff is not UTF-8 (invalid start byte)"
+
+    def test_bad_byte_past_the_reader_buffer(self, tmp_path):
+        # Far past the decoder's first chunk, after a CR-only line and a
+        # CRLF line; the old message gave an offset inside that chunk.
+        lines = self.stack_bytes(tmp_path, frames=300).split(b"\n")
+        k = len(lines) - 3
+        assert lines[k] == b"280.299 280.299 280.299 280.299"
+        lines[k] = b"280.2\xe99 280.299 280.299 280.299"
+        data = b"\n".join(lines).replace(b"\n", b"\r", 1).replace(b"\n", b"\r\n", 1)
+        assert len(data) > 40_000
+        assert self.error(tmp_path, data) == (
+            f"line {k + 1}: byte 0xe9 is not UTF-8 (invalid continuation byte)")
+
+    def test_truncated_sequence_at_the_end(self, tmp_path):
+        data = self.stack_bytes(tmp_path) + b"\xe2\x82"
+        want = data.count(b"\n") + 1
+        assert self.error(tmp_path, data) == (
+            f"line {want}: byte 0xe2 is not UTF-8 (unexpected end of data)")
+
+    def test_valid_non_ascii_text_is_not_a_decode_error(self, tmp_path):
+        path = tmp_path / "units.gsf"
+        path.write_bytes(self.stack_bytes(tmp_path).replace(b"units=K", "units=K\u00b0".encode()))
+        assert read_gsf(path)[0].units == "K\u00b0"
 
 
 class TestGsfErrors:

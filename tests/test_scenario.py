@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cswarn.convection import detect
 from cswarn.geogrid import GridGeometry, KM_PER_DEG, RegionBox
@@ -24,7 +27,7 @@ from cswarn.tracking import build_tracks, motion_vector
 from cswarn.wind import SYNTH1, WindCategory, categorize
 
 from conftest import T0, gsf_text
-from oracles import cell_lat, cell_lon
+from oracles import cell_lat, cell_lon, render_reference
 
 GEOM = GridGeometry(lat_min=15.0, lon_min=105.0, dlat=0.05, dlon=0.05, nrows=40, ncols=40)
 
@@ -180,6 +183,103 @@ class TestDeterminismAndNoise:
         a = generate(spec, seed=1)
         b = generate(spec, seed=2)
         assert gsf_text(a.bt) == gsf_text(b.bt)
+
+
+def assert_same_render(got, want):
+    """Equal bit for bit: every stack's frame times, variables, units and
+    value bytes, and the truth record down to each float's repr."""
+    assert list(got.wind) == list(want.wind)
+    pairs = [(got.bt, want.bt), (got.rain, want.rain), (got.nrcs, want.nrcs),
+             *((got.wind[k], want.wind[k]) for k in want.wind)]
+    for a, b in pairs:
+        if b is None:
+            assert a is None
+            continue
+        assert [(f.time, f.variable, f.units) for f in a] == [(f.time, f.variable, f.units) for f in b]
+        assert [f.values.tobytes() for f in a] == [f.values.tobytes() for f in b]
+    assert repr(got.truth) == repr(want.truth)
+
+
+@st.composite
+def scenario_specs(draw):
+    """Small specs with 0-3 cells, circular or elliptical, with and without
+    rain and wind peaks, born late or dying early, some fast enough to
+    leave the grid; noise on or off; 0-2 wind sources; 1-3 regions."""
+    step = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    geom = GridGeometry(lat_min=15.0, lon_min=105.0, dlat=step, dlon=step,
+                        nrows=draw(st.integers(4, 24)), ncols=draw(st.integers(4, 24)))
+    duration = draw(st.sampled_from([1800, 3600, 7200]))
+    cells = []
+    for i in range(draw(st.integers(0, 3))):
+        birth = draw(st.sampled_from([0, 0, 600, 1800]))
+        cells.append(CellSpec(
+            name=f"c{i}",
+            lat=draw(st.floats(geom.lat_min - step, geom.lat_max + step)),
+            lon=draw(st.floats(geom.lon_min - step, geom.lon_max + step)),
+            speed_mps=draw(st.sampled_from([0.0, 8.0, 60.0]) | st.floats(0.0, 60.0)),
+            bearing_deg=draw(st.floats(0.0, 359.9)),
+            min_bt_K=draw(st.floats(180.0, 230.0) | st.floats(230.0, 275.0)),
+            radius_km=draw(st.floats(3.0, 120.0)),
+            radius_ns_km=draw(st.none() | st.floats(3.0, 150.0)),
+            wind_peak_mps=draw(st.just(0.0) | st.floats(0.5, 60.0)),
+            rain_peak_mmh=draw(st.just(0.0) | st.floats(0.1, 50.0)),
+            birth_s=birth,
+            death_s=draw(st.none() | st.sampled_from([birth + 600, birth + 1800])),
+        ))
+    regions = tuple(
+        RegionBox(f"R{i}", lat, lat + step * geom.nrows / 3, lon, lon + step * geom.ncols / 3)
+        for i, (lat, lon) in enumerate(draw(st.lists(
+            st.tuples(st.floats(geom.lat_min, geom.lat_max), st.floats(geom.lon_min, geom.lon_max)),
+            min_size=1, max_size=3)))
+    )
+    wind_sources = draw(st.sampled_from([(), (("lr", 1800),), (("lr", 1800), ("hr", 600))]))
+    return ScenarioSpec(
+        geometry=geom, start_time=T0, duration_s=duration, cells=tuple(cells), regions=regions,
+        wind_sources=wind_sources,
+        bt_cadence_s=draw(st.sampled_from([600, 900])),
+        rain_cadence_s=draw(st.sampled_from([600, 1800])),
+        rain_lag_s=draw(st.sampled_from([0, 1800])),
+        background_bt_K=draw(st.sampled_from([280.0, 300.0])),
+        noise_std=draw(st.sampled_from([0.0, 0.0, 0.5, 3.0])),
+    )
+
+
+# Two overlapping storms (one circular, one elliptical), a third that is
+# born late, dies early and runs off the west edge; noise on.
+CROSSING = small_spec(
+    cells=(storm(speed=5.0, rain_peak_mmh=12.0, wind_peak_mps=25.0),
+           CellSpec("squall", 16.05, 106.1, 8.0, 270.0, min_bt_K=195.0, radius_km=20.0,
+                    radius_ns_km=90.0, wind_peak_mps=18.0, rain_peak_mmh=6.0),
+           CellSpec("runner", 15.9, 105.2, 60.0, 265.0, rain_peak_mmh=3.0, wind_peak_mps=40.0,
+                    birth_s=600, death_s=6000)),
+    duration_s=7200, regions=(RegionBox("W", 15.7, 16.3, 105.2, 105.6),), noise_std=0.5,
+)
+
+
+class TestRenderingOracle:
+    """generate renders each cell in place into one buffer; the oracle keeps
+    the whole-array formulas that allocate per operation. Equal bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_specs(), st.integers(0, 2**16))
+    @example(CROSSING, 3)
+    @example(dataclasses.replace(CROSSING, noise_std=0.0), 0)
+    def test_generate_equals_the_reference(self, spec, seed):
+        assert_same_render(generate(spec, seed=seed), render_reference(spec, seed))
+
+    def test_at_the_scaled_grid_size(self):
+        geom = GridGeometry(lat_min=14.0, lon_min=103.0, dlat=0.05 / 3.0, dlon=0.05 / 3.0,
+                            nrows=300, ncols=330)
+        cells = tuple(
+            CellSpec(f"squall{i}", lat, 108.2, 8.0, 270.0, min_bt_K=195.0, radius_km=25.0,
+                     radius_ns_km=60.0, wind_peak_mps=22.0, rain_peak_mmh=12.0)
+            for i, lat in enumerate((14.8, 16.0, 17.6))
+        )
+        spec = ScenarioSpec(geometry=geom, start_time=T0, duration_s=5400, cells=cells,
+                            regions=(RegionBox("A", 15.8, 16.2, 107.6, 108.0),))
+        data = generate(spec, seed=5)
+        assert data.truth.intersections
+        assert_same_render(data, render_reference(spec, 5))
 
 
 class TestTruthCsv:
