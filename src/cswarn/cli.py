@@ -25,7 +25,6 @@ import argparse
 import configparser
 import csv
 import io
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +47,7 @@ from .geogrid import (
     GridStack,
     RegionBox,
     Variable,
+    _write_atomic,
     format_time,
     parse_time,
     read_gsf,
@@ -200,31 +200,6 @@ def load_config(path: str | None) -> EngineConfig:
     return read_config(path)
 
 
-# ---------------------------------------------------------------------------
-# Atomic output helpers
-# ---------------------------------------------------------------------------
-
-def _write_atomic(path, content: str | Callable[[Path], None]) -> None:
-    """Write ``path`` through a temp file and a rename.
-
-    ``content`` is either the text itself or a writer that fills the temp
-    path it is given. If writing fails the temp file is removed, so a
-    failed write leaves the directory as it was.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    try:
-        if isinstance(content, str):
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(content)
-        else:
-            content(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _fmt(value) -> str:
     """CSV cell formatting: shortest round-trip floats, empty for None."""
     if value is None:
@@ -361,19 +336,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     data = sc.generate(spec, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "bt.gsf", lambda p: write_gsf(data.bt, p))
-    _write_atomic(out / "rain.gsf", lambda p: write_gsf(data.rain, p))
-    for name in data.wind:
-        stack = data.wind[name]
-        _write_atomic(out / f"wind_{name}.gsf", lambda p, s=stack: write_gsf(s, p))
+    write_gsf(data.bt, out / "bt.gsf")
+    write_gsf(data.rain, out / "rain.gsf")
+    for name, stack in data.wind.items():
+        write_gsf(stack, out / f"wind_{name}.gsf")
     if data.nrcs is not None:
-        _write_atomic(out / "nrcs.gsf", lambda p: write_gsf(data.nrcs, p))
+        write_gsf(data.nrcs, out / "nrcs.gsf")
     _write_atomic(out / "truth.csv", lambda p: sc.write_truth_csv(data.truth, p))
     if args.regions_out:
         _write_atomic(args.regions_out, lambda p: write_regions(spec.regions, p))
     if args.flood_truth_out:
         grid = sc.truth_flood_grid(spec)
-        _write_atomic(args.flood_truth_out, lambda p: write_gsf(GridStack([grid]), p))
+        write_gsf(GridStack([grid]), args.flood_truth_out)
     for note in data.truth.notices:
         print(f"note: {note}")
     return 0
@@ -406,9 +380,10 @@ def _load_fuse_inputs(data_dir, cfg: EngineConfig):
 
     bt.gsf and rain.gsf are taken directly; every wind_<name>.gsf becomes
     a wind source; nrcs.gsf is inverted through the configured GMF into a
-    further wind source named "nrcs". Any other file is not read. Every
-    source is named before any file is read: an empty name or two files
-    giving one name fail.
+    further wind source named "nrcs". Any other file is not read; the
+    ``.<name>.gsf.twin`` twin of a stack is read only for a stack read
+    here, and a twin never ends in ``.gsf``. Every source is named before
+    any file is read: an empty name or two files giving one name fail.
     """
     data_dir = Path(data_dir)
     paths: dict[str, Path] = {}
@@ -487,7 +462,7 @@ def cmd_floodmap(args: argparse.Namespace) -> int:
         min_region_px=cfg.min_region_px,
         reference_time=ref.time,
     )
-    _write_atomic(args.out, lambda p: write_gsf(GridStack([mask.grid]), p))
+    write_gsf(GridStack([mask.grid]), args.out)
     return 0
 
 

@@ -13,6 +13,9 @@ Conventions used throughout the engine:
 - :func:`write_gsf` formats the frames of a large multi-frame stack in
   forked worker processes, one per usable CPU, and writes them in frame
   order; the bytes do not depend on the CPU count.
+- Text GSF is the interchange format. :func:`write_gsf` also writes a
+  binary twin next to it, which :func:`read_gsf` uses only while the
+  text's SHA-256 equals the one the twin records; deleting it is safe.
 - A product that depends only on one frame and fixed parameters (its
   detections, its wind categories, its table over a :class:`WindowLayout`)
   is computed once per frame through :func:`_per_frame` and shared by
@@ -21,6 +24,7 @@ Conventions used throughout the engine:
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import threading
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property, lru_cache
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -387,6 +392,15 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _header_lines(grid: GeoGrid) -> list[str]:
+    """A frame's ten ``key=value`` header lines, in fixed key order."""
+    geom = grid.geometry
+    head = (grid.variable.value, grid.units, grid.time.strftime(_TIME_FORMAT),
+            str(geom.nrows), str(geom.ncols), _fmt(geom.lat_min), _fmt(geom.lon_min),
+            _fmt(geom.dlat), _fmt(geom.dlon), _fmt(grid.nodata))
+    return [f"{k}={v}" for k, v in zip(_HEADER_KEYS, head)]
+
+
 def _frame_text(grid: GeoGrid) -> bytes:
     """One frame's canonical GSF text, UTF-8 encoded: the ``GSF1`` line,
     the header in fixed key order, then one line of shortest round-trip
@@ -394,14 +408,10 @@ def _frame_text(grid: GeoGrid) -> bytes:
 
     It calls no public function, so a worker process that runs it never
     runs a wrapper put around one (the benchmark's tracer)."""
-    geom = grid.geometry
-    head = (grid.variable.value, grid.units, grid.time.strftime(_TIME_FORMAT),
-            str(geom.nrows), str(geom.ncols), _fmt(geom.lat_min), _fmt(geom.lon_min),
-            _fmt(geom.dlat), _fmt(geom.dlon), _fmt(grid.nodata))
     # Rows are encoded one at a time. Encoding one str of the whole frame made
     # the writer workers re-fault its temporaries on every frame (21,700 minor
     # faults against 16,600 per replay bt.gsf write), as glibc trims the heap.
-    header = "GSF1\n" + "".join(f"{k}={v}\n" for k, v in zip(_HEADER_KEYS, head))
+    header = "GSF1\n" + "".join(line + "\n" for line in _header_lines(grid))
     lines = [header.encode("utf-8")]
     lines += [(" ".join(map(repr, row)) + "\n").encode("utf-8") for row in grid.values.tolist()]
     return b"".join(lines)
@@ -467,15 +477,63 @@ def _frame_texts(stack: GridStack) -> Iterator[bytes]:
         pool.shutdown(cancel_futures=True)
 
 
+def _write_atomic(path, content: str | Callable[[Path], None]) -> None:
+    """Write ``path`` through a temp file and a rename.
+
+    ``content`` is either the text itself or a writer that fills the temp
+    path it is given. If writing fails the temp file is removed, so a
+    failed write leaves the directory as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
+    try:
+        if isinstance(content, str):
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(content)
+        else:
+            content(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# The twin of x.gsf is .x.gsf.twin: a JSON line with this tag, the text's SHA-256
+# and each frame's header lines, then each frame's values as C-order "<f8".
+_TWIN_FORMAT = "cswarn-gsf-twin/1"
+
+
+def _twin_path(path) -> Path:
+    return Path(path).with_name(f".{Path(path).name}.twin")
+
+
 def write_gsf(stack: GridStack, path) -> None:
     """Write a stack in canonical GSF form: each frame's text, with a
     ``---`` line between frames. The bytes depend only on the stack, never
-    on how many CPUs formatted it."""
-    with open(path, "wb") as fh, closing(_frame_texts(stack)) as texts:
-        for i, text in enumerate(texts):
-            if i:
-                fh.write(b"---\n")
-            fh.write(text)
+    on how many CPUs formatted it. The text and then its binary twin (see
+    :func:`read_gsf`) are each written to a temp file; the twin is renamed
+    first, so a failed write leaves both files as they were."""
+    import hashlib
+
+    digest = hashlib.sha256()
+
+    def write_twin(tmp: Path) -> None:
+        head = {"format": _TWIN_FORMAT, "sha256": digest.hexdigest(),
+                "frames": [_header_lines(grid) for grid in stack]}
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(head).encode("ascii") + b"\n")
+            for grid in stack:
+                fh.write(np.ascontiguousarray(grid.values, "<f8"))
+
+    def write_text(tmp: Path) -> None:
+        with open(tmp, "wb") as fh, closing(_frame_texts(stack)) as texts:
+            for i, text in enumerate(texts):
+                for part in (b"---\n", text) if i else (text,):
+                    fh.write(part)
+                    digest.update(part)
+        _write_atomic(_twin_path(path), write_twin)
+
+    _write_atomic(path, write_text)
 
 
 def _parse_payload(data_lines: list[str], ncols: int, lineno: int) -> np.ndarray:
@@ -517,22 +575,10 @@ def _same_numbers(fields: tuple, geometry: GridGeometry) -> bool:
     return fields == own and repr(fields) == repr(own)
 
 
-def _parse_frame(lines: list[str], lineno0: int, previous: GridGeometry | None) -> GeoGrid:
-    """Parse one frame's lines; lineno0 is the 1-based file line of 'GSF1'.
-
-    The frame takes ``previous`` (the geometry of the frame before it) when
-    its six geometry values are the same numbers bit for bit, so a stack
-    read back holds one geometry object and its axes are computed once.
-    Equal values with unequal reprs (``0.0`` and ``-0.0``) and NaN keep
-    their own geometry, so the bytes written back and the checks of
-    :class:`GridStack` are those of a geometry per frame."""
-    if not lines or lines[0] != "GSF1":
-        raise GsfError(f"line {lineno0}: expected 'GSF1' magic, got {lines[0] if lines else '<eof>'!r}")
-    if len(lines) < 1 + len(_HEADER_KEYS):
-        raise GsfError(f"line {lineno0}: truncated frame header")
+def _parse_head(lines: Sequence[str], lineno0: int) -> dict:
+    """A frame's ten ``key=value`` header lines parsed, by key; lineno0 is its 'GSF1' line."""
     head = {}
-    for off, (key, parse) in enumerate(zip(_HEADER_KEYS, _HEADER_PARSERS), start=1):
-        line = lines[off]
+    for off, (key, parse, line) in enumerate(zip(_HEADER_KEYS, _HEADER_PARSERS, lines), start=1):
         k, sep, v = line.partition("=")
         if sep != "=" or k != key:
             raise GsfError(f"line {lineno0 + off}: expected '{key}=...', got {line!r}")
@@ -540,15 +586,17 @@ def _parse_frame(lines: list[str], lineno0: int, previous: GridGeometry | None) 
             head[key] = parse(v)
         except ValueError as exc:
             raise GsfError(f"line {lineno0 + off}: bad {key}: {exc}") from None
-    nrows, ncols = head["nrows"], head["ncols"]
+    return head
 
-    data_lines = lines[1 + len(_HEADER_KEYS):]
-    if len(data_lines) != nrows:
-        raise GsfError(
-            f"line {lineno0}: payload error: expected {nrows} data lines, got {len(data_lines)}"
-        )
-    values = _parse_payload(data_lines, ncols, lineno0 + 1 + len(_HEADER_KEYS))
-    fields = (head["lat_min"], head["lon_min"], head["dlat"], head["dlon"], nrows, ncols)
+
+def _make_frame(head: dict, values: np.ndarray, lineno0: int, previous: GridGeometry | None) -> GeoGrid:
+    """The checked frame of a parsed header and its values. It takes
+    ``previous``, the geometry of the frame before, when its six geometry
+    values are the same numbers bit for bit, so a stack read back holds one
+    geometry object and its axes are computed once. Equal values with unequal
+    reprs (``0.0``, ``-0.0``) and NaN keep their own geometry, so the bytes
+    written back and :class:`GridStack`'s checks are those of one per frame."""
+    fields = tuple(head[k] for k in ("lat_min", "lon_min", "dlat", "dlon", "nrows", "ncols"))
     try:
         if previous is not None and _same_numbers(fields, previous):
             geometry = previous
@@ -560,6 +608,21 @@ def _parse_frame(lines: list[str], lineno0: int, previous: GridGeometry | None) 
         )
     except ValueError as exc:
         raise GsfError(f"line {lineno0}: invalid frame: {exc}") from None
+
+
+def _parse_frame(lines: list[str], lineno0: int, previous: GridGeometry | None) -> GeoGrid:
+    """Parse one frame's lines; lineno0 is the 1-based file line of 'GSF1'."""
+    if not lines or lines[0] != "GSF1":
+        raise GsfError(f"line {lineno0}: expected 'GSF1' magic, got {lines[0] if lines else '<eof>'!r}")
+    if len(lines) < 1 + len(_HEADER_KEYS):
+        raise GsfError(f"line {lineno0}: truncated frame header")
+    head = _parse_head(lines[1:1 + len(_HEADER_KEYS)], lineno0)
+    data_lines = lines[1 + len(_HEADER_KEYS):]
+    if len(data_lines) != head["nrows"]:
+        raise GsfError(f"line {lineno0}: payload error: expected {head['nrows']} data lines, "
+                       f"got {len(data_lines)}")
+    values = _parse_payload(data_lines, head["ncols"], lineno0 + 1 + len(_HEADER_KEYS))
+    return _make_frame(head, values, lineno0, previous)
 
 
 def parse_gsf(lines: Iterable[str]) -> GridStack:
@@ -589,9 +652,44 @@ def parse_gsf(lines: Iterable[str]) -> GridStack:
         raise GsfError(str(exc)) from None
 
 
+def _read_twin(path) -> GridStack | None:
+    """The stack the twin of ``path`` holds, one frame at a time, through the
+    text route's header parsing and frame checks; or None for a missing or
+    stale twin, one of the wrong size, or any other fault."""
+    try:
+        with open(_twin_path(path), "rb") as twin:
+            import hashlib
+
+            meta = json.loads(twin.readline())
+            digest = hashlib.sha256()
+            with open(path, "rb") as text:
+                while chunk := text.read(1 << 20):
+                    digest.update(chunk)
+            if (meta["format"], meta["sha256"]) != (_TWIN_FORMAT, digest.hexdigest()):
+                return None
+            heads = [_parse_head(lines, 0) for lines in meta["frames"]]
+            size = twin.tell() + sum(8 * h["nrows"] * h["ncols"] for h in heads)
+            if size != os.fstat(twin.fileno()).st_size:
+                return None
+            frames: list[GeoGrid] = []
+            for head in heads:
+                values = np.empty((head["nrows"], head["ncols"]), "<f8")
+                if twin.readinto(values) != values.nbytes:
+                    return None
+                frames.append(_make_frame(head, values, 0, frames[-1].geometry if frames else None))
+            return GridStack(frames)
+    except Exception:  # any fault, of any type: the text route decides the result or error
+        return None
+
+
 def read_gsf(path) -> GridStack:
     """Read a GSF file; frames come back in file order. Lines may end in
-    LF, CRLF or CR, and a byte that is not UTF-8 is reported with its line."""
+    LF, CRLF or CR, and a byte that is not UTF-8 is reported with its line.
+    The text is not parsed when the twin :func:`write_gsf` left records its
+    SHA-256 as it is now; then the twin gives the same stack, faster."""
+    stack = _read_twin(path)
+    if stack is not None:
+        return stack
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_gsf(fh)
@@ -674,9 +772,18 @@ def region_windows(geometry: GridGeometry, regions: tuple[RegionBox, ...]) -> Wi
 # Regions file
 # ---------------------------------------------------------------------------
 
+def _check_region_name(name: str) -> str:
+    """``name``, if a regions file line can carry it: one token, no '#'."""
+    if name.split() != [name] or "#" in name:
+        raise ValueError(f"region name {name!r} cannot hold whitespace or '#'")
+    return name
+
+
 def read_regions(path) -> list[RegionBox]:
-    """Read a regions file: ``name lat_min lat_max lon_min lon_max`` per line."""
+    """Read a regions file: ``name lat_min lat_max lon_min lon_max`` per
+    line. A name given on two lines fails, naming both."""
     regions: list[RegionBox] = []
+    seen: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -686,6 +793,9 @@ def read_regions(path) -> list[RegionBox]:
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 'name lat_min lat_max lon_min lon_max'")
             name = parts[0]
+            if name in seen:
+                raise ValueError(f"{path}:{lineno}: region {name!r} is already named on line {seen[name]}")
+            seen[name] = lineno
             try:
                 vals = [float(p) for p in parts[1:]]
             except ValueError as exc:
@@ -695,6 +805,9 @@ def read_regions(path) -> list[RegionBox]:
 
 
 def write_regions(regions: Sequence[RegionBox], path) -> None:
+    """Write a regions file; a name one line cannot carry fails first."""
+    for r in regions:
+        _check_region_name(r.name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in regions:
             fh.write(f"{r.name} {_fmt(r.lat_min)} {_fmt(r.lat_max)} {_fmt(r.lon_min)} {_fmt(r.lon_max)}\n")

@@ -39,6 +39,7 @@ from .geogrid import (
     GridStack,
     RegionBox,
     Variable,
+    _check_region_name,
     format_time,
     parse_time,
     region_indices,
@@ -598,7 +599,7 @@ def read_scenario(path) -> ScenarioSpec:
                                        partial(CellSpec, name)))
         elif kind == "region" and name:
             regions.append(_read_section(path, parser[section], _REGION_KEYS, set(_REGION_KEYS),
-                                         partial(RegionBox, name)))
+                                         lambda **box: RegionBox(_check_region_name(name), **box)))
         else:
             raise ValueError(f"{path}: unknown section [{section}]")
 

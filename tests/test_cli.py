@@ -325,7 +325,8 @@ class TestSynth:
         out = tmp_path / "replay"
         assert cli.main(["synth", "--paper-replay", str(out)]) == 0
         names = sorted(p.name for p in out.iterdir())
-        assert names == ["bt.gsf", "nrcs.gsf", "rain.gsf", "truth.csv", "wind_lr.gsf"]
+        stacks = ["bt.gsf", "nrcs.gsf", "rain.gsf", "wind_lr.gsf"]
+        assert names == sorted([*stacks, "truth.csv", *(f".{name}.twin" for name in stacks)])
 
     def test_same_seed_same_bytes(self, tmp_path):
         spec = tmp_path / "s.ini"
@@ -376,6 +377,18 @@ class TestSynth:
             cli._write_atomic(target, failing_writer)
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
         assert target.read_text(encoding="utf-8") == "old\n"
+
+    @pytest.mark.parametrize("name", ["my box", "A#1"])
+    def test_region_name_a_regions_file_cannot_carry_is_1_before_any_output(self, tmp_path,
+                                                                           capsys, name):
+        spec = tmp_path / "s.ini"
+        spec.write_text(QUIET_SPEC.replace("[region Q]", f"[region {name}]"), encoding="utf-8")
+        code = cli.main(["synth", "--spec", str(spec), str(tmp_path / "out"),
+                         "--regions-out", str(tmp_path / "regions.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"cswarn synth: {spec}: [region {name}] region name "
+                                           f"{name!r} cannot hold whitespace or '#'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
 
     def test_exit_notice_printed(self, tmp_path, capsys):
         spec = tmp_path / "s.ini"
@@ -469,6 +482,26 @@ class TestFuseValidate:
         rows = {row["region"]: row for row in read_rows(pipeline["validation"])}
         assert rows["W"]["outcome"] == "hit"
         assert rows["NA"]["outcome"] == "quiet"
+
+    @pytest.mark.parametrize("command", ["validate", "fuse"])
+    def test_repeated_region_name_is_1_and_writes_nothing(self, tmp_path, pipeline, capsys,
+                                                          command):
+        """A second box named W, elsewhere, used to be scored as its own W."""
+        regions = tmp_path / "regions.txt"
+        regions.write_text("W 15.7 16.3 106.0 106.6\nNA 15.05 15.35 105.05 105.35\n"
+                           "W 15.05 15.35 105.4 105.7\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "validate":
+            argv = ["validate", str(pipeline["warnings"]), str(pipeline["flood"]), str(regions),
+                    "-o", str(out / "validation.csv")]
+        else:
+            argv = ["fuse", str(pipeline["data"]), str(regions), "-o", str(out / "warnings.csv"),
+                    "--rain-stats-out", str(out / "rain_stats.csv")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (f"cswarn {command}: {regions}:3: region 'W' is "
+                                           f"already named on line 1\n")
+        assert list(out.iterdir()) == []
 
     def test_warnings_round_trip(self, pipeline):
         reports = read_warnings_csv(pipeline["warnings"])

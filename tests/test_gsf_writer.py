@@ -318,4 +318,4 @@ def test_worker_code_refers_only_to_private_functions():
             seen.add(name)
             todo += [node.id for node in ast.walk(defs[name])
                      if isinstance(node, ast.Name) and node.id in defs]
-    assert seen == {"_worker_frame_text", "_frame_text", "_fmt"}
+    assert seen == {"_worker_frame_text", "_frame_text", "_header_lines", "_fmt"}
