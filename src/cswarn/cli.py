@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 from . import floodmap as fm
 from . import scenario as sc
-from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, CSObject, detect
+from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, CSObject, _observed, detect
 from .fusion import (
     DEFAULT_EPOCH_S,
     DEFAULT_WINDOW_S,
@@ -353,11 +353,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detections_per_frame(bt_path, cfg: EngineConfig) -> list[list[CSObject]]:
-    stack = read_gsf(bt_path)
-    if stack.variable is not Variable.BT:
-        raise ValueError(f"{bt_path}: expected BT frames, got {stack.variable.value}")
-    return [detect(f, t_deep=cfg.t_deep, min_area_px=cfg.min_area_px) for f in stack]
+def _read_stack(path, variable: Variable) -> GridStack:
+    """The stack in ``path``, which must hold ``variable`` frames."""
+    stack = read_gsf(path)
+    if stack.variable is not variable:
+        raise ValueError(f"{path}: expected {variable.value} frames, got {stack.variable.value}")
+    return stack
+
+
+def _detections_per_frame(bt_path, cfg: EngineConfig) -> list[Sequence[CSObject]]:
+    """The detections of each observed frame of a BT stack (``convection._observed``)."""
+    stack = _read_stack(bt_path, Variable.BT)
+    return _observed(stack, [detect(f, cfg.t_deep, cfg.min_area_px) for f in stack])
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -378,12 +385,14 @@ def cmd_track(args: argparse.Namespace) -> int:
 def _load_fuse_inputs(data_dir, cfg: EngineConfig):
     """Read the stacks in a directory that fuse recognises by file name.
 
-    bt.gsf and rain.gsf are taken directly; every wind_<name>.gsf becomes
-    a wind source; nrcs.gsf is inverted through the configured GMF into a
-    further wind source named "nrcs". Any other file is not read; the
-    ``.<name>.gsf.twin`` twin of a stack is read only for a stack read
-    here, and a twin never ends in ``.gsf``. Every source is named before
-    any file is read: an empty name or two files giving one name fail.
+    bt.gsf (BT) and rain.gsf (RAIN_RATE) are taken directly; every
+    wind_<name>.gsf (WIND_SPEED) becomes a wind source; nrcs.gsf (NRCS) is
+    inverted through the configured GMF into a further wind source named
+    "nrcs". A stack of another variable fails, naming its file. Any other
+    file is not read; the ``.<name>.gsf.twin`` twin of a stack is read only
+    for a stack read here, and a twin never ends in ``.gsf``. Every source
+    is named before any file is read: an empty name or two files giving
+    one name fail.
     """
     data_dir = Path(data_dir)
     paths: dict[str, Path] = {}
@@ -404,12 +413,13 @@ def _load_fuse_inputs(data_dir, cfg: EngineConfig):
 
     def wind_stack(path: Path) -> GridStack:
         if path.name != "nrcs.gsf":
-            return read_gsf(path)
+            return _read_stack(path, Variable.WIND_SPEED)
         gmf = get_gmf(cfg.gmf)
         return GridStack([retrieve_wind_grid(f, NRCS_DEFAULT_GEOMETRY, gmf, v_max=cfg.v_max)
-                          for f in read_gsf(path)])
+                          for f in _read_stack(path, Variable.NRCS)])
 
-    bt, rain = (read_gsf(paths[k]) if k in paths else None for k in ("bt", "rain"))
+    bt, rain = (_read_stack(paths[k], variable) if k in paths else None
+                for k, variable in (("bt", Variable.BT), ("rain", Variable.RAIN_RATE)))
     return bt, rain, {source: wind_stack(path) for source, path in wind.items()}
 
 
@@ -443,9 +453,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _read_single_frame(path, variable: Variable) -> GeoGrid:
-    stack = read_gsf(path)
-    if stack.variable is not variable:
-        raise ValueError(f"{path}: expected {variable.value}, got {stack.variable.value}")
+    stack = _read_stack(path, variable)
     if len(stack) != 1:
         raise ValueError(f"{path}: expected exactly one frame, got {len(stack)}")
     return stack[0]

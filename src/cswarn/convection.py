@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -238,3 +239,10 @@ def _frame_objects(bt: GeoGrid, t_deep: float, min_area_px: int) -> tuple[CSObje
     call for a frame already detected with these parameters."""
     return _per_frame(bt, ("detect", t_deep, min_area_px),
                       lambda: tuple(detect(bt, t_deep, min_area_px)))
+
+
+def _observed(frames: Iterable[GeoGrid], detections: Sequence[Sequence[CSObject]]) -> list:
+    """The detections of each of ``frames`` that holds a finite cell, for
+    ``tracking.build_tracks``; only a frame without objects is scanned."""
+    return [objects for frame, objects in zip(frames, detections)
+            if objects or frame.finite_mask.any()]

@@ -28,9 +28,11 @@ grid geometry (``geogrid.region_windows``). A BT table holds each
 window's object cover and coldest touching object, a rain table its
 missing count, max rate and cell rates, and a wind table its max rank.
 An epoch bisects the frame times and reduces its frames' tables for all
-regions at once. Each live track's motion fit and forecast path are found
-once per epoch, and only regions its swept envelope meets are tested; its
-footprint wind is looked up only when its path reaches a region.
+regions at once, in one ``precip.region_rain_stats`` and one
+``wind.region_max_category`` call. Each live track's motion fit and
+forecast path are found once per epoch, and only regions its swept
+envelope meets are tested; its footprint wind, the same wind call for
+its last bbox, is looked up only when its path reaches a region.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, _frame_objects
+from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, _frame_objects, _observed
 from .geogrid import GeoGrid, GridStack, RegionBox, WindowLayout, _per_frame, region_windows
-from .precip import (R_HEAVY_DEFAULT_MMH, EmptyWindowError, RainStats, rain_stats_by_region,
-                     region_rain_stats)
+from .precip import R_HEAVY_DEFAULT_MMH, RainStats, region_rain_stats
 from .tracking import (
     DEFAULT_FIT_WINDOW,
     DEFAULT_MAX_GAP_KM,
@@ -55,8 +56,7 @@ from .tracking import (
     forecast,
     time_to_region,
 )
-from .wind import (DEFAULT_BINS, RegionCategory, WindCategory, categorize_grid,
-                   max_category_by_region, region_max_category)
+from .wind import DEFAULT_BINS, WindCategory, categorize_grid, region_max_category
 
 DEFAULT_WINDOW_S = 10800
 DEFAULT_EPOCH_S = 1800
@@ -206,14 +206,14 @@ def build_indicators(
             cover, cold = _per_frame(f, key, lambda: _cloud_table(f, layout, t_deep, min_area_px))
             fraction, min_bt = np.maximum(fraction, cover), np.minimum(min_bt, cold)
         bt_seen = layout.n_cells > 0
-    ranks, sources = max_category_by_region(wind_cat_stacks, regions, window_start, epoch)
+    ranks, sources = region_max_category(wind_cat_stacks, regions, window_start, epoch)
 
     observed = [t.up_to(epoch) for t in tracks]
     live = [t for t in observed if len(t.observations) >= 2 and window_start < t.last.time]
     # Each region's first forecast hit, and the footprint wind of each live
     # track whose path reaches it, looked up at the track's first hit.
     approach: list[int | None] = [None] * len(regions)
-    footprints: list[list[RegionCategory]] = [[] for _ in regions]
+    footprints: list[list[tuple[int, int]]] = [[] for _ in regions]
     edges = np.array([[r.lat_min, r.lat_max, r.lon_min, r.lon_max] for r in regions])
     lat_min, lat_max, lon_min, lon_max = edges.reshape(-1, 4).T
     for track in live:
@@ -226,8 +226,8 @@ def build_indicators(
             h = time_to_region(path, regions[j])
             if h is not None:
                 approach[j] = h if approach[j] is None else min(approach[j], h)
-                footprint = footprint or region_max_category(
-                    wind_cat_stacks, track.last.bbox, window_start, epoch)
+                footprint = footprint or tuple(int(a[0]) for a in region_max_category(
+                    wind_cat_stacks, [track.last.bbox], window_start, epoch))
                 footprints[j].append(footprint)
 
     out = []
@@ -240,8 +240,8 @@ def build_indicators(
             epoch=epoch,
             deep_cloud_fraction=cover,
             min_bt_K=cold if cold < math.inf else None,
-            wind_cat=WindCategory(max([rank, *(f.category for f in reaching)])),
-            wind_no_observation=n_wind == 0 and all(f.sources == 0 for f in reaching),
+            wind_cat=WindCategory(max([rank, *(r for r, _ in reaching)])),
+            wind_no_observation=n_wind == 0 and all(n == 0 for _, n in reaching),
             max_rain_mmh=stats.max_rate_mmh if stats else 0.0,
             rain_persistence_h=stats.persistence_h if stats else 0.0,
             approach_s=arrival,
@@ -300,7 +300,7 @@ class FusionEngine:
         self.rain = rain if rain is not None and len(rain) >= 2 else None
 
         self.detections = [_frame_objects(frame, t_deep, min_area_px) for frame in bt or ()]
-        self.tracks = build_tracks(self.detections, max_gap_km)
+        self.tracks = build_tracks(_observed(bt or (), self.detections), max_gap_km)
 
         categorize_key = ("categorize", tuple(bins))
         self.wind_cat_stacks: list[GridStack] = []
@@ -316,16 +316,13 @@ class FusionEngine:
         if self.rain is None:
             return None
         start = epoch - timedelta(seconds=self.window_s)
-        try:
-            return region_rain_stats(self.rain, region, start, epoch, self.rules.r_heavy_mmh)
-        except EmptyWindowError:
-            return None
+        return region_rain_stats(self.rain, [region], start, epoch, self.rules.r_heavy_mmh)[0]
 
     def run_epoch(self, epoch: datetime) -> list[WarningReport]:
         """One WarningReport per region, ordered by region name."""
         start = epoch - timedelta(seconds=self.window_s)
         rain = ([None] * len(self.regions) if self.rain is None else
-                rain_stats_by_region(self.rain, self.regions, start, epoch, self.rules.r_heavy_mmh))
+                region_rain_stats(self.rain, self.regions, start, epoch, self.rules.r_heavy_mmh))
         indicators = build_indicators(
             epoch, self.regions, self.bt, self.tracks, self.wind_cat_stacks,
             {r.name: s for r, s in zip(self.regions, rain)}, self.window_s, self.fit_window,

@@ -781,7 +781,7 @@ def _check_region_name(name: str) -> str:
 
 def read_regions(path) -> list[RegionBox]:
     """Read a regions file: ``name lat_min lat_max lon_min lon_max`` per
-    line. A name given on two lines fails, naming both."""
+    line. Each fault names its line; a name given twice names both."""
     regions: list[RegionBox] = []
     seen: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -796,11 +796,10 @@ def read_regions(path) -> list[RegionBox]:
             if name in seen:
                 raise ValueError(f"{path}:{lineno}: region {name!r} is already named on line {seen[name]}")
             seen[name] = lineno
-            try:
-                vals = [float(p) for p in parts[1:]]
+            try:  # a bad number, or bounds RegionBox rejects
+                regions.append(RegionBox(name, *(float(p) for p in parts[1:])))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad number: {exc}") from None
-            regions.append(RegionBox(name, vals[0], vals[1], vals[2], vals[3]))
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return regions
 
 

@@ -7,9 +7,9 @@ additive. Missing cells contribute zero water but are surfaced through a
 per-cell missing fraction; inventing rainfall by interpolation is worse
 than under-counting with a flag.
 
-Decision-time statistics (:func:`region_rain_stats`) use a trailing
-window (start, end], the same convention the fusion stage applies to all
-sensors at an epoch.
+Decision-time statistics (:func:`region_rain_stats`, for many regions at
+once) use a trailing window (start, end], the same convention the fusion
+stage applies to all sensors at an epoch.
 """
 
 from __future__ import annotations
@@ -92,18 +92,31 @@ def _rain_table(frame: GeoGrid, layout: WindowLayout) -> tuple[np.ndarray, ...]:
     return layout.reduce(np.add, (~finite).astype(np.int64), 0), top, filled
 
 
-def rain_stats_by_region(
+def region_rain_stats(
     stack: GridStack,
     regions: Sequence[RegionBox],
     start: datetime,
     end: datetime,
     r_heavy: float = R_HEAVY_DEFAULT_MMH,
 ) -> list[RainStats | None]:
-    """:func:`region_rain_stats` of each of ``regions`` at once, or None
-    for a region off the rain grid or when no frame lies in the window.
-    Each frame's table over all the windows is computed once per frame and
-    layout (``geogrid._per_frame``); ``r_heavy`` and the cadence are applied
-    per call, cell by cell in frame order, as a loop over one region would.
+    """Rainfall summary of each of ``regions`` over its cells and the
+    frames with start < t <= end, in region order; None for a region with
+    no samples: one off the rain grid, or no frame in the window.
+
+    - max_rate_mmh: max finite rate over all (cell, frame) samples.
+    - accum_mm: accumulated depth of the wettest cell in the region.
+    - persistence_h: longest run of consecutive frames whose region-max
+      rate reaches ``r_heavy``, converted to hours.
+    - missing_fraction: missing share of all (cell, frame) samples.
+
+    Each frame's rate applies for the stack's nominal cadence
+    (:meth:`GridStack.cadence_s`), which a one-frame stack lacks
+    (ValueError). Frames whose region cells are all missing interrupt a
+    heavy run, and so does a spacing above that interval (a dropped
+    frame): rain that was not observed never counts as heavy. Each
+    frame's table over all the windows is computed once per frame and
+    layout (``geogrid._per_frame``); ``r_heavy`` and the cadence are
+    applied per call, cell by cell in frame order.
     """
     if stack.variable is not Variable.RAIN_RATE:
         raise TypeError(f"region_rain_stats needs RAIN_RATE frames, got {stack.variable.value}")
@@ -136,36 +149,3 @@ def rain_stats_by_region(
     return [RainStats(region.name, start, end, rate, wettest, min(frames_run * dt_h, window_h),
                       missing / (len(frames) * cells)) if cells else None
             for region, rate, wettest, frames_run, missing, cells in per_region]
-
-
-def region_rain_stats(
-    stack: GridStack,
-    region: RegionBox,
-    start: datetime,
-    end: datetime,
-    r_heavy: float = R_HEAVY_DEFAULT_MMH,
-) -> RainStats:
-    """Rainfall summary over region cells and frames with start < t <= end.
-
-    - max_rate_mmh: max finite rate over all (cell, frame) samples.
-    - accum_mm: accumulated depth of the wettest cell in the region.
-    - persistence_h: longest run of consecutive frames whose region-max
-      rate reaches ``r_heavy``, converted to hours.
-    - missing_fraction: missing share of all (cell, frame) samples.
-
-    Each frame's rate applies for the stack's nominal cadence
-    (:meth:`GridStack.cadence_s`). Frames whose region cells are all
-    missing interrupt a heavy run, and so does a spacing above that
-    interval (a dropped frame): rain that was not observed never counts
-    as heavy. Raises EmptyWindowError when the window holds no samples:
-    no frames, or a region outside the rain grid. A one-frame stack has
-    no cadence and raises ValueError. This is :func:`rain_stats_by_region`
-    for the one region.
-    """
-    on_grid = region_windows(stack.geometry, (region,)).n_cells[0] > 0
-    if stack.variable is Variable.RAIN_RATE and not on_grid:
-        raise EmptyWindowError(f"region {region.name!r} is outside the rain grid extent")
-    stats = rain_stats_by_region(stack, [region], start, end, r_heavy)[0]
-    if stats is None:
-        raise EmptyWindowError(f"no rain frames in ({start}, {end}]")
-    return stats

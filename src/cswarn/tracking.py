@@ -4,7 +4,9 @@ Association is greedy nearest-centroid matching with a distance gate:
 transparent, order-independent (ties broken deterministically), and
 adequate at 10-minute cadence where a cell moves far less than the spacing
 between distinct systems. Splits and merges are not modeled; they appear
-as one track ending and another starting.
+as one track ending and another starting. A BT frame with no finite cell
+was not observed, so association skips it as a dropped frame
+(``convection._observed``); as a clear sky it would end every track.
 
 Motion is a least-squares linear fit of centroid latitude and longitude
 over the trailing ``fit_window`` observations, which smooths the labeling

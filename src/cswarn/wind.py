@@ -17,7 +17,9 @@ Two models ship:
 
 Severity bins follow the operational categories none / weak / moderate /
 severe with boundaries at 5, 10, and 15 m/s, half-open so every speed
-maps to exactly one category (15 m/s is severe).
+maps to exactly one category (15 m/s is severe). A region's severity over
+a window is its max over every source, cell and frame, found for many
+regions at once (:func:`region_max_category`).
 """
 
 from __future__ import annotations
@@ -274,25 +276,17 @@ def categorize_grid(wind: GeoGrid, bins: Sequence[float] = DEFAULT_BINS) -> GeoG
     return wind._with_values_unchecked(out, Variable.WIND_CAT)
 
 
-@dataclass(frozen=True)
-class RegionCategory:
-    """Windowed per-region wind severity and how many sources observed it."""
-
-    category: WindCategory
-    sources: int  # stacks with a finite cell in the region and window
-
-
-def max_category_by_region(
+def region_max_category(
     sources: Iterable[GridStack],
     regions: Sequence[RegionBox],
     window_start: datetime,
     window_end: datetime,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`region_max_category` of each of ``regions`` at once,
-    as arrays of category ranks and source counts in region order. Each
-    frame's max rank in every window of its layout (-1 with no finite
-    cell) is computed once per frame and layout (``geogrid._per_frame``).
-    """
+    """Max category rank over all sources, region cells and frames with
+    ``window_start < t <= window_end``, and the number of sources with a
+    finite cell there, as arrays in region order: a region nobody observed
+    gets rank 0 (NONE) from 0 sources. Each frame's max rank per window is
+    computed once per frame and layout (``geogrid._per_frame``)."""
     best = observed = np.zeros(len(regions), dtype=np.int64)
     for stack in sources:
         if stack.variable is not Variable.WIND_CAT:
@@ -310,19 +304,3 @@ def _rank_table(frame: GeoGrid, layout: WindowLayout) -> np.ndarray:
     """Each window's max category rank, -1 where no cell is finite."""
     block = frame.values.ravel()[layout.cells]
     return layout.reduce(np.maximum, np.where(block != frame.nodata, block, -1.0), -1.0)
-
-
-def region_max_category(
-    sources: Iterable[GridStack],
-    region: RegionBox,
-    window_start: datetime,
-    window_end: datetime,
-) -> RegionCategory:
-    """Max category over all sources, region cells, and window frames.
-
-    Frames count when ``window_start < t <= window_end``. With no finite
-    cell anywhere, returns NONE from zero sources. This is
-    :func:`max_category_by_region` for the one region.
-    """
-    best, observed = max_category_by_region(sources, [region], window_start, window_end)
-    return RegionCategory(WindCategory(int(best[0])), int(observed[0]))

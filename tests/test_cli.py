@@ -430,6 +430,23 @@ class TestDetectTrack:
         assert float(last["speed_mps"]) == pytest.approx(8.0, rel=0.05)
         assert float(last["bearing_deg"]) == pytest.approx(270.0, abs=5.0)
 
+    @pytest.mark.parametrize("k", [1, 12, -2])
+    def test_blank_bt_frame_is_a_dropped_frame(self, tmp_path, pipeline, k):
+        """A frame with no finite cell used to end the storm's one track."""
+        frames = list(read_gsf(pipeline["data"] / "bt.gsf"))
+        k %= len(frames)
+        blank = frames[k].with_values(np.full(frames[k].values.shape, frames[k].nodata))
+        write_gsf(GridStack([*frames[:k], blank, *frames[k + 1:]]), tmp_path / "blank.gsf")
+        write_gsf(GridStack(frames[:k] + frames[k + 1:]), tmp_path / "dropped.gsf")
+        for name in ("blank", "dropped"):
+            for command in ("track", "detect"):
+                assert cli.main([command, str(tmp_path / f"{name}.gsf"),
+                                 "-o", str(tmp_path / f"{name}_{command}.csv")]) == 0
+        for command in ("track", "detect"):
+            assert ((tmp_path / f"blank_{command}.csv").read_bytes()
+                    == (tmp_path / f"dropped_{command}.csv").read_bytes())
+        assert {row["track_id"] for row in read_rows(tmp_path / "blank_track.csv")} == {"1"}
+
 
 # ---------------------------------------------------------------------------
 # fuse / validate
@@ -501,6 +518,46 @@ class TestFuseValidate:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == (f"cswarn {command}: {regions}:3: region 'W' is "
                                            f"already named on line 1\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("box", ["A 16.0 15.0 107.0 108.0", "A nan 16.0 107.0 108.0",
+                                     "A 15.0 16.0 108.0 107.0"])
+    @pytest.mark.parametrize("command", ["validate", "fuse"])
+    def test_rejected_region_box_names_its_line_and_writes_nothing(self, tmp_path, pipeline,
+                                                                   capsys, command, box):
+        regions = tmp_path / "regions.txt"
+        regions.write_text(f"W 15.7 16.3 106.0 106.6\n{box}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "validate":
+            argv = ["validate", str(pipeline["warnings"]), str(pipeline["flood"]), str(regions),
+                    "-o", str(out / "validation.csv")]
+        else:
+            argv = ["fuse", str(pipeline["data"]), str(regions), "-o", str(out / "warnings.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        bound = "lon" if box.endswith("107.0") else "lat"
+        assert err == f"cswarn {command}: {regions}:2: region 'A': {bound}_min must be < {bound}_max\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("target,source,variable", [
+        ("bt.gsf", "rain.gsf", "BT"), ("rain.gsf", "bt.gsf", "RAIN_RATE"),
+        ("wind_lr.gsf", "rain.gsf", "WIND_SPEED"), ("nrcs.gsf", "rain.gsf", "NRCS"),
+    ])
+    def test_stack_of_the_wrong_variable_names_its_file(self, tmp_path, pipeline, capsys,
+                                                         target, source, variable):
+        """These failed in the first function to see the stack, which named
+        no file: ``convective_mask needs a BT grid, got RAIN_RATE``."""
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        shutil.copy(pipeline["data"] / source, data / target)
+        got = read_gsf(data / source).variable.value
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["fuse", str(data), str(pipeline["regions"]), "-o", str(out / "w.csv"),
+                         "--rain-stats-out", str(out / "r.csv")]) == 1
+        assert capsys.readouterr().err == (f"cswarn fuse: {data / target}: expected {variable} "
+                                           f"frames, got {got}\n")
         assert list(out.iterdir()) == []
 
     def test_warnings_round_trip(self, pipeline):

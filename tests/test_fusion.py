@@ -212,7 +212,7 @@ class TestBuildIndicators:
 
 
 @pytest.fixture(scope="module")
-def busy_engine():
+def busy_case():
     """Four hours of the paper replay plus three cells: one moving north-west
     with strong wind, one stationary and one that dies after an hour."""
     spec = paper_replay_spec()
@@ -225,7 +225,12 @@ def busy_engine():
                  radius_km=20.0, death_s=3600),
     )
     spec = dataclasses.replace(spec, duration_s=14400, cells=spec.cells + extra)
-    data = generate(spec, seed=0)
+    return spec, generate(spec, seed=0)
+
+
+@pytest.fixture(scope="module")
+def busy_engine(busy_case):
+    spec, data = busy_case
     return FusionEngine(list(spec.regions), bt=data.bt, rain=data.rain,
                         wind_speed=dict(data.wind))
 
@@ -273,9 +278,9 @@ class TestOncePerEpoch:
         boxes = []
         real = fusion.region_max_category
 
-        def counting(stacks, box, *args, **kwargs):
-            boxes.append(box)
-            return real(stacks, box, *args, **kwargs)
+        def counting(stacks, regions, *args, **kwargs):
+            boxes.append(tuple(regions))
+            return real(stacks, regions, *args, **kwargs)
 
         monkeypatch.setattr(fusion, "region_max_category", counting)
         skipped = reached = 0
@@ -291,9 +296,10 @@ class TestOncePerEpoch:
                        is not None for r in engine.regions)
             ]
             skipped += len(live) - len(reaching)
-            # The regions' own wind comes from the per-frame tables; each
-            # lookup left is one reaching track's footprint.
-            assert Counter(boxes) == Counter(t.last.bbox for t in reaching)
+            # One call for the regions' own wind; each call left is one
+            # reaching track's footprint.
+            assert Counter(boxes) == Counter([tuple(engine.regions),
+                                              *((t.last.bbox,) for t in reaching)])
             reached += len(reaching)
         assert skipped > 0 and reached > 0
 
@@ -462,6 +468,28 @@ class TestRunEpoch:
         assert report.indicators.wind_no_observation is True
         assert report.indicators.rain_stats is None
         assert engine.rain_stats_at(epoch, off) is None
+
+
+class TestBlankBtFrame:
+    def test_blanking_any_interior_frame_equals_dropping_it(self, busy_case):
+        """A BT frame with no finite cell is not observed. It used to count
+        as a clear sky, which ended every track at it."""
+        spec, data = busy_case
+        frames = list(data.bt)
+        kw = {"rain": data.rain, "wind_speed": dict(data.wind)}
+        start, end = frames[0].time, frames[-1].time
+        bridged = 0
+        for k in range(1, len(frames) - 1):
+            blank = frames[k].with_values(np.full(frames[k].values.shape, frames[k].nodata))
+            blanked = FusionEngine(spec.regions, GridStack([*frames[:k], blank, *frames[k + 1:]]),
+                                   **kw)
+            dropped = FusionEngine(spec.regions, GridStack(frames[:k] + frames[k + 1:]), **kw)
+            assert len(blanked.detections) == len(frames) and blanked.detections[k] == ()
+            assert blanked.tracks == dropped.tracks
+            assert repr(blanked.run(start, end)) == repr(dropped.run(start, end))
+            bridged += any(t.observations[0].time < blank.time < t.last.time
+                           for t in dropped.tracks)
+        assert bridged == len(frames) - 2
 
 
 class TestFusionEngine:

@@ -17,7 +17,7 @@ from cswarn.precip import (
 )
 
 from conftest import T0, make_stack
-from oracles import region_cells
+from oracles import cell_lat, cell_lon, region_cells
 
 REGION = RegionBox("R", 10.5, 12.5, 20.5, 22.5)
 
@@ -113,19 +113,19 @@ class TestRegionRainStats:
 
     def test_six_heavy_half_hours_give_three_hours(self):
         stack = rain_stack([self.heavy_frame()] * 6)
-        stats = region_rain_stats(stack, REGION, t(-1800), t(5 * 1800))
+        stats = region_rain_stats(stack, [REGION], t(-1800), t(5 * 1800))[0]
         assert stats.persistence_h == pytest.approx(3.0)
         assert stats.max_rate_mmh == pytest.approx(9.0)
 
     def test_alternating_heavy_and_zero(self):
         frames = [self.heavy_frame() if i % 2 == 0 else np.zeros((4, 4)) for i in range(6)]
         stack = rain_stack(frames)
-        stats = region_rain_stats(stack, REGION, t(-1800), t(5 * 1800))
+        stats = region_rain_stats(stack, [REGION], t(-1800), t(5 * 1800))[0]
         assert stats.persistence_h == pytest.approx(0.5)
 
     def test_zero_rain_zeroes_all_stats(self):
         stack = rain_stack([np.zeros((4, 4))] * 4)
-        stats = region_rain_stats(stack, REGION, t(-1800), t(3 * 1800))
+        stats = region_rain_stats(stack, [REGION], t(-1800), t(3 * 1800))[0]
         assert stats.max_rate_mmh == 0.0
         assert stats.accum_mm == 0.0
         assert stats.persistence_h == 0.0
@@ -134,7 +134,7 @@ class TestRegionRainStats:
         values = np.zeros((4, 4))
         values[0, 3] = 50.0     # outside REGION
         stack = rain_stack([values] * 2)
-        stats = region_rain_stats(stack, REGION, t(-1800), t(1800))
+        stats = region_rain_stats(stack, [REGION], t(-1800), t(1800))[0]
         assert stats.max_rate_mmh == 0.0
         assert stats.persistence_h == 0.0
 
@@ -143,7 +143,7 @@ class TestRegionRainStats:
         values[1, 1] = 12.0
         values[2, 2] = 4.0
         stack = rain_stack([values] * 2)
-        stats = region_rain_stats(stack, REGION, t(-1800), t(1800))
+        stats = region_rain_stats(stack, [REGION], t(-1800), t(1800))[0]
         assert stats.accum_mm == pytest.approx(12.0)    # 12 mm/h over two half hours
 
     def test_missing_fraction_counts_region_samples(self):
@@ -152,7 +152,7 @@ class TestRegionRainStats:
         hole = frame.copy()
         hole[1, 1] = -9999.0
         stack = rain_stack([frame, hole])
-        stats = region_rain_stats(stack, REGION, t(-1800), t(1800))
+        stats = region_rain_stats(stack, [REGION], t(-1800), t(1800))[0]
         assert stats.missing_fraction == pytest.approx(1.0 / 8.0)
 
     def test_all_missing_frame_breaks_a_run(self):
@@ -160,7 +160,7 @@ class TestRegionRainStats:
         frames = [self.heavy_frame(), self.heavy_frame(), gap,
                   self.heavy_frame(), self.heavy_frame(), self.heavy_frame()]
         stack = rain_stack(frames)
-        stats = region_rain_stats(stack, REGION, t(-1800), t(5 * 1800))
+        stats = region_rain_stats(stack, [REGION], t(-1800), t(5 * 1800))[0]
         assert stats.persistence_h == pytest.approx(1.5)
 
     def test_dropped_frame_breaks_a_run(self):
@@ -168,44 +168,54 @@ class TestRegionRainStats:
         # the gap is not observed, so the longest run is the last three.
         grids = list(rain_stack([self.heavy_frame()] * 6))
         stack = GridStack(grids[:2] + grids[3:])
-        stats = region_rain_stats(stack, REGION, t(-1800), t(5 * 1800))
+        stats = region_rain_stats(stack, [REGION], t(-1800), t(5 * 1800))[0]
         assert stats.persistence_h == pytest.approx(1.5)
         assert stats.max_rate_mmh == pytest.approx(9.0)
         assert stats.accum_mm == pytest.approx(9.0 * 0.5 * 5)
 
     def test_trailing_zero_frame_keeps_longest_run(self):
         frames = [self.heavy_frame()] * 4 + [np.zeros((4, 4))]
-        with_tail = region_rain_stats(rain_stack(frames), REGION,
-                                      t(-1800), t(4 * 1800))
-        without = region_rain_stats(rain_stack(frames[:4]), REGION,
-                                    t(-1800), t(3 * 1800))
+        with_tail = region_rain_stats(rain_stack(frames), [REGION],
+                                      t(-1800), t(4 * 1800))[0]
+        without = region_rain_stats(rain_stack(frames[:4]), [REGION],
+                                    t(-1800), t(3 * 1800))[0]
         assert with_tail.persistence_h == without.persistence_h
 
     def test_persistence_bounded_by_window(self):
         stack = rain_stack([self.heavy_frame()] * 6)
-        stats = region_rain_stats(stack, REGION, t(-1800), t(5 * 1800))
+        stats = region_rain_stats(stack, [REGION], t(-1800), t(5 * 1800))[0]
         window_h = (stats.window_end - stats.window_start).total_seconds() / 3600.0
         assert stats.persistence_h <= window_h
 
     def test_misaligned_window_clamps_persistence(self):
         stack = rain_stack([self.heavy_frame()] * 6)
-        stats = region_rain_stats(stack, REGION,
-                                  t(0) - timedelta(seconds=1), t(5 * 1800))
+        stats = region_rain_stats(stack, [REGION],
+                                  t(0) - timedelta(seconds=1), t(5 * 1800))[0]
         window_h = (stats.window_end - stats.window_start).total_seconds() / 3600.0
         assert stats.persistence_h == pytest.approx(window_h)
 
-    def test_region_outside_extent_raises(self):
-        stack = rain_stack([np.zeros((3, 3))])
+    def test_region_outside_extent_is_not_observed(self):
+        stack = rain_stack([np.full((3, 3), 9.0)] * 2)
         far = RegionBox("far", 50.0, 51.0, 20.0, 21.0)
-        with pytest.raises(ValueError):
-            region_rain_stats(stack, far, t(-1800), T0)
+        assert region_rain_stats(stack, [far], t(-1800), t(1800)) == [None]
+        near, off = region_rain_stats(stack, [REGION, far], t(-1800), t(1800))
+        assert near.max_rate_mmh == 9.0 and off is None
+
+    def test_empty_window_is_not_observed(self):
+        stack = rain_stack([np.full((4, 4), 9.0)] * 2)
+        assert region_rain_stats(stack, [REGION, REGION], t(3600), t(7200)) == [None, None]
+
+    def test_one_frame_stack_has_no_cadence(self):
+        stack = rain_stack([np.full((4, 4), 9.0)])
+        with pytest.raises(ValueError, match="cadence"):
+            region_rain_stats(stack, [REGION], t(-1800), T0)
 
     def test_persistence_monotone_in_threshold(self):
         rng = np.random.default_rng(5)
         frames = [rng.uniform(0.0, 40.0, size=(4, 4)) for _ in range(10)]
         stack = rain_stack(frames)
         persistence = [
-            region_rain_stats(stack, REGION, t(-1800), t(9 * 1800), r_heavy=r).persistence_h
+            region_rain_stats(stack, [REGION], t(-1800), t(9 * 1800), r_heavy=r)[0].persistence_h
             for r in np.linspace(0.0, 45.0, 16)
         ]
         assert persistence == sorted(persistence, reverse=True)
@@ -214,6 +224,8 @@ class TestRegionRainStats:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_sample_brute_force(self, seed):
+        # At least eight boxes per call, so numpy's vector paths run, among
+        # them one off the grid and one around a single cell center.
         rng = np.random.default_rng(seed)
         geom = GridGeometry(
             lat_min=float(rng.uniform(10, 12)), lon_min=float(rng.uniform(100, 102)),
@@ -223,33 +235,43 @@ class TestRegionRainStats:
         for _ in range(8):
             frame = rng.uniform(0.0, 20.0, size=(geom.nrows, geom.ncols))
             frame[rng.uniform(size=frame.shape) < 0.3] = -9999.0
+            frame[rng.uniform(size=frame.shape) < 0.1] = -0.0
             frames.append(frame)
         stack = rain_stack(frames, geometry=geom)
-        lat0 = geom.lat_min + rng.uniform(-0.2, 0.6) * geom.nrows * geom.dlat
-        lon0 = geom.lon_min + rng.uniform(-0.2, 0.6) * geom.ncols * geom.dlon
-        box = RegionBox("B", lat0, lat0 + rng.uniform(0.1, 1.5),
-                        lon0, lon0 + rng.uniform(0.1, 1.5))
+        boxes = [RegionBox("off", geom.lat_min - 5.0, geom.lat_min - 4.0,
+                           geom.lon_min, geom.lon_min + 1.0)]
+        r, c = int(rng.integers(geom.nrows)), int(rng.integers(geom.ncols))
+        lat, lon = cell_lat(geom, r), cell_lon(geom, c)
+        boxes.append(RegionBox("one", lat - geom.dlat / 4, lat + geom.dlat / 4,
+                               lon - geom.dlon / 4, lon + geom.dlon / 4))
+        for i in range(int(rng.integers(6, 12))):
+            lat0 = geom.lat_min + rng.uniform(-0.2, 0.6) * geom.nrows * geom.dlat
+            lon0 = geom.lon_min + rng.uniform(-0.2, 0.6) * geom.ncols * geom.dlon
+            boxes.append(RegionBox(f"B{i}", lat0, lat0 + rng.uniform(0.1, 1.5),
+                                   lon0, lon0 + rng.uniform(0.1, 1.5)))
         start, end = t(int(rng.integers(-2, 4)) * 1800), t(7 * 1800)
-        cells = region_cells(geom, box)
-        if not cells:
-            with pytest.raises(EmptyWindowError):
-                region_rain_stats(stack, box, start, end, r_heavy=12.0)
-            return
-
         window = [f for i, f in enumerate(frames) if start < t(i * 1800) <= end]
-        samples = [[f[r, c] for r, c in cells] for f in window]
-        live = [[v for v in frame if v != -9999.0] for frame in samples]
-        longest = run = 0
-        for vals in live:
-            run = run + 1 if vals and max(vals) >= 12.0 else 0
-            longest = max(longest, run)
-        depth = {cell: sum(f[cell] * 0.5 for f in window if f[cell] != -9999.0)
-                 for cell in cells}
 
-        stats = region_rain_stats(stack, box, start, end, r_heavy=12.0)
-        assert stats.max_rate_mmh == max((max(v) for v in live if v), default=0.0)
-        assert stats.accum_mm == pytest.approx(max(depth.values()), rel=1e-12)
-        assert stats.persistence_h == pytest.approx(
-            min(longest * 0.5, (end - start).total_seconds() / 3600.0))
-        missing = sum(len(frame) - len(vals) for frame, vals in zip(samples, live))
-        assert stats.missing_fraction == pytest.approx(missing / (len(window) * len(cells)))
+        all_stats = region_rain_stats(stack, boxes, start, end, r_heavy=12.0)
+        assert len(all_stats) == len(boxes) >= 8
+        assert all_stats[0] is None and len(region_cells(geom, boxes[1])) == 1
+        for box, stats in zip(boxes, all_stats):
+            cells = region_cells(geom, box)
+            if not cells:
+                assert stats is None
+                continue
+            samples = [[f[r, c] for r, c in cells] for f in window]
+            live = [[v for v in frame if v != -9999.0] for frame in samples]
+            longest = run = 0
+            for vals in live:
+                run = run + 1 if vals and max(vals) >= 12.0 else 0
+                longest = max(longest, run)
+            depth = {cell: sum(f[cell] * 0.5 for f in window if f[cell] != -9999.0)
+                     for cell in cells}
+            assert stats.region == box.name
+            assert stats.max_rate_mmh == max((max(v) for v in live if v), default=0.0)
+            assert stats.accum_mm == pytest.approx(max(depth.values()), rel=1e-12)
+            assert stats.persistence_h == pytest.approx(
+                min(longest * 0.5, (end - start).total_seconds() / 3600.0))
+            missing = sum(len(frame) - len(vals) for frame, vals in zip(samples, live))
+            assert stats.missing_fraction == pytest.approx(missing / (len(window) * len(cells)))

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cswarn.geogrid import GridStack, RegionBox, Variable
+from cswarn.geogrid import GridGeometry, RegionBox, Variable
 from cswarn.wind import (
     CMOD5N,
     SYNTH1,
     Gmf,
     GmfGeometry,
-    RegionCategory,
     WindCategory,
     categorize,
     categorize_grid,
@@ -28,6 +27,7 @@ from cswarn.wind import (
 )
 
 from conftest import T0, make_grid, make_stack
+from oracles import cell_lat, cell_lon, region_cells
 
 GEOM = GmfGeometry(incidence_deg=35.0, rel_azimuth_deg=0.0)
 
@@ -212,34 +212,38 @@ class TestRegionMaxCategory:
     def cat_stack(self, frames, t0=T0):
         return make_stack(frames, variable=Variable.WIND_CAT, t0=t0, dt_s=1800)
 
+    def one(self, sources, region, start, end):
+        """The (rank, sources) entry of ``region`` alone."""
+        ranks, observed = region_max_category(sources, [region], start, end)
+        return int(ranks[0]), int(observed[0])
+
     def test_max_over_frames_and_sources(self):
         a = self.cat_stack([np.full((4, 4), 1.0), np.full((4, 4), 2.0)])
         b = self.cat_stack([np.zeros((4, 4)), np.zeros((4, 4))])
         window_end = T0 + timedelta(seconds=3600)
-        result = region_max_category([a, b], self.REGION, T0 - timedelta(seconds=1), window_end)
-        assert result.category == WindCategory.MODERATE
-        assert result.sources == 2
+        rank, sources = self.one([a, b], self.REGION, T0 - timedelta(seconds=1), window_end)
+        assert rank == WindCategory.MODERATE
+        assert sources == 2
 
     def test_only_cells_inside_region_count(self):
         values = np.zeros((4, 4))
         values[0, 3] = 3.0      # outside the region block
         stack = self.cat_stack([values])
-        result = region_max_category([stack], self.REGION,
-                                     T0 - timedelta(seconds=1), T0)
-        assert result.category == WindCategory.NONE
+        rank, _ = self.one([stack], self.REGION, T0 - timedelta(seconds=1), T0)
+        assert rank == WindCategory.NONE
 
     def test_window_is_trailing_half_open(self):
         a = self.cat_stack([np.full((4, 4), 3.0), np.zeros((4, 4))])
         start = T0
         end = T0 + timedelta(seconds=1800)
-        result = region_max_category([a], self.REGION, start, end)
-        assert result.category == WindCategory.NONE   # the severe frame at T0 is excluded
+        rank, _ = self.one([a], self.REGION, start, end)
+        assert rank == WindCategory.NONE   # the severe frame at T0 is excluded
 
     def test_all_nodata_counts_no_source(self):
         stack = self.cat_stack([np.full((4, 4), -9999.0)])
-        result = region_max_category([stack], self.REGION, T0 - timedelta(seconds=1), T0)
-        assert result.sources == 0
-        assert result.category == WindCategory.NONE
+        rank, sources = self.one([stack], self.REGION, T0 - timedelta(seconds=1), T0)
+        assert sources == 0
+        assert rank == WindCategory.NONE
 
     def test_sources_count_stacks_with_a_finite_region_cell(self):
         values = np.full((4, 4), -9999.0)
@@ -247,28 +251,71 @@ class TestRegionMaxCategory:
         blind = self.cat_stack([values])
         seeing = self.cat_stack([np.full((4, 4), 1.0)])
         window = (T0 - timedelta(seconds=1), T0)
-        assert region_max_category([blind], self.REGION, *window).sources == 0
-        result = region_max_category([blind, seeing, seeing], self.REGION, *window)
-        assert result == RegionCategory(WindCategory.WEAK, 2)
+        assert self.one([blind], self.REGION, *window)[1] == 0
+        assert self.one([blind, seeing, seeing], self.REGION, *window) == (WindCategory.WEAK, 2)
 
     def test_region_off_the_grid_counts_no_source(self):
         stack = self.cat_stack([np.full((4, 4), 3.0)])
         far = RegionBox("far", 50.0, 51.0, 20.0, 21.0)
-        result = region_max_category([stack], far, T0 - timedelta(seconds=1), T0)
-        assert result == RegionCategory(WindCategory.NONE, 0)
+        assert self.one([stack], far, T0 - timedelta(seconds=1), T0) == (WindCategory.NONE, 0)
 
     def test_empty_window_counts_no_source(self):
         stack = self.cat_stack([np.zeros((4, 4))])
-        result = region_max_category([stack], self.REGION,
-                                     T0 + timedelta(seconds=3600),
-                                     T0 + timedelta(seconds=7200))
-        assert result.sources == 0
+        _, sources = self.one([stack], self.REGION,
+                              T0 + timedelta(seconds=3600), T0 + timedelta(seconds=7200))
+        assert sources == 0
 
     def test_more_sources_never_lower_the_category(self):
         quiet = self.cat_stack([np.zeros((4, 4))])
         windy = self.cat_stack([np.full((4, 4), 2.0)])
         end = T0
         start = T0 - timedelta(seconds=1)
-        alone = region_max_category([quiet], self.REGION, start, end)
-        both = region_max_category([quiet, windy], self.REGION, start, end)
-        assert both.category >= alone.category
+        alone, _ = self.one([quiet], self.REGION, start, end)
+        both, _ = self.one([quiet, windy], self.REGION, start, end)
+        assert both >= alone
+
+    def test_no_source_gives_rank_0_from_0_sources(self):
+        ranks, sources = region_max_category([], [self.REGION, self.REGION], T0, T0)
+        assert ranks.tolist() == [0, 0] and sources.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_cell_scan(self, seed):
+        # At least eight boxes per call, so numpy's vector paths run, among
+        # them one off the grid and one around a single cell center.
+        rng = np.random.default_rng(seed)
+        geom = GridGeometry(
+            lat_min=float(rng.uniform(10, 12)), lon_min=float(rng.uniform(100, 102)),
+            dlat=float(rng.choice([0.1, 0.3])), dlon=float(rng.choice([0.1, 0.3])),
+            nrows=int(rng.integers(2, 8)), ncols=int(rng.integers(2, 8)))
+        stacks = []
+        for k in range(int(rng.integers(1, 4))):
+            frames = []
+            for _ in range(6):
+                frame = rng.integers(0, 4, size=(geom.nrows, geom.ncols)).astype(float)
+                frame[rng.uniform(size=frame.shape) < rng.uniform(0.2, 0.9)] = -9999.0
+                frames.append(frame)
+            stacks.append(make_stack(frames, variable=Variable.WIND_CAT, geometry=geom,
+                                     t0=T0 + timedelta(seconds=600 * k), dt_s=1800))
+        boxes = [RegionBox("off", geom.lat_min - 5.0, geom.lat_min - 4.0,
+                           geom.lon_min, geom.lon_min + 1.0)]
+        r, c = int(rng.integers(geom.nrows)), int(rng.integers(geom.ncols))
+        lat, lon = cell_lat(geom, r), cell_lon(geom, c)
+        boxes.append(RegionBox("one", lat - geom.dlat / 4, lat + geom.dlat / 4,
+                               lon - geom.dlon / 4, lon + geom.dlon / 4))
+        for i in range(int(rng.integers(6, 12))):
+            lat0 = geom.lat_min + rng.uniform(-0.2, 0.6) * geom.nrows * geom.dlat
+            lon0 = geom.lon_min + rng.uniform(-0.2, 0.6) * geom.ncols * geom.dlon
+            boxes.append(RegionBox(f"B{i}", lat0, lat0 + rng.uniform(0.1, 1.5),
+                                   lon0, lon0 + rng.uniform(0.1, 1.5)))
+        start = T0 + timedelta(seconds=int(rng.integers(-2, 4)) * 1800)
+        end = T0 + timedelta(seconds=int(rng.integers(4, 12)) * 1800)
+
+        ranks, sources = region_max_category(stacks, boxes, start, end)
+        assert len(boxes) >= 8 and len(region_cells(geom, boxes[1])) == 1
+        assert (ranks[0], sources[0]) == (0, 0)
+        for box, rank, n in zip(boxes, ranks.tolist(), sources.tolist()):
+            cells = region_cells(geom, box)
+            seen = [[f.values[rc] for f in stack if start < f.time <= end for rc in cells
+                     if f.values[rc] != -9999.0] for stack in stacks]
+            assert rank == int(max((max(v) for v in seen if v), default=0.0))
+            assert n == sum(1 for v in seen if v)
