@@ -25,6 +25,7 @@ import argparse
 import configparser
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,7 +162,7 @@ def read_config(path) -> EngineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
-    except configparser.Error as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     values: dict[str, object] = {}
@@ -184,6 +185,9 @@ def read_config(path) -> EngineConfig:
         if len(parts) != 3:
             raise ConfigError(f"{path}: wind.bins must have exactly three values")
         values["bins"] = parts
+    for key, value in values.items():
+        if key != "gmf" and not all(map(math.isfinite, value if key == "bins" else (value,))):
+            raise ConfigError(f"{path}: {key} = {value!r} is not a finite number")
     try:
         cfg = EngineConfig(**values)  # type: ignore[arg-type]
     except TypeError as exc:

@@ -243,6 +243,6 @@ def _frame_objects(bt: GeoGrid, t_deep: float, min_area_px: int) -> tuple[CSObje
 
 def _observed(frames: Iterable[GeoGrid], detections: Sequence[Sequence[CSObject]]) -> list:
     """The detections of each of ``frames`` that holds a finite cell, for
-    ``tracking.build_tracks``; only a frame without objects is scanned."""
+    ``tracking.build_tracks``; a frame without objects is scanned once."""
     return [objects for frame, objects in zip(frames, detections)
-            if objects or frame.finite_mask.any()]
+            if objects or _per_frame(frame, ("observed",), lambda: frame.finite_mask.any())]

@@ -29,10 +29,10 @@ window's object cover and coldest touching object, a rain table its
 missing count, max rate and cell rates, and a wind table its max rank.
 An epoch bisects the frame times and reduces its frames' tables for all
 regions at once, in one ``precip.region_rain_stats`` and one
-``wind.region_max_category`` call. Each live track's motion fit and
-forecast path are found once per epoch, and only regions its swept
-envelope meets are tested; its footprint wind, the same wind call for
-its last bbox, is looked up only when its path reaches a region.
+``wind.region_max_category`` call. Each live track's forecast path is
+tested against every region in one ``tracking.time_to_region`` call, and
+the footprint wind of the tracks that reach some region is one more wind
+call, over their last bboxes.
 """
 
 from __future__ import annotations
@@ -205,46 +205,37 @@ def build_indicators(
         for f in frames:
             cover, cold = _per_frame(f, key, lambda: _cloud_table(f, layout, t_deep, min_area_px))
             fraction, min_bt = np.maximum(fraction, cover), np.minimum(min_bt, cold)
-        bt_seen = layout.n_cells > 0
+        if _observed(frames, [_frame_objects(f, t_deep, min_area_px) for f in frames]):
+            bt_seen = layout.n_cells > 0
     ranks, sources = region_max_category(wind_cat_stacks, regions, window_start, epoch)
 
     observed = [t.up_to(epoch) for t in tracks]
     live = [t for t in observed if len(t.observations) >= 2 and window_start < t.last.time]
-    # Each region's first forecast hit, and the footprint wind of each live
-    # track whose path reaches it, looked up at the track's first hit.
-    approach: list[int | None] = [None] * len(regions)
-    footprints: list[list[tuple[int, int]]] = [[] for _ in regions]
-    edges = np.array([[r.lat_min, r.lat_max, r.lon_min, r.lon_max] for r in regions])
-    lat_min, lat_max, lon_min, lon_max = edges.reshape(-1, 4).T
-    for track in live:
-        path = forecast(track, fit_window)
-        # A region that misses the box's envelope over all horizons is never hit.
-        near = ((path.lat_min.min() <= lat_max) & (lat_min <= path.lat_max.max())
-                & (path.lon_min.min() <= lon_max) & (lon_min <= path.lon_max.max()))
-        footprint = None
-        for j in near.nonzero()[0]:
-            h = time_to_region(path, regions[j])
-            if h is not None:
-                approach[j] = h if approach[j] is None else min(approach[j], h)
-                footprint = footprint or tuple(int(a[0]) for a in region_max_category(
-                    wind_cat_stacks, [track.last.bbox], window_start, epoch))
-                footprints[j].append(footprint)
+    arrivals = [time_to_region(forecast(t, fit_window), regions) for t in live]
+    # Each track reaching some region: its arrivals and its last bbox's wind.
+    reach = [(t, hits) for t, hits in zip(live, arrivals) if any(h is not None for h in hits)]
+    footprints = []
+    if reach:
+        foot = region_max_category(wind_cat_stacks, [t.last.bbox for t, _ in reach],
+                                   window_start, epoch)
+        footprints = list(zip([hits for _, hits in reach], *(a.tolist() for a in foot)))
 
     out = []
-    for region, cover, cold, seen, rank, n_wind, arrival, reaching in zip(
+    for j, (region, cover, cold, seen, rank, n_wind) in enumerate(zip(
             regions, fraction.tolist(), min_bt.tolist(), bt_seen.tolist(), ranks.tolist(),
-            sources.tolist(), approach, footprints):
+            sources.tolist())):
+        reaching = [(hits[j], r, n) for hits, r, n in footprints if hits[j] is not None]
         stats = rain_stats.get(region.name)
         out.append(RegionIndicators(
             region=region.name,
             epoch=epoch,
             deep_cloud_fraction=cover,
             min_bt_K=cold if cold < math.inf else None,
-            wind_cat=WindCategory(max([rank, *(r for r, _ in reaching)])),
-            wind_no_observation=n_wind == 0 and all(n == 0 for _, n in reaching),
+            wind_cat=WindCategory(max([rank, *(r for _, r, _ in reaching)])),
+            wind_no_observation=n_wind == 0 and all(n == 0 for _, _, n in reaching),
             max_rain_mmh=stats.max_rate_mmh if stats else 0.0,
             rain_persistence_h=stats.persistence_h if stats else 0.0,
-            approach_s=arrival,
+            approach_s=min((h for h, _, _ in reaching), default=None),
             source_count={"bt": int(seen), "wind": n_wind,
                           "rain": int(stats is not None and stats.missing_fraction < 1.0)},
             rain_stats=stats,

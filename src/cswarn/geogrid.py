@@ -128,6 +128,8 @@ class GridGeometry:
     def __post_init__(self) -> None:
         if self.nrows < 1 or self.ncols < 1:
             raise ValueError(f"grid shape must be >= 1x1, got {self.nrows}x{self.ncols}")
+        if not all(map(math.isfinite, (self.lat_min, self.lon_min, self.dlat, self.dlon))):
+            raise ValueError(f"grid origin and spacing must be finite, got {self}")
         if self.dlat <= 0 or self.dlon <= 0:
             raise ValueError(f"grid spacing must be positive, got dlat={self.dlat} dlon={self.dlon}")
 
@@ -385,6 +387,8 @@ _CAN_FORK = hasattr(os, "fork")
 # Fewest values a stack needs before formatting it in a pool pays: about
 # 50 ms of serial formatting, a few times what starting the pool costs.
 _POOL_MIN_VALUES = 1 << 16
+# Most writer processes: the frame texts they finish wait in the writing process.
+_WRITER_WORKERS = 2
 
 
 def _fmt(v: float) -> str:
@@ -447,20 +451,20 @@ def _writer_pool(workers: int, stack: GridStack) -> Executor:
 def _frame_texts(stack: GridStack) -> Iterator[bytes]:
     """Each frame's :func:`_frame_text`, in frame order.
 
-    A stack of two or more frames is formatted by a pool of one forked
-    process per usable CPU, with at most two frames per worker submitted
-    and not yet returned, so memory stays bounded. Frames are formatted
-    inline, with no pool, for one frame, one usable CPU or fewer than
-    ``_POOL_MIN_VALUES`` values, and where ``fork`` is missing or unsafe:
-    while another thread runs, a forked child could inherit a lock it
-    holds. A worker that raises or dies makes this raise
-    (``BrokenProcessPool`` for a dead one); it never hangs.
+    A stack of two or more frames is formatted by a pool of forked
+    processes, one per usable CPU up to ``_WRITER_WORKERS``, with at most
+    two frames per worker submitted and not yet returned, so memory stays
+    bounded. Frames are formatted inline, with no pool, for one frame, one
+    usable CPU or fewer than ``_POOL_MIN_VALUES`` values, and where
+    ``fork`` is missing or unsafe: while another thread runs, a forked
+    child could inherit a lock it holds. A worker that raises or dies
+    makes this raise (``BrokenProcessPool`` for a dead one); it never hangs.
     """
     geom = stack.geometry
     workers = 1
     if (_CAN_FORK and threading.active_count() == 1
             and len(stack) * geom.nrows * geom.ncols >= _POOL_MIN_VALUES):
-        workers = min(len(os.sched_getaffinity(0)), len(stack))
+        workers = min(len(os.sched_getaffinity(0)), len(stack), _WRITER_WORKERS)
     if workers < 2:
         yield from map(_frame_text, stack)
         return
@@ -527,10 +531,13 @@ def write_gsf(stack: GridStack, path) -> None:
 
     def write_text(tmp: Path) -> None:
         with open(tmp, "wb") as fh, closing(_frame_texts(stack)) as texts:
-            for i, text in enumerate(texts):
-                for part in (b"---\n", text) if i else (text,):
+            sep = b""
+            for text in texts:
+                for part in (sep, text):
                     fh.write(part)
                     digest.update(part)
+                # Hold no frame's text while the next one arrives.
+                sep = part = text = b"---\n"
         _write_atomic(_twin_path(path), write_twin)
 
     _write_atomic(path, write_text)
@@ -594,7 +601,7 @@ def _make_frame(head: dict, values: np.ndarray, lineno0: int, previous: GridGeom
     ``previous``, the geometry of the frame before, when its six geometry
     values are the same numbers bit for bit, so a stack read back holds one
     geometry object and its axes are computed once. Equal values with unequal
-    reprs (``0.0``, ``-0.0``) and NaN keep their own geometry, so the bytes
+    reprs (``0.0``, ``-0.0``) keep their own geometry, so the bytes
     written back and :class:`GridStack`'s checks are those of one per frame."""
     fields = tuple(head[k] for k in ("lat_min", "lon_min", "dlat", "dlon", "nrows", "ncols"))
     try:

@@ -11,14 +11,15 @@ was not observed, so association skips it as a dropped frame
 Motion is a least-squares linear fit of centroid latitude and longitude
 over the trailing ``fit_window`` observations, which smooths the labeling
 jitter of centroids. Bearings are the direction of motion *toward*,
-clockwise from north (westward motion = 270 degrees).
+clockwise from north (westward motion = 270 degrees). A forecast's time to
+a region is the first horizon at which the moved last bbox meets it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,19 +159,16 @@ def forecast(track: Track, fit_window: int = DEFAULT_FIT_WINDOW) -> ForecastPath
                         bbox.lon_min + dlon, bbox.lon_max + dlon)
 
 
-def time_to_region(path: ForecastPath, region: RegionBox) -> int | None:
-    """Smallest horizon of a :func:`forecast` path whose bbox meets ``region``.
-
-    The closed-interval test of :meth:`RegionBox.intersects`, at every
-    horizon at once. Returns None when no horizon intersects, i.e. the
-    cell is not approaching. A region that misses the path's envelope
-    (each edge's min or max over all horizons) is never met, so a caller
-    with many regions asks only about those that meet it.
-    """
-    hit = ((path.lat_min <= region.lat_max) & (region.lat_min <= path.lat_max)
-           & (path.lon_min <= region.lon_max) & (region.lon_min <= path.lon_max))
-    first = int(hit.argmax())
-    return int(path.horizons[first]) if hit[first] else None
+def time_to_region(path: ForecastPath, regions: Sequence[RegionBox]) -> list[int | None]:
+    """Each region's first horizon of a :func:`forecast` path whose bbox
+    meets it (closed intervals, as :meth:`RegionBox.intersects`), or None
+    when none does; one test over every horizon and region at once."""
+    edges = np.array([(r.lat_min, r.lat_max, r.lon_min, r.lon_max) for r in regions], np.float64)
+    lat_min, lat_max, lon_min, lon_max = edges.reshape(-1, 4).T
+    hit = ((path.lat_min[:, None] <= lat_max) & (lat_min <= path.lat_max[:, None])
+           & (path.lon_min[:, None] <= lon_max) & (lon_min <= path.lon_max[:, None]))
+    first = hit.argmax(axis=0)
+    return [int(path.horizons[i]) if hit[i, j] else None for j, i in enumerate(first.tolist())]
 
 
 def build_tracks(

@@ -450,6 +450,8 @@ def reference_indicators(epoch, regions, bt, detections, tracks, rain, wind_cat_
     horizon loop, for the detections, tracks and wind category stacks given."""
     start = epoch - timedelta(seconds=window_s)
     bt_frames = [i for i, f in enumerate(bt or ()) if start < f.time <= epoch]
+    # BT was observed when some frame in the window holds an object or a data cell.
+    bt_observed = any(detections[i] or (bt[i].values != bt[i].nodata).any() for i in bt_frames)
     observed = [t.up_to(epoch) for t in tracks]
     live = [t for t in observed if len(t.observations) >= 2 and start < t.last.time]
     out = []
@@ -477,7 +479,7 @@ def reference_indicators(epoch, regions, bt, detections, tracks, rain, wind_cat_
             wind_no_observation=all(n == 0 for _, n in samples),
             max_rain_mmh=stats.max_rate_mmh if stats else 0.0,
             rain_persistence_h=stats.persistence_h if stats else 0.0, approach_s=approach,
-            source_count={"bt": int(bool(cells and bt_frames)), "wind": samples[0][1],
+            source_count={"bt": int(bool(cells and bt_observed)), "wind": samples[0][1],
                           "rain": int(stats is not None and stats.missing_fraction < 1.0)},
             rain_stats=stats,
         ))

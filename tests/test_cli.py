@@ -249,6 +249,39 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [
+        *((section, key) for section, keys in cli._CONFIG_SCHEMA.items()
+          for key, parse in keys.items() if parse is float),
+        ("wind", "bins"),
+    ])
+    def test_non_finite_float_is_2_and_writes_nothing(self, tmp_path, capsys, section, key,
+                                                       value):
+        bad = tmp_path / "engine.ini"
+        text = f"5, 10, {value}" if key == "bins" else value
+        bad.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        out = tmp_path / "objects.csv"
+        code = cli.main(["detect", str(tmp_path / "bt.gsf"), "-o", str(out), "--config", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cswarn detect: config error:") and "not a finite number" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, b"[rain]\nr_heavy = 8\xff\n"],
+                             ids=["missing", "not UTF-8"])
+    def test_unreadable_config_is_2_and_writes_nothing(self, tmp_path, capsys, content):
+        bad = tmp_path / "engine.ini"
+        if content is not None:
+            bad.write_bytes(content)
+        out = tmp_path / "objects.csv"
+        code = cli.main(["detect", str(tmp_path / "bt.gsf"), "-o", str(out), "--config", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cswarn detect: config error:") and str(bad) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_input_is_1(self, tmp_path, capsys):
         out = tmp_path / "objects.csv"
         code = cli.main(["detect", str(tmp_path / "nope.gsf"), "-o", str(out)])

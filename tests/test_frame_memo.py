@@ -151,8 +151,8 @@ def engine_repr(engine: FusionEngine) -> str:
 class TestLayoutIsPartOfTheKey:
     @pytest.mark.parametrize("names", ["ABCD", "AC", "C", "BD"])
     def test_region_lists_sharing_frames_equal_fresh_engines(self, names):
-        # Every list lays its windows out differently, and rain_stats_at and
-        # footprint wind read one-region layouts of the same frames.
+        # Every list lays its windows out differently, rain_stats_at reads
+        # one-region layouts, and footprint wind a layout of tracks' bboxes.
         bt, rain, wind = one_window_data()
         for regions in (REGIONS, [r for r in REGIONS if r.name in names]):
             shared = FusionEngine(regions, bt=bt, rain=rain, wind_speed=wind)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 from datetime import timedelta
 
 import numpy as np
@@ -20,7 +19,7 @@ from cswarn.fusion import (
     build_indicators,
     decide,
 )
-from cswarn.geogrid import KM_PER_DEG, GridGeometry, GridStack, RegionBox, Variable
+from cswarn.geogrid import KM_PER_DEG, GeoGrid, GridGeometry, GridStack, RegionBox, Variable
 from cswarn.scenario import CellSpec, generate, paper_replay_spec
 from cswarn.tracking import Track
 from cswarn.wind import WindCategory
@@ -283,7 +282,7 @@ class TestOncePerEpoch:
             return real(stacks, regions, *args, **kwargs)
 
         monkeypatch.setattr(fusion, "region_max_category", counting)
-        skipped = reached = 0
+        skipped = reached = quiet = 0
         for epoch in busy_epochs(engine):
             boxes.clear()
             engine.run_epoch(epoch)
@@ -292,16 +291,17 @@ class TestOncePerEpoch:
             live = [t for t in live if len(t.observations) >= 2 and start < t.last.time]
             reaching = [
                 t for t in live
-                if any(tracking.time_to_region(tracking.forecast(t, engine.fit_window), r)
-                       is not None for r in engine.regions)
+                if any(h is not None for h in tracking.time_to_region(
+                    tracking.forecast(t, engine.fit_window), engine.regions))
             ]
             skipped += len(live) - len(reaching)
-            # One call for the regions' own wind; each call left is one
-            # reaching track's footprint.
-            assert Counter(boxes) == Counter([tuple(engine.regions),
-                                              *((t.last.bbox,) for t in reaching)])
+            # One call for the regions' own wind, and one more, over the
+            # reaching tracks' last bboxes, when any track reaches a region.
+            footprint = [tuple(t.last.bbox for t in reaching)] if reaching else []
+            assert boxes == [tuple(engine.regions), *footprint]
             reached += len(reaching)
-        assert skipped > 0 and reached > 0
+            quiet += not reaching
+        assert skipped > 0 and reached > 0 and quiet > 0
 
 
 class TestDecide:
@@ -490,6 +490,32 @@ class TestBlankBtFrame:
             bridged += any(t.observations[0].time < blank.time < t.last.time
                            for t in dropped.tracks)
         assert bridged == len(frames) - 2
+
+    @pytest.mark.parametrize("first_bt, hours, seen", [
+        (205.0, 3, 0),     # the window holds only blank frames
+        (205.0, 0.5, 1),   # a cold frame and a blank one
+        (280.0, 0.5, 1),   # a warm frame with no object and a blank one
+        (205.0, 10, 0),    # the window holds no frame
+    ])
+    def test_bt_counts_as_observed_only_with_an_observed_frame(self, first_bt, hours, seen):
+        blank = np.full((4, 4), -9999.0)
+        bt = make_stack([np.full((4, 4), first_bt), *[blank] * 8], variable=Variable.BT, dt_s=1800)
+        engine = FusionEngine([REGION], bt=bt, window_s=3600)
+        report = engine.run_epoch(T0 + timedelta(hours=hours))[0]
+        assert report.indicators.source_count == {"bt": seen, "rain": 0, "wind": 0}
+
+    def test_epochs_scan_no_frame_the_engine_scanned(self, monkeypatch):
+        # A frame without objects is scanned for a finite cell once, while
+        # the engine builds its tracks; the epochs reuse that answer.
+        blank = np.full((4, 4), -9999.0)
+        bt = make_stack([np.full((4, 4), 280.0), *[blank] * 8], variable=Variable.BT, dt_s=1800)
+        engine = FusionEngine([REGION], bt=bt, window_s=3600)
+        scans = []
+        real = GeoGrid.finite_mask.fget
+        monkeypatch.setattr(GeoGrid, "finite_mask", property(lambda g: scans.append(g) or real(g)))
+        reports = engine.run(T0, T0 + timedelta(hours=4), 1800)
+        assert [r.indicators.source_count["bt"] for r in reports] == [1, 1] + [0] * 7
+        assert scans == []
 
 
 class TestFusionEngine:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import math
 import re
 import tracemalloc
@@ -100,6 +102,30 @@ class TestGridGeometry:
             GridGeometry(lat_min=10.0, lon_min=20.0, dlat=0.0, dlon=1.0, nrows=2, ncols=2)
         with pytest.raises(ValueError):
             GridGeometry(lat_min=10.0, lon_min=20.0, dlat=1.0, dlon=1.0, nrows=0, ncols=2)
+
+    @pytest.mark.parametrize("key", ["lat_min", "lon_min", "dlat", "dlon"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_origin_or_spacing_rejected(self, tmp_path, key, value):
+        fields = dict(lat_min=10.0, lon_min=20.0, dlat=1.0, dlon=1.0, nrows=2, ncols=2)
+        with pytest.raises(ValueError, match="must be finite"):
+            GridGeometry(**{**fields, key: float(value)})
+        # A text with the bad value, and a twin made to match it: both reads fail alike.
+        path = tmp_path / "bad.gsf"
+        write_gsf(make_stack([[[200.5, 201.0], [202.0, 203.0]]], variable=Variable.BT), path)
+        twin = geogrid._twin_path(path)
+        good = f"{key}={fields[key]}"
+        text = path.read_text(encoding="utf-8").replace(good, f"{key}={value}")
+        path.write_text(text, encoding="utf-8")
+        head, payload = twin.read_bytes().split(b"\n", 1)
+        meta = json.loads(head)
+        meta["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        meta["frames"][0] = [f"{key}={value}" if line == good else line
+                             for line in meta["frames"][0]]
+        twin.write_bytes(json.dumps(meta).encode("ascii") + b"\n" + payload)
+        assert geogrid._read_twin(path) is None
+        with pytest.raises(GsfError, match=r"^line 1: invalid frame: grid origin and spacing "
+                                           r"must be finite"):
+            read_gsf(path)
 
 
 class TestGeoGridValidation:
@@ -479,7 +505,8 @@ class TestGsfStreaming:
         finally:
             tracemalloc.stop()
 
-    def test_write_and_read_peaks_stay_below_the_file_size(self, tmp_path):
+    def written(self, tmp_path):
+        """A 20-frame BT stack, the path it was written to and the write's peak."""
         rng = np.random.default_rng(0)
         stack = make_stack([rng.uniform(180.0, 300.0, size=(100, 120)) for _ in range(20)],
                            variable=Variable.BT)
@@ -488,6 +515,10 @@ class TestGsfStreaming:
         write_gsf(stack, tmp_path / "warm.gsf")
         path = tmp_path / "bt.gsf"
         _, write_peak = self.peak_bytes(write_gsf, stack, path)
+        return stack, path, write_peak
+
+    def test_write_and_read_peaks_stay_below_the_file_size(self, tmp_path):
+        stack, path, write_peak = self.written(tmp_path)
         size = path.stat().st_size
         assert size > 4_000_000
         assert write_peak < size / 4
@@ -499,6 +530,12 @@ class TestGsfStreaming:
             value_bytes = sum(f.values.nbytes for f in back)
             assert read_peak < value_bytes + size / 2, route
             assert all(np.array_equal(a.values, b.values) for a, b in zip(stack, back)), route
+
+    @pytest.mark.parametrize("cpus", [4, 8])
+    def test_write_peak_does_not_grow_with_the_cpu_count(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(geogrid.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        _, path, write_peak = self.written(tmp_path)
+        assert write_peak < path.stat().st_size / 4
 
 
 def two_frames(first: str, second: str) -> str:
@@ -534,10 +571,12 @@ class TestGsfGeometryReuse:
         assert back[0].geometry is not back[1].geometry
         assert gsf_text(back) == text
 
-    def test_nan_geometry_still_differs(self):
+    def test_nan_geometry_is_rejected(self):
         with pytest.raises(GsfError) as exc:
             parse_gsf(io.StringIO(two_frames("dlat=nan", "dlat=nan")))
-        assert str(exc.value) == "frame 1 geometry differs from frame 0"
+        assert str(exc.value) == (
+            "line 1: invalid frame: grid origin and spacing must be finite, got GridGeometry("
+            "lat_min=10.0, lon_min=20.0, dlat=nan, dlon=1.0, nrows=2, ncols=2)")
 
     def test_differing_geometry_error_is_unchanged(self):
         with pytest.raises(GsfError) as exc:

@@ -126,10 +126,14 @@ class TestBytesDoNotDependOnWorkers:
         assert inline.decode("utf-8") == gsf_text_loop(stack)
         one, no_pools = pooled_write(stack, 1)
         two, pools = pooled_write(stack, 2)
-        assert one == inline and two == inline
+        eight, wide = pooled_write(stack, 8)
+        assert one == inline and two == inline and eight == inline
         assert no_pools == []
-        assert [p.workers for p in pools] == [2]
-        assert pools[0].peak == min(len(stack), 4) and pools[0].in_flight == 0
+        # The pool and the frames in flight do not grow past two CPUs.
+        assert len(pools) == len(wide) == 1
+        for pool in pools + wide:
+            assert pool.workers == 2
+            assert pool.peak == min(len(stack), 4) and pool.in_flight == 0
 
 
 def run_script(code: str, *args: str, timeout: float = 60.0) -> subprocess.CompletedProcess:

@@ -164,7 +164,7 @@ class TestTimeToRegion:
     def test_bbox_already_touching_hits_first_horizon(self):
         region = RegionBox("R", 15.8, 16.2, 109.5, 110.1)
         track = westward_track(10.0)
-        assert time_to_region(forecast(track), region) == 600
+        assert time_to_region(forecast(track), [region]) == [600]
 
     def test_hundred_km_gap_at_ten_mps(self):
         # Track bbox west edge sits 100 km east of the region; expect the
@@ -174,23 +174,23 @@ class TestTimeToRegion:
         west_edge = track.observations[-1].bbox.lon_min
         gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
         region = RegionBox("R", 15.8, 16.2, west_edge - gap_deg - 2.0, west_edge - gap_deg)
-        assert time_to_region(forecast(track), region) == 10200
+        assert time_to_region(forecast(track), [region]) == [10200]
 
     def test_receding_track_never_arrives(self):
         region = RegionBox("R", 15.8, 16.2, 100.0, 101.0)
         dlon = 10.0 * 600.0 / 1000.0 / (KM_PER_DEG * math.cos(math.radians(16.0)))
         track = track_from_positions([110.0 + dlon * k for k in range(3)], lat=16.0)
-        assert time_to_region(forecast(track), region) is None
+        assert time_to_region(forecast(track), [region]) == [None]
 
     def test_stationary_track_outside_region(self):
         region = RegionBox("R", 15.8, 16.2, 100.0, 101.0)
         track = track_from_positions([110.0, 110.0], lat=16.0)
-        assert time_to_region(forecast(track), region) is None
+        assert time_to_region(forecast(track), [region]) == [None]
 
     def test_wrong_latitude_band_never_intersects(self):
         region = RegionBox("R", 25.0, 26.0, 100.0, 120.0)
         track = westward_track(10.0)
-        assert time_to_region(forecast(track), region) is None
+        assert time_to_region(forecast(track), [region]) == [None]
 
     def test_result_bounded_by_max_horizon(self):
         lat = 16.0
@@ -198,7 +198,7 @@ class TestTimeToRegion:
         west_edge = track.observations[-1].bbox.lon_min
         gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
         region = RegionBox("R", 15.8, 16.2, west_edge - gap_deg - 2.0, west_edge - gap_deg)
-        assert time_to_region(forecast(track), region) is None
+        assert time_to_region(forecast(track), [region]) == [None]
 
     def test_eastward_track_reaches_region_to_the_east(self):
         lat = 16.0
@@ -207,7 +207,7 @@ class TestTimeToRegion:
         east_edge = track.observations[-1].bbox.lon_max
         gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
         region = RegionBox("R", 15.8, 16.2, east_edge + gap_deg, east_edge + gap_deg + 2.0)
-        assert time_to_region(forecast(track), region) == 10200
+        assert time_to_region(forecast(track), [region]) == [10200]
 
     def test_arrival_scales_inversely_with_speed(self):
         # The forecast bbox moves speed * horizon, so the 100 km gap closes
@@ -218,8 +218,19 @@ class TestTimeToRegion:
             track = westward_track(speed, lat=lat)
             west_edge = track.observations[-1].bbox.lon_min
             region = RegionBox("R", 15.8, 16.2, west_edge - gap_deg - 2.0, west_edge - gap_deg)
-            arrival = time_to_region(forecast(track), region)
+            [arrival] = time_to_region(forecast(track), [region])
             assert 0 <= arrival - 100_000.0 / speed < 600
+
+    def test_every_region_answered_in_order(self):
+        lat = 16.0
+        track = westward_track(10.0, lat=lat)
+        west_edge = track.observations[-1].bbox.lon_min
+        gap_deg = 100.0 / (KM_PER_DEG * math.cos(math.radians(lat)))
+        regions = [RegionBox("far", 25.0, 26.0, 100.0, 120.0),
+                   RegionBox("gap", 15.8, 16.2, west_edge - gap_deg - 2.0, west_edge - gap_deg),
+                   RegionBox("touch", 15.8, 16.2, 109.5, 110.1)]
+        assert time_to_region(forecast(track), regions) == [None, 10200, 600]
+        assert time_to_region(forecast(track), []) == []
 
 
 class TestForecast:
@@ -262,13 +273,53 @@ def tracks_and_regions(draw):
     return track_from_positions(positions), region, draw(st.integers(2, 6))
 
 
+@st.composite
+def tracks_and_region_lists(draw):
+    """A track from :func:`tracks_and_regions` and, in drawn order, its
+    region, a box sharing an edge line with the forecast path at a drawn
+    horizon, a box beyond the path, a box holding the track's last bbox and
+    four or more boxes around drawn horizons of the path."""
+    track, region, fit_window = draw(tracks_and_regions())
+    path = forecast(track, fit_window)
+    horizon = st.integers(0, len(path.horizons) - 1)
+    k = draw(horizon)
+    lat_min, lat_max, lon_min, lon_max = (float(edge[k]) for edge in path[1:])
+    touching = {
+        "north": RegionBox("touch", lat_max, lat_max + 1.0, lon_min, lon_max),
+        "south": RegionBox("touch", lat_min - 1.0, lat_min, lon_min, lon_max),
+        "east": RegionBox("touch", lat_min, lat_max, lon_max, lon_max + 1.0),
+        "west": RegionBox("touch", lat_min, lat_max, lon_min - 1.0, lon_min),
+    }[draw(st.sampled_from(["north", "south", "east", "west"]))]
+    top = float(path.lat_max.max())
+    off = RegionBox("off", top + 0.5, top + 1.5, lon_min, lon_max)
+    box = track.last.bbox
+    holding = RegionBox("hold", box.lat_min - 0.1, box.lat_max + 0.1,
+                        box.lon_min - 0.1, box.lon_max + 0.1)
+    around = []
+    for n in range(draw(st.integers(4, 8))):
+        k = draw(horizon)
+        lat_c = (path.lat_min[k] + path.lat_max[k]) / 2.0 + draw(st.floats(-1.0, 1.0))
+        lon_c = (path.lon_min[k] + path.lon_max[k]) / 2.0 + draw(st.floats(-1.0, 1.0))
+        half_lat, half_lon = draw(st.floats(0.01, 0.5)), draw(st.floats(0.01, 0.5))
+        around.append(RegionBox(f"A{n}", lat_c - half_lat, lat_c + half_lat,
+                                lon_c - half_lon, lon_c + half_lon))
+    regions = draw(st.permutations([region, touching, off, holding, *around]))
+    return track, regions, fit_window
+
+
 class TestForecastMatchesHorizonLoop:
     @settings(max_examples=300, deadline=None)
-    @given(tracks_and_regions())
+    @given(tracks_and_region_lists())
     def test_first_hit_on_path_equals_per_region_loop(self, case):
-        track, region, fit_window = case
-        expected = horizon_loop_time_to_region(track, region, fit_window)
-        assert time_to_region(forecast(track, fit_window), region) == expected
+        track, regions, fit_window = case
+        arrivals = time_to_region(forecast(track, fit_window), regions)
+        assert len(regions) >= 8 and len(arrivals) == len(regions)
+        for region, arrival in zip(regions, arrivals):
+            assert arrival == horizon_loop_time_to_region(track, region, fit_window), region
+            if region.name == "touch":
+                assert arrival is not None
+            if region.name == "off":
+                assert arrival is None
 
 
 class TestForecastEdges:
@@ -305,7 +356,7 @@ class TestForecastEdges:
             "east": RegionBox("R", lat_min, lat_max, lon_max, lon_max + 1.0),
             "west": RegionBox("R", lat_min, lat_max, lon_min - 1.0, lon_min),
         }[side]
-        arrival = time_to_region(path, region)
+        [arrival] = time_to_region(path, [region])
         assert arrival is not None and arrival <= path.horizons[k]
         assert arrival == horizon_loop_time_to_region(track, region, fit_window)
 
