@@ -22,10 +22,8 @@ failures print a one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import io
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,8 +44,12 @@ from .fusion import (
 from .geogrid import (
     GeoGrid,
     GridStack,
+    GsfError,
     RegionBox,
     Variable,
+    _finite_float,
+    _read_ini,
+    _read_section,
     _write_atomic,
     format_time,
     parse_time,
@@ -113,13 +115,21 @@ class EngineConfig:
         )
 
 
+def _bins(text: str) -> tuple[float, ...]:
+    """Three comma-separated finite numbers: the wind category edges."""
+    edges = tuple(_finite_float(part.strip()) for part in text.split(","))
+    if len(edges) != 3:
+        raise ValueError(f"expected three comma-separated numbers, got {len(edges)}")
+    return edges
+
+
 _CONFIG_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
-    "detection": {"t_deep": float, "min_area_px": int},
-    "wind": {"gmf": str, "v_max": float, "bins": str},
-    "rain": {"r_heavy": float, "persistence_h": float},
-    "fusion": {"fraction": float, "epoch_s": int, "window_s": int},
-    "floodmap": {"threshold_db": float, "min_region_px": int, "f_flood": float},
-    "tracking": {"max_gap_km": float, "fit_window": int},
+    "detection": {"t_deep": _finite_float, "min_area_px": int},
+    "wind": {"gmf": str, "v_max": _finite_float, "bins": _bins},
+    "rain": {"r_heavy": _finite_float, "persistence_h": _finite_float},
+    "fusion": {"fraction": _finite_float, "epoch_s": int, "window_s": int},
+    "floodmap": {"threshold_db": _finite_float, "min_region_px": int, "f_flood": _finite_float},
+    "tracking": {"max_gap_km": _finite_float, "fit_window": int},
 }
 
 
@@ -157,45 +167,21 @@ def _validate_config(cfg: EngineConfig) -> EngineConfig:
 
 
 def read_config(path) -> EngineConfig:
-    """Parse and validate an engine config INI; unknown keys are rejected."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """Parse and validate an engine config INI; every fault is a
+    ConfigError that names the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        parser = _read_ini(path)
+        values: dict[str, object] = {}
+        for section in parser.sections():
+            if section not in _CONFIG_SCHEMA:
+                raise ValueError(f"{path}: unknown section [{section}]")
+            keys = {key: (key, parse) for key, parse in _CONFIG_SCHEMA[section].items()}
+            values.update(_read_section(path, parser[section], keys, set(), dict))
+        return _validate_config(EngineConfig(**values))  # type: ignore[arg-type]
+    except ConfigError as exc:  # from _validate_config, which does not know the file
         raise ConfigError(f"{path}: {exc}") from None
-
-    values: dict[str, object] = {}
-    for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        schema = _CONFIG_SCHEMA[section]
-        for key, raw in parser[section].items():
-            if key not in schema:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            try:
-                values[key] = schema[key](raw)
-            except ValueError:
-                raise ConfigError(f"{path}: [{section}] {key} = {raw!r} does not parse") from None
-    if "bins" in values:
-        try:
-            parts = tuple(float(p) for p in str(values["bins"]).split(","))
-        except ValueError:
-            raise ConfigError(f"{path}: wind.bins must be three comma-separated numbers") from None
-        if len(parts) != 3:
-            raise ConfigError(f"{path}: wind.bins must have exactly three values")
-        values["bins"] = parts
-    for key, value in values.items():
-        if key != "gmf" and not all(map(math.isfinite, value if key == "bins" else (value,))):
-            raise ConfigError(f"{path}: {key} = {value!r} is not a finite number")
-    try:
-        cfg = EngineConfig(**values)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    try:
-        return _validate_config(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except ValueError as exc:  # names the file already
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str | None) -> EngineConfig:
@@ -276,31 +262,44 @@ def warnings_csv(reports: Sequence[WarningReport]) -> str:
 
 
 def read_warnings_csv(path) -> list[WarningReport]:
+    """The reports of a warnings CSV; a bad cell fails as ``FILE:LINE: column: why``."""
     reports: list[WarningReport] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != WARNINGS_HEADER:
             raise ValueError(f"{path}: unexpected warning columns {reader.fieldnames}")
+
+        def cell(column: str, parse: Callable[[str], object], optional: bool = False):
+            text = row[column]  # of the row being read
+            if optional and not text:
+                return None
+            try:
+                return parse(text)
+            except (KeyError, ValueError) as exc:
+                why = f"unknown name {text!r}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}:{reader.line_num}: {column}: {why}") from None
+
         for row in reader:
-            approach = int(row["approach_s"]) if row["approach_s"] else None
+            if None in row or None in row.values():
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(WARNINGS_HEADER)} columns")
             ind = RegionIndicators(
                 region=row["region"],
-                epoch=parse_time(row["epoch"]),
-                deep_cloud_fraction=float(row["deep_cloud_fraction"]),
-                min_bt_K=float(row["min_bt"]) if row["min_bt"] else None,
-                wind_cat=WindCategory[row["wind_cat"]],
+                epoch=cell("epoch", parse_time),
+                deep_cloud_fraction=cell("deep_cloud_fraction", float),
+                min_bt_K=cell("min_bt", float, optional=True),
+                wind_cat=cell("wind_cat", WindCategory.__getitem__),
                 wind_no_observation=False,
-                max_rain_mmh=float(row["max_rain_mmh"]),
-                rain_persistence_h=float(row["rain_persistence_h"]),
-                approach_s=approach,
+                max_rain_mmh=cell("max_rain_mmh", float),
+                rain_persistence_h=cell("rain_persistence_h", float),
+                approach_s=cell("approach_s", int, optional=True),
                 source_count={},
             )
             reports.append(
                 WarningReport(
                     region=row["region"],
                     epoch=ind.epoch,
-                    level=WarnLevel[row["level"]],
-                    lead_time_s=int(row["lead_time_s"]) if row["lead_time_s"] else None,
+                    level=cell("level", WarnLevel.__getitem__),
+                    lead_time_s=cell("lead_time_s", int, optional=True),
                     triggered_rules=tuple(
                         r for r in row["triggered_rules"].split(";") if r
                     ),
@@ -346,9 +345,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         write_gsf(stack, out / f"wind_{name}.gsf")
     if data.nrcs is not None:
         write_gsf(data.nrcs, out / "nrcs.gsf")
-    _write_atomic(out / "truth.csv", lambda p: sc.write_truth_csv(data.truth, p))
+    sc.write_truth_csv(data.truth, out / "truth.csv")
     if args.regions_out:
-        _write_atomic(args.regions_out, lambda p: write_regions(spec.regions, p))
+        write_regions(spec.regions, args.regions_out)
     if args.flood_truth_out:
         grid = sc.truth_flood_grid(spec)
         write_gsf(GridStack([grid]), args.flood_truth_out)
@@ -358,8 +357,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _read_stack(path, variable: Variable) -> GridStack:
-    """The stack in ``path``, which must hold ``variable`` frames."""
-    stack = read_gsf(path)
+    """The stack in ``path``, which must hold ``variable`` frames; every
+    fault names the file."""
+    try:
+        stack = read_gsf(path)
+    except GsfError as exc:
+        raise GsfError(f"{path}: {exc}") from None
     if stack.variable is not variable:
         raise ValueError(f"{path}: expected {variable.value} frames, got {stack.variable.value}")
     return stack

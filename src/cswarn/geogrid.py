@@ -24,6 +24,7 @@ Conventions used throughout the engine:
 
 from __future__ import annotations
 
+import configparser
 import json
 import math
 import os
@@ -700,18 +701,24 @@ def read_gsf(path) -> GridStack:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_gsf(fh)
-    except UnicodeDecodeError:
-        lineno = 1  # counted as universal newlines count lines
-        with open(path, "rb") as fh:  # no UTF-8 sequence holds an LF byte
-            for raw in fh:
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    lineno += raw.count(b"\r", 0, exc.start)
-                    raise GsfError(f"line {lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8 "
-                                   f"({exc.reason})") from None
-                lineno += 1 + raw.count(b"\r") - raw.endswith(b"\r\n")
-        raise
+    except UnicodeDecodeError as exc:
+        raise GsfError(_not_utf8(path, exc)) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """``line N: byte 0xNN is not UTF-8 (reason)`` for the first such byte
+    of ``path``, lines counted as universal newlines count them; ``exc``
+    as it reads if the file no longer holds one."""
+    lineno = 1
+    with open(path, "rb") as fh:  # no UTF-8 sequence holds an LF byte
+        for raw in fh:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                lineno += raw.count(b"\r", 0, bad.start)
+                return f"line {lineno}: byte 0x{raw[bad.start]:02x} is not UTF-8 ({bad.reason})"
+            lineno += 1 + raw.count(b"\r") - raw.endswith(b"\r\n")
+    return str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +783,7 @@ def region_windows(geometry: GridGeometry, regions: tuple[RegionBox, ...]) -> Wi
 
 
 # ---------------------------------------------------------------------------
-# Regions file
+# Regions file and INI files (the engine config and the scenario spec)
 # ---------------------------------------------------------------------------
 
 def _check_region_name(name: str) -> str:
@@ -791,22 +798,21 @@ def read_regions(path) -> list[RegionBox]:
     line. Each fault names its line; a name given twice names both."""
     regions: list[RegionBox] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 'name lat_min lat_max lon_min lon_max'")
-            name = parts[0]
-            if name in seen:
-                raise ValueError(f"{path}:{lineno}: region {name!r} is already named on line {seen[name]}")
-            seen[name] = lineno
-            try:  # a bad number, or bounds RegionBox rejects
-                regions.append(RegionBox(name, *(float(p) for p in parts[1:])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 'name lat_min lat_max lon_min lon_max'")
+        name = parts[0]
+        if name in seen:
+            raise ValueError(f"{path}:{lineno}: region {name!r} is already named on line {seen[name]}")
+        seen[name] = lineno
+        try:  # a bad number, or bounds RegionBox rejects
+            regions.append(RegionBox(name, *(float(p) for p in parts[1:])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return regions
 
 
@@ -814,6 +820,61 @@ def write_regions(regions: Sequence[RegionBox], path) -> None:
     """Write a regions file; a name one line cannot carry fails first."""
     for r in regions:
         _check_region_name(r.name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in regions:
-            fh.write(f"{r.name} {_fmt(r.lat_min)} {_fmt(r.lat_max)} {_fmt(r.lon_min)} {_fmt(r.lon_max)}\n")
+    _write_atomic(path, "".join(
+        f"{r.name} {_fmt(r.lat_min)} {_fmt(r.lat_max)} {_fmt(r.lon_min)} {_fmt(r.lon_max)}\n"
+        for r in regions))
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``, every line ending as LF; a byte that is
+    not UTF-8 fails naming the file and its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {_not_utf8(path, exc)}") from None
+
+
+def _read_ini(path) -> configparser.ConfigParser:
+    """The INI file at ``path``, parsed; any fault is a ValueError naming it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(_read_text(path), source=str(path))
+    except (OSError, configparser.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return parser
+
+
+def _finite_float(text: str) -> float:
+    """``text`` as a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _read_section(path, section, keys: dict, required: set, build: Callable):
+    """``build`` called with the keys of ``section`` parsed, by field name.
+
+    An unknown key, a missing required key, a value its parser rejects and
+    a ValueError from ``build`` all fail with a message that starts with
+    the file and the section.
+    """
+    where = f"{path}: [{section.name}]"
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ValueError(f"{where} unknown keys: {sorted(unknown)}")
+    missing = required - set(section)
+    if missing:
+        raise ValueError(f"{where} missing keys: {sorted(missing)}")
+    fields = {}
+    for key, (field, parse) in keys.items():
+        if key in section:
+            try:
+                fields[field] = parse(section[key])
+            except ValueError as exc:
+                raise ValueError(f"{where} bad {key}: {exc}") from None
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None

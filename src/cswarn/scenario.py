@@ -24,11 +24,12 @@ and off by default.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -40,6 +41,10 @@ from .geogrid import (
     RegionBox,
     Variable,
     _check_region_name,
+    _finite_float,
+    _read_ini,
+    _read_section,
+    _write_atomic,
     format_time,
     parse_time,
     region_indices,
@@ -436,22 +441,24 @@ _TRUTH_HEADER = ["record", "time", "name", "lat", "lon", "speed_mps", "bearing_d
 
 
 def write_truth_csv(truth: TruthRecord, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRUTH_HEADER)
-        for s in truth.centroids:
-            writer.writerow(
-                ["centroid", format_time(s.time), s.cell,
-                 repr(s.lat), repr(s.lon), repr(s.speed_mps), repr(s.bearing_deg), ""]
-            )
-        for name in sorted(truth.intersections):
-            writer.writerow(
-                ["intersection", format_time(truth.intersections[name]), name, "", "", "", "", ""]
-            )
-        for name in sorted(truth.flooded):
-            writer.writerow(["flooded", "", name, "", "", "", "", ""])
-        for note in truth.notices:
-            writer.writerow(["notice", "", "", "", "", "", "", note])
+    """Write ``truth`` as CSV (CRLF line ends), atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(_TRUTH_HEADER)
+    for s in truth.centroids:
+        writer.writerow(
+            ["centroid", format_time(s.time), s.cell,
+             repr(s.lat), repr(s.lon), repr(s.speed_mps), repr(s.bearing_deg), ""]
+        )
+    for name in sorted(truth.intersections):
+        writer.writerow(
+            ["intersection", format_time(truth.intersections[name]), name, "", "", "", "", ""]
+        )
+    for name in sorted(truth.flooded):
+        writer.writerow(["flooded", "", name, "", "", "", "", ""])
+    for note in truth.notices:
+        writer.writerow(["notice", "", "", "", "", "", "", note])
+    _write_atomic(path, buf.getvalue())
 
 
 def read_truth_csv(path) -> TruthRecord:
@@ -511,10 +518,10 @@ def _names(text: str) -> frozenset[str]:
 # have none.
 _GEOMETRY_KEYS = ("lat_min", "lon_min", "dlat", "dlon", "nrows", "ncols")
 _SCENARIO_KEYS = {
-    "lat_min": ("lat_min", float),
-    "lon_min": ("lon_min", float),
-    "dlat": ("dlat", float),
-    "dlon": ("dlon", float),
+    "lat_min": ("lat_min", _finite_float),
+    "lon_min": ("lon_min", _finite_float),
+    "dlat": ("dlat", _finite_float),
+    "dlon": ("dlon", _finite_float),
     "nrows": ("nrows", int),
     "ncols": ("ncols", int),
     "start": ("start_time", parse_time),
@@ -522,54 +529,27 @@ _SCENARIO_KEYS = {
     "bt_cadence_s": ("bt_cadence_s", int),
     "rain_cadence_s": ("rain_cadence_s", int),
     "rain_lag_s": ("rain_lag_s", int),
-    "background_bt": ("background_bt_K", float),
-    "noise_std": ("noise_std", float),
+    "background_bt": ("background_bt_K", _finite_float),
+    "noise_std": ("noise_std", _finite_float),
     "wind_sources": ("wind_sources", _wind_sources),
     "flooded": ("flooded_regions", _names),
 }
 _CELL_KEYS = {
-    "lat": ("lat", float),
-    "lon": ("lon", float),
-    "speed_mps": ("speed_mps", float),
-    "bearing_deg": ("bearing_deg", float),
-    "min_bt": ("min_bt_K", float),
-    "radius_km": ("radius_km", float),
-    "radius_ns_km": ("radius_ns_km", float),
-    "wind_peak": ("wind_peak_mps", float),
-    "rain_peak": ("rain_peak_mmh", float),
+    "lat": ("lat", _finite_float),
+    "lon": ("lon", _finite_float),
+    "speed_mps": ("speed_mps", _finite_float),
+    "bearing_deg": ("bearing_deg", _finite_float),
+    "min_bt": ("min_bt_K", _finite_float),
+    "radius_km": ("radius_km", _finite_float),
+    "radius_ns_km": ("radius_ns_km", _finite_float),
+    "wind_peak": ("wind_peak_mps", _finite_float),
+    "rain_peak": ("rain_peak_mmh", _finite_float),
     "birth_s": ("birth_s", int),
     "death_s": ("death_s", int),
 }
-_REGION_KEYS = {key: (key, float) for key in ("lat_min", "lat_max", "lon_min", "lon_max")}
+_REGION_KEYS = {key: (key, _finite_float) for key in ("lat_min", "lat_max", "lon_min", "lon_max")}
 _SCENARIO_REQUIRED = {*_GEOMETRY_KEYS, "start", "duration_s"}
 _CELL_REQUIRED = {"lat", "lon", "speed_mps", "bearing_deg"}
-
-
-def _read_section(path, section, keys: dict, required: set, build: Callable):
-    """``build`` called with the keys of ``section`` parsed, by field name.
-
-    An unknown key, a missing required key, a value its parser rejects and
-    a ValueError from ``build`` all fail with a message that starts with
-    the file and the section.
-    """
-    where = f"{path}: [{section.name}]"
-    unknown = set(section) - set(keys)
-    if unknown:
-        raise ValueError(f"{where} unknown keys: {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ValueError(f"{where} missing keys: {sorted(missing)}")
-    fields = {}
-    for key, (field, parse) in keys.items():
-        if key in section:
-            try:
-                fields[field] = parse(section[key])
-            except ValueError as exc:
-                raise ValueError(f"{where} bad {key}: {exc}") from None
-    try:
-        return build(**fields)
-    except ValueError as exc:
-        raise ValueError(f"{where} {exc}") from None
 
 
 def read_scenario(path) -> ScenarioSpec:
@@ -577,13 +557,9 @@ def read_scenario(path) -> ScenarioSpec:
 
     Sections: one [scenario], any number of [cell NAME] and [region NAME].
     Unknown keys are rejected so typos fail loudly instead of silently
-    running defaults.
+    running defaults, and every fault names the file.
     """
-    import configparser
-
-    parser = configparser.ConfigParser(interpolation=None)
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh, source=str(path))
+    parser = _read_ini(path)
     if "scenario" not in parser:
         raise ValueError(f"{path}: missing [scenario] section")
 

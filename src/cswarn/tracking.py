@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +31,10 @@ DEFAULT_MAX_GAP_KM = 50.0
 DEFAULT_FIT_WINDOW = 6
 HORIZON_STEP_S = 600
 HORIZON_MAX_S = 86400
+
+# Every forecast horizon (s), read-only and shared by every forecast.
+_HORIZONS = np.arange(HORIZON_STEP_S, HORIZON_MAX_S + 1, HORIZON_STEP_S, dtype=np.float64)
+_HORIZONS.setflags(write=False)
 
 
 class UndefinedMotionError(ValueError):
@@ -147,10 +152,10 @@ def forecast(track: Track, fit_window: int = DEFAULT_FIT_WINDOW) -> ForecastPath
     bbox = track.last.bbox
     lat_ref = (bbox.lat_min + bbox.lat_max) / 2.0
     if motion.speed_mps == 0.0 or motion.bearing_deg is None:
-        horizons = np.array([float(HORIZON_STEP_S)])
+        horizons = _HORIZONS[:1]
         dlat = dlon = np.zeros(1)
     else:
-        horizons = np.arange(HORIZON_STEP_S, HORIZON_MAX_S + 1, HORIZON_STEP_S, dtype=np.float64)
+        horizons = _HORIZONS
         dist_km = motion.speed_mps * horizons / 1000.0
         theta = math.radians(motion.bearing_deg)
         dlat = dist_km * math.cos(theta) / KM_PER_DEG
@@ -159,12 +164,21 @@ def forecast(track: Track, fit_window: int = DEFAULT_FIT_WINDOW) -> ForecastPath
                         bbox.lon_min + dlon, bbox.lon_max + dlon)
 
 
+@lru_cache(maxsize=256)
+def _region_edges(regions: tuple[RegionBox, ...]) -> np.ndarray:
+    """The (lat_min, lat_max, lon_min, lon_max) rows of ``regions``' edges,
+    read-only; found once and kept for the 256 region tuples used last."""
+    edges = np.array([(r.lat_min, r.lat_max, r.lon_min, r.lon_max) for r in regions], np.float64)
+    edges = edges.reshape(-1, 4).T.copy()
+    edges.setflags(write=False)
+    return edges
+
+
 def time_to_region(path: ForecastPath, regions: Sequence[RegionBox]) -> list[int | None]:
     """Each region's first horizon of a :func:`forecast` path whose bbox
     meets it (closed intervals, as :meth:`RegionBox.intersects`), or None
     when none does; one test over every horizon and region at once."""
-    edges = np.array([(r.lat_min, r.lat_max, r.lon_min, r.lon_max) for r in regions], np.float64)
-    lat_min, lat_max, lon_min, lon_max = edges.reshape(-1, 4).T
+    lat_min, lat_max, lon_min, lon_max = _region_edges(tuple(regions))
     hit = ((path.lat_min[:, None] <= lat_max) & (lat_min <= path.lat_max[:, None])
            & (path.lon_min[:, None] <= lon_max) & (lon_min <= path.lon_max[:, None]))
     first = hit.argmax(axis=0)

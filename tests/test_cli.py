@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cswarn import cli, convection, floodmap, fusion, precip, tracking, wind
+from cswarn import scenario as sc
 from cswarn.cli import (
     ConfigError,
     EngineConfig,
@@ -30,6 +31,7 @@ from cswarn.geogrid import (
     GridGeometry,
     GridStack,
     Variable,
+    _finite_float,
     parse_time,
     read_gsf,
     read_regions,
@@ -199,11 +201,11 @@ class TestConfig:
         [
             ("[volcano]\nx = 1\n", "unknown section"),
             ("[detection]\nbogus = 1\n", "unknown key"),
-            ("[detection]\nt_deep = warm\n", "does not parse"),
+            ("[detection]\nt_deep = warm\n", "[detection] bad t_deep: could not convert"),
             ("[detection]\nt_deep = 500\n", "outside [100, 400]"),
             ("[detection]\nmin_area_px = 0\n", "must be >= 1"),
-            ("[wind]\nbins = 5, 10\n", "exactly three"),
-            ("[wind]\nbins = a, b, c\n", "comma-separated"),
+            ("[wind]\nbins = 5, 10\n", "bad bins: expected three comma-separated numbers, got 2"),
+            ("[wind]\nbins = a, b, c\n", "bad bins: could not convert string to float: 'a'"),
             ("[wind]\nbins = 10, 5, 15\n", "increasing"),
             ("[wind]\ngmf = nosuch\n", "unknown GMF"),
             ("[wind]\nv_max = 0\n", "outside (0, 60]"),
@@ -224,6 +226,23 @@ class TestConfig:
         assert fragment in str(err.value)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[detection]\nbogus = 1\n", "[detection] unknown keys: ['bogus']"),
+        ("[detection]\nt_deep = warm\n",
+         "[detection] bad t_deep: could not convert string to float: 'warm'"),
+        ("[fusion]\nepoch_s = 1.5\n",
+         "[fusion] bad epoch_s: invalid literal for int() with base 10: '1.5'"),
+        ("[volcano]\nx = 1\n", "unknown section [volcano]"),
+        ("[detection]\nt_deep = 500\n", "detection.t_deep 500.0 outside [100, 400] K"),
+    ])
+    def test_message_names_the_file_first(self, tmp_path, text, message):
+        """Config faults read as scenario-spec faults do: file, section, key."""
+        path = tmp_path / "engine.ini"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            read_config(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_malformed_ini_is_config_error(self, tmp_path):
         path = tmp_path / "engine.ini"
         path.write_text("not an ini at all\n", encoding="utf-8")
@@ -234,6 +253,37 @@ class TestConfig:
 # ---------------------------------------------------------------------------
 # Exit codes and diagnostics
 # ---------------------------------------------------------------------------
+
+# A spec that sets every key of its sections that reads a float.
+FULL_SPEC = {
+    "scenario": {"lat_min": "15", "lon_min": "105", "dlat": "0.05", "dlon": "0.05",
+                 "nrows": "20", "ncols": "20", "start": "2020-10-05T00:00:00Z",
+                 "duration_s": "3600", "background_bt": "285", "noise_std": "0.5"},
+    "cell s": {"lat": "15.5", "lon": "105.5", "speed_mps": "5", "bearing_deg": "270",
+               "min_bt": "200", "radius_km": "15", "radius_ns_km": "25", "wind_peak": "18",
+               "rain_peak": "9"},
+    "region Q": {"lat_min": "15.2", "lat_max": "15.6", "lon_min": "105.2", "lon_max": "105.6"},
+}
+SPEC_FLOAT_KEYS = [
+    ("scenario", k) for k in ("lat_min", "lon_min", "dlat", "dlon", "background_bt", "noise_std")
+] + [
+    ("cell s", k) for k in ("lat", "lon", "speed_mps", "bearing_deg", "min_bt", "radius_km",
+                            "radius_ns_km", "wind_peak", "rain_peak")
+] + [("region Q", k) for k in ("lat_min", "lat_max", "lon_min", "lon_max")]
+
+
+def spec_text(sections, section=None, key=None, value=None) -> str:
+    """``sections`` as INI text, with ``key`` of ``section`` set to ``value``."""
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {value if (name, k) == (section, key) else v}\n"
+                                for k, v in keys.items()) + "\n"
+        for name, keys in sections.items())
+
+
+# Every (section, key) of the config whose parser reads floats.
+CONFIG_FLOAT_KEYS = [(section, key) for section, keys in cli._CONFIG_SCHEMA.items()
+                     for key, parse in keys.items() if parse in (_finite_float, cli._bins)]
+
 
 class TestExitCodes:
     def test_config_error_is_2_and_writes_nothing(self, tmp_path, capsys):
@@ -249,12 +299,16 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_every_float_field_has_a_non_finite_case(self):
+        """The cases below are the schema's float parsers; they must be the
+        config's float fields, so the test cannot shrink unnoticed."""
+        floats = [f.name for f in dataclasses.fields(EngineConfig)
+                  if f.type in ("float", "tuple[float, float, float]")]
+        assert sorted(key for _, key in CONFIG_FLOAT_KEYS) == sorted(floats)
+        assert len(CONFIG_FLOAT_KEYS) == 9
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("section, key", [
-        *((section, key) for section, keys in cli._CONFIG_SCHEMA.items()
-          for key, parse in keys.items() if parse is float),
-        ("wind", "bins"),
-    ])
+    @pytest.mark.parametrize("section, key", CONFIG_FLOAT_KEYS)
     def test_non_finite_float_is_2_and_writes_nothing(self, tmp_path, capsys, section, key,
                                                        value):
         bad = tmp_path / "engine.ini"
@@ -263,9 +317,8 @@ class TestExitCodes:
         out = tmp_path / "objects.csv"
         code = cli.main(["detect", str(tmp_path / "bt.gsf"), "-o", str(out), "--config", str(bad)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("cswarn detect: config error:") and "not a finite number" in err
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == (f"cswarn detect: config error: {bad}: [{section}] "
+                                           f"bad {key}: {value!r} is not a finite number\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, b"[rain]\nr_heavy = 8\xff\n"],
@@ -280,6 +333,67 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("cswarn detect: config error:") and str(bad) in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_every_spec_float_key_has_a_non_finite_case(self):
+        tables = {"scenario": sc._SCENARIO_KEYS, "cell s": sc._CELL_KEYS,
+                  "region Q": sc._REGION_KEYS}
+        parsed = {(section, key) for section, keys in tables.items()
+                  for key, (_, parse) in keys.items() if parse is _finite_float}
+        assert sorted(parsed) == sorted(SPEC_FLOAT_KEYS)
+        assert len(SPEC_FLOAT_KEYS) == 6 + 9 + 4
+        assert all(key in FULL_SPEC[section] for section, key in SPEC_FLOAT_KEYS)
+
+    def test_full_spec_renders(self, tmp_path):
+        spec = tmp_path / "s.ini"
+        spec.write_text(spec_text(FULL_SPEC), encoding="utf-8")
+        assert cli.main(["synth", "--spec", str(spec), str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", SPEC_FLOAT_KEYS)
+    def test_non_finite_spec_value_is_1_and_writes_nothing(self, tmp_path, capsys, section,
+                                                           key, value):
+        """``lat = nan`` used to render a cloudless stack and exit 0."""
+        spec = tmp_path / "s.ini"
+        spec.write_text(spec_text(FULL_SPEC, section, key, value), encoding="utf-8")
+        code = cli.main(["synth", "--spec", str(spec), str(tmp_path / "out"),
+                         "--regions-out", str(tmp_path / "regions.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"cswarn synth: {spec}: [{section}] bad {key}: "
+                                           f"{value!r} is not a finite number\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
+
+    @pytest.mark.parametrize("kind", ["gsf", "regions", "config", "spec"])
+    def test_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, pipeline, capsys,
+                                                           kind):
+        """Before, the regions file and the scenario spec reported only the
+        codec's position (``can't decode byte 0xff in position 16``)."""
+        if kind == "gsf":
+            source = pipeline["data"] / "bt.gsf"
+        elif kind == "regions":
+            source = pipeline["regions"]
+        elif kind == "config":
+            source = tmp_path / "engine.ini"
+            source.write_text("[rain]\nr_heavy = 8\n", encoding="utf-8")
+        else:
+            source = pipeline["spec"]
+        lines = source.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        argv = {
+            "gsf": ["detect", str(bad), "-o", str(out)],
+            "regions": ["validate", str(pipeline["warnings"]), str(pipeline["flood"]), str(bad),
+                        "-o", str(out)],
+            "config": ["detect", str(pipeline["data"] / "bt.gsf"), "-o", str(out),
+                       "--config", str(bad)],
+            "spec": ["synth", "--spec", str(bad), str(out)],
+        }[kind]
+        assert cli.main(argv) == (2 if kind == "config" else 1)
+        prefix = "config error: " if kind == "config" else ""
+        assert capsys.readouterr().err == (f"cswarn {argv[0]}: {prefix}{bad}: line 2: byte 0xff "
+                                           f"is not UTF-8 (invalid start byte)\n")
         assert not out.exists()
 
     def test_missing_input_is_1(self, tmp_path, capsys):
@@ -607,6 +721,39 @@ class TestFuseValidate:
         ])
         assert code == 1
         assert "unexpected warning columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value, why", [
+        ("level", "HIGH", "unknown name 'HIGH'"),
+        ("wind_cat", "GALE", "unknown name 'GALE'"),
+        ("deep_cloud_fraction", "abc", "could not convert string to float: 'abc'"),
+        ("lead_time_s", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("epoch", "yesterday", "bad timestamp 'yesterday': Invalid isoformat string: "
+                               "'yesterday'"),
+    ])
+    def test_bad_warning_cell_names_file_line_and_column(self, tmp_path, pipeline, capsys,
+                                                         column, value, why):
+        """A bad level used to read only ``cswarn validate: 'HIGH'``."""
+        rows = read_rows(pipeline["warnings"])
+        rows[1][column] = value
+        bad = tmp_path / "warnings.csv"
+        with open(bad, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, WARNINGS_HEADER, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "validation.csv"
+        code = cli.main(["validate", str(bad), str(pipeline["flood"]), str(pipeline["regions"]),
+                         "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"cswarn validate: {bad}:3: {column}: {why}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["2020-10-05T00:00:00Z,W,NONE", "a,b,c,d,e,f,g,h,i,j,k,l"])
+    def test_row_of_the_wrong_width_names_file_and_line(self, tmp_path, line):
+        bad = tmp_path / "warnings.csv"
+        bad.write_text(",".join(WARNINGS_HEADER) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_warnings_csv(bad)
+        assert str(err.value) == f"{bad}:2: expected {len(WARNINGS_HEADER)} columns"
 
     def test_quiet_scenario_all_none(self, tmp_path):
         spec = tmp_path / "s.ini"

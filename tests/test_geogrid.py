@@ -921,3 +921,31 @@ class TestRegionsFile:
         path = tmp_path / "regions.txt"
         write_regions([RegionBox(name, 15.8, 16.05, 107.6, 108.4)], path)
         assert [r.name for r in read_regions(path)] == [name]
+
+    def test_write_that_fails_midway_leaves_the_old_file(self, tmp_path, monkeypatch):
+        """The writer used to open (and truncate) the target first."""
+        path = tmp_path / "regions.txt"
+        path.write_text("OLD 1.0 2.0 3.0 4.0\n", encoding="utf-8")
+        calls = []
+
+        def fmt(v):
+            calls.append(v)
+            if len(calls) > 4:
+                raise OSError("disk full")
+            return repr(v)
+
+        monkeypatch.setattr(geogrid, "_fmt", fmt)
+        with pytest.raises(OSError, match="disk full"):
+            write_regions([RegionBox("DN", 15.8, 16.05, 107.6, 108.4),
+                           RegionBox("TT", 16.1, 16.6, 107.0, 108.2)], path)
+        assert len(calls) == 5
+        assert path.read_text(encoding="utf-8") == "OLD 1.0 2.0 3.0 4.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["regions.txt"]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "regions.txt"
+        path.write_bytes(newline.join([b"# boxes", b"DN 15.8 16.05 107.6 108.4 # \xff", b""]))
+        with pytest.raises(ValueError) as exc:
+            read_regions(path)
+        assert str(exc.value) == f"{path}: line 2: byte 0xff is not UTF-8 (invalid start byte)"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cswarn import scenario
 from cswarn.convection import detect
 from cswarn.geogrid import GridGeometry, KM_PER_DEG, RegionBox
 from cswarn.scenario import (
@@ -296,6 +297,33 @@ class TestTruthCsv:
         assert back.flooded == truth.flooded
         assert back.notices == truth.notices
 
+    def test_write_that_fails_midway_leaves_the_old_file(self, tmp_path, monkeypatch):
+        """The writer used to open (and truncate) the target first."""
+        truth = generate(small_spec(cells=[storm(speed=10.0)], duration_s=3000)).truth
+        path = tmp_path / "truth.csv"
+        path.write_text("old\n", encoding="utf-8")
+        calls = []
+
+        def format_time(t):
+            calls.append(t)
+            if len(calls) > 2:
+                raise OSError("disk full")
+            return t.isoformat()
+
+        monkeypatch.setattr(scenario, "format_time", format_time)
+        with pytest.raises(OSError, match="disk full"):
+            write_truth_csv(truth, path)
+        assert len(calls) == 3
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["truth.csv"]
+
+    def test_rows_end_in_crlf(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        write_truth_csv(generate(small_spec(cells=[storm()], duration_s=600)).truth, path)
+        data = path.read_bytes()
+        assert data.startswith(b"record,time,name,lat,lon,speed_mps,bearing_deg,note\r\n")
+        assert data.count(b"\r\n") == data.count(b"\n") == 3  # header, two frames
+
 
 class TestScenarioFile:
     VALID = """\
@@ -392,6 +420,19 @@ bearing_deg = 270.0
         with pytest.raises(ValueError) as info:
             read_scenario(path)
         assert str(info.value).startswith(f"{path}: {section} ")
+
+    @pytest.mark.parametrize("old, new, section", [
+        ("lat = 16.0", "lat = nan", "[cell storm]"),
+        ("dlat = 0.05", "dlat = inf", "[scenario]"),
+        ("lat_max = 16.3", "lat_max = -inf", "[region W]"),
+    ])
+    def test_non_finite_value_names_file_section_and_key(self, tmp_path, old, new, section):
+        assert old in self.VALID
+        path = self.write(tmp_path, self.VALID.replace(old, new))
+        with pytest.raises(ValueError) as info:
+            read_scenario(path)
+        key, value = new.split(" = ")
+        assert str(info.value) == f"{path}: {section} bad {key}: {value!r} is not a finite number"
 
     def test_generated_spec_runs(self, tmp_path):
         spec = read_scenario(self.write(tmp_path, self.VALID))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cswarn import tracking
 from cswarn.convection import CSObject
 from cswarn.geogrid import KM_PER_DEG, RegionBox
 from cswarn.tracking import (
@@ -231,6 +232,21 @@ class TestTimeToRegion:
                    RegionBox("touch", 15.8, 16.2, 109.5, 110.1)]
         assert time_to_region(forecast(track), regions) == [None, 10200, 600]
         assert time_to_region(forecast(track), []) == []
+
+    def test_fixed_geometry_is_built_once(self):
+        """The regions' edges are found once per region tuple, and every
+        moving forecast shares one read-only horizon array."""
+        regions = (RegionBox("a", 15.8, 16.2, 109.0, 109.5),
+                   RegionBox("b", 10.0, 11.0, 100.0, 101.0))
+        paths = [forecast(westward_track(s)) for s in (5.0, 10.0, 20.0)]
+        tracking._region_edges.cache_clear()
+        answers = [time_to_region(p, regions) for p in paths]
+        assert answers == [time_to_region(p, list(regions)) for p in paths]
+        info = tracking._region_edges.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        assert paths[0].horizons is paths[1].horizons is paths[2].horizons
+        assert not paths[0].horizons.flags.writeable
+        assert not any(edges.flags.writeable for edges in tracking._region_edges(regions))
 
 
 class TestForecast:
