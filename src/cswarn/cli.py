@@ -47,6 +47,7 @@ from .geogrid import (
     GsfError,
     RegionBox,
     Variable,
+    _csv_rows,
     _finite_float,
     _read_ini,
     _read_section,
@@ -264,48 +265,29 @@ def warnings_csv(reports: Sequence[WarningReport]) -> str:
 def read_warnings_csv(path) -> list[WarningReport]:
     """The reports of a warnings CSV; a bad cell fails as ``FILE:LINE: column: why``."""
     reports: list[WarningReport] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != WARNINGS_HEADER:
-            raise ValueError(f"{path}: unexpected warning columns {reader.fieldnames}")
-
-        def cell(column: str, parse: Callable[[str], object], optional: bool = False):
-            text = row[column]  # of the row being read
-            if optional and not text:
-                return None
-            try:
-                return parse(text)
-            except (KeyError, ValueError) as exc:
-                why = f"unknown name {text!r}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{path}:{reader.line_num}: {column}: {why}") from None
-
-        for row in reader:
-            if None in row or None in row.values():
-                raise ValueError(f"{path}:{reader.line_num}: expected {len(WARNINGS_HEADER)} columns")
-            ind = RegionIndicators(
-                region=row["region"],
-                epoch=cell("epoch", parse_time),
-                deep_cloud_fraction=cell("deep_cloud_fraction", float),
-                min_bt_K=cell("min_bt", float, optional=True),
-                wind_cat=cell("wind_cat", WindCategory.__getitem__),
-                wind_no_observation=False,
-                max_rain_mmh=cell("max_rain_mmh", float),
-                rain_persistence_h=cell("rain_persistence_h", float),
-                approach_s=cell("approach_s", int, optional=True),
-                source_count={},
+    for cell in _csv_rows(path, WARNINGS_HEADER, "warning"):
+        ind = RegionIndicators(
+            region=cell("region"),
+            epoch=cell("epoch", parse_time),
+            deep_cloud_fraction=cell("deep_cloud_fraction", float),
+            min_bt_K=cell("min_bt", float, optional=True),
+            wind_cat=cell("wind_cat", WindCategory.__getitem__),
+            wind_no_observation=False,
+            max_rain_mmh=cell("max_rain_mmh", float),
+            rain_persistence_h=cell("rain_persistence_h", float),
+            approach_s=cell("approach_s", int, optional=True),
+            source_count={},
+        )
+        reports.append(
+            WarningReport(
+                region=ind.region,
+                epoch=ind.epoch,
+                level=cell("level", WarnLevel.__getitem__),
+                lead_time_s=cell("lead_time_s", int, optional=True),
+                triggered_rules=tuple(r for r in cell("triggered_rules").split(";") if r),
+                indicators=ind,
             )
-            reports.append(
-                WarningReport(
-                    region=row["region"],
-                    epoch=ind.epoch,
-                    level=cell("level", WarnLevel.__getitem__),
-                    lead_time_s=cell("lead_time_s", int, optional=True),
-                    triggered_rules=tuple(
-                        r for r in row["triggered_rules"].split(";") if r
-                    ),
-                    indicators=ind,
-                )
-            )
+        )
     return reports
 
 

@@ -58,12 +58,11 @@ class CSObject:
 
 
 def convective_mask(bt: GeoGrid, t_deep: float = DEFAULT_T_DEEP_K) -> GeoGrid:
-    """Boolean grid: 1 where finite BT <= ``t_deep``, 0 above, nodata kept."""
+    """Boolean grid: 1 where finite BT <= ``t_deep``, 0 above, nodata kept
+    (as ``DEFAULT_NODATA`` when the BT sentinel is 0 or 1)."""
     if bt.variable is not Variable.BT:
         raise TypeError(f"convective_mask needs a BT grid, got {bt.variable.value}")
-    finite = bt.finite_mask
-    out = np.where(finite, bt.values <= t_deep, bt.nodata)
-    return bt._with_values_unchecked(out, Variable.FLOOD_MASK)
+    return bt._with_values_unchecked(bt.values <= t_deep, Variable.FLOOD_MASK)
 
 
 def label_array(mask: np.ndarray) -> tuple[np.ndarray, int]:

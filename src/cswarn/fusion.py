@@ -22,11 +22,12 @@ An epoch is evaluated for all regions at once. What depends only on one
 frame and fixed parameters is computed once per frame and shared by every
 engine, epoch and caller given that frame (``geogrid._per_frame``): a BT
 frame's detections (kept by :func:`convection.detect`, so frames a caller
-detected first are not labeled again here), a wind frame's categories,
-and each frame's table over the regions' cell windows, laid out once per
-grid geometry (``geogrid.region_windows``). A BT table holds each
-window's object cover and coldest touching object, a rain table its
-missing count, max rate and cell rates, and a wind table its max rank.
+detected first are not labeled again here), a wind speed frame's category
+ranks (one byte a cell, for the engine's bins), and each frame's table
+over the regions' cell windows, laid out once per grid geometry
+(``geogrid.region_windows``). A BT table holds each window's object cover
+and coldest touching object, a rain table its missing count, max rate and
+cell rates, and a wind table its max rank.
 An epoch bisects the frame times and reduces its frames' tables for all
 regions at once, in one ``precip.region_rain_stats`` and one
 ``wind.region_max_category`` call. Each live track's forecast path is
@@ -46,7 +47,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .convection import DEFAULT_MIN_AREA_PX, DEFAULT_T_DEEP_K, _frame_objects, _observed
-from .geogrid import GeoGrid, GridStack, RegionBox, WindowLayout, _per_frame, region_windows
+from .geogrid import (GeoGrid, GridStack, RegionBox, Variable, WindowLayout, _per_frame,
+                      region_windows)
 from .precip import R_HEAVY_DEFAULT_MMH, RainStats, region_rain_stats
 from .tracking import (
     DEFAULT_FIT_WINDOW,
@@ -56,7 +58,7 @@ from .tracking import (
     forecast,
     time_to_region,
 )
-from .wind import DEFAULT_BINS, WindCategory, categorize_grid, region_max_category
+from .wind import DEFAULT_BINS, WindCategory, _check_bins, region_max_category
 
 DEFAULT_WINDOW_S = 10800
 DEFAULT_EPOCH_S = 1800
@@ -178,17 +180,19 @@ def build_indicators(
     regions: Sequence[RegionBox],
     bt: GridStack | None,
     tracks: Sequence[Track],
-    wind_cat_stacks: Sequence[GridStack],
+    wind_stacks: Sequence[GridStack],
     rain_stats: Mapping[str, RainStats | None],
     window_s: int = DEFAULT_WINDOW_S,
     fit_window: int = DEFAULT_FIT_WINDOW,
     t_deep: float = DEFAULT_T_DEEP_K,
     min_area_px: int = DEFAULT_MIN_AREA_PX,
+    bins: Sequence[float] = DEFAULT_BINS,
 ) -> list[RegionIndicators]:
     """Condense all sensors into each region's indicators at ``epoch``.
 
     ``bt`` is the BT stack, or None when BT was not observed; its objects
     are those :func:`detect` finds with ``t_deep`` and ``min_area_px``.
+    ``wind_stacks`` are the wind speed stacks, graded with ``bins``.
     ``bt`` and ``tracks`` may extend past ``epoch``; only frames and
     observations in the trailing window count. ``rain_stats`` maps a
     region name to its trailing-window summary; a missing or None entry
@@ -207,7 +211,7 @@ def build_indicators(
             fraction, min_bt = np.maximum(fraction, cover), np.minimum(min_bt, cold)
         if _observed(frames, [_frame_objects(f, t_deep, min_area_px) for f in frames]):
             bt_seen = layout.n_cells > 0
-    ranks, sources = region_max_category(wind_cat_stacks, regions, window_start, epoch)
+    ranks, sources = region_max_category(wind_stacks, regions, window_start, epoch, bins)
 
     observed = [t.up_to(epoch) for t in tracks]
     live = [t for t in observed if len(t.observations) >= 2 and window_start < t.last.time]
@@ -216,8 +220,8 @@ def build_indicators(
     reach = [(t, hits) for t, hits in zip(live, arrivals) if any(h is not None for h in hits)]
     footprints = []
     if reach:
-        foot = region_max_category(wind_cat_stacks, [t.last.bbox for t, _ in reach],
-                                   window_start, epoch)
+        foot = region_max_category(wind_stacks, [t.last.bbox for t, _ in reach],
+                                   window_start, epoch, bins)
         footprints = list(zip([hits for _, hits in reach], *(a.tolist() for a in foot)))
 
     out = []
@@ -244,17 +248,20 @@ def build_indicators(
 
 
 class FusionEngine:
-    """Builds tracks from the detections of every BT frame and categorizes
-    every wind frame, then answers per-epoch warning queries in any order.
+    """Builds tracks from the detections of every BT frame, keeps the wind
+    speed stacks sorted by source, then answers per-epoch warning queries
+    in any order.
 
-    A frame's detections (for ``t_deep`` and ``min_area_px``), wind
-    categories (for ``bins``) and tables over the regions' windows are
-    computed by the first caller that needs them and shared, as frozen
-    objects, tuples and read-only arrays, with every later engine given
-    the same frame objects, parameters and regions. Building an engine on
-    frames already passed to :func:`convection.detect`, or per trailing
-    window, therefore costs tracking, not detection, for the frames seen
-    before. ``window_s`` must be > 0 and ``fit_window`` >= 2, as for the CLI."""
+    A frame's detections (for ``t_deep`` and ``min_area_px``), a wind
+    frame's category ranks (for ``bins``, one ``int8`` a cell) and tables
+    over the regions' windows are computed by the first caller that needs
+    them and shared, as frozen objects, tuples and read-only arrays, with
+    every later engine given the same frame objects, parameters and
+    regions. Building an engine on frames already passed to
+    :func:`convection.detect`, or per trailing window, therefore costs
+    tracking, not detection, for the frames seen before. ``window_s`` must
+    be > 0 and ``fit_window`` >= 2, as for the CLI, and ``bins`` must
+    increase when wind is given."""
 
     def __init__(
         self,
@@ -293,12 +300,11 @@ class FusionEngine:
         self.detections = [_frame_objects(frame, t_deep, min_area_px) for frame in bt or ()]
         self.tracks = build_tracks(_observed(bt or (), self.detections), max_gap_km)
 
-        categorize_key = ("categorize", tuple(bins))
-        self.wind_cat_stacks: list[GridStack] = []
-        for _, stack in sorted((wind_speed or {}).items()):
-            self.wind_cat_stacks.append(GridStack([
-                _per_frame(f, categorize_key, lambda: categorize_grid(f, bins)) for f in stack
-            ]))
+        self.wind = [stack for _, stack in sorted((wind_speed or {}).items())]
+        for stack in self.wind:
+            if stack.variable is not Variable.WIND_SPEED:
+                raise TypeError(f"wind_speed needs WIND_SPEED stacks, got {stack.variable.value}")
+        self.bins = _check_bins(bins) if self.wind else tuple(bins)
 
     def rain_stats_at(self, epoch: datetime, region: RegionBox) -> RainStats | None:
         """Trailing-window rain summary of ``region``, or None when rain was
@@ -315,9 +321,9 @@ class FusionEngine:
         rain = ([None] * len(self.regions) if self.rain is None else
                 region_rain_stats(self.rain, self.regions, start, epoch, self.rules.r_heavy_mmh))
         indicators = build_indicators(
-            epoch, self.regions, self.bt, self.tracks, self.wind_cat_stacks,
+            epoch, self.regions, self.bt, self.tracks, self.wind,
             {r.name: s for r, s in zip(self.regions, rain)}, self.window_s, self.fit_window,
-            self.t_deep, self.min_area_px)
+            self.t_deep, self.min_area_px, self.bins)
         return [decide(ind, self.rules) for ind in indicators]
 
     def run(self, start: datetime, end: datetime, epoch_s: int = DEFAULT_EPOCH_S) -> list[WarningReport]:

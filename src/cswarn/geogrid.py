@@ -17,7 +17,7 @@ Conventions used throughout the engine:
   binary twin next to it, which :func:`read_gsf` uses only while the
   text's SHA-256 equals the one the twin records; deleting it is safe.
 - A product that depends only on one frame and fixed parameters (its
-  detections, its wind categories, its table over a :class:`WindowLayout`)
+  detections, its wind category ranks, its table over a :class:`WindowLayout`)
   is computed once per frame through :func:`_per_frame` and shared by
   every caller, engine and epoch that asks for it while the frame lives.
 """
@@ -25,6 +25,8 @@ Conventions used throughout the engine:
 from __future__ import annotations
 
 import configparser
+import csv
+import io
 import json
 import math
 import os
@@ -197,6 +199,10 @@ class RegionBox:
         )
 
 
+# Every value a derived grid of these variables can hold.
+_HELD = {Variable.FLOOD_MASK: (0.0, 1.0), Variable.WIND_CAT: (0.0, 1.0, 2.0, 3.0)}
+
+
 def _check_bounds(variable: Variable, finite: np.ndarray) -> None:
     """Reject finite (non-nodata) values outside the variable's physical range."""
     if finite.size == 0:
@@ -210,11 +216,9 @@ def _check_bounds(variable: Variable, finite: np.ndarray) -> None:
         raise ValueError(f"WIND_SPEED values outside [0, 100] m/s (min={lo}, max={hi})")
     if variable is Variable.NRCS and lo <= 0.0:
         raise ValueError(f"NRCS values must be > 0 linear (min={lo})")
-    if variable is Variable.FLOOD_MASK and not ((finite == 0.0) | (finite == 1.0)).all():
+    if variable is Variable.FLOOD_MASK and not np.isin(finite, _HELD[variable]).all():
         raise ValueError("FLOOD_MASK values must be 0 or 1")
-    if variable is Variable.WIND_CAT and not (
-        (finite == 0.0) | (finite == 1.0) | (finite == 2.0) | (finite == 3.0)
-    ).all():
+    if variable is Variable.WIND_CAT and not np.isin(finite, _HELD[variable]).all():
         raise ValueError("WIND_CAT values must be ranks 0..3")
 
 
@@ -277,15 +281,19 @@ class GeoGrid:
         )
 
     def _with_values_unchecked(self, values: np.ndarray, variable: Variable) -> "GeoGrid":
-        """:meth:`with_values` without the copy and the checks, for a fresh
-        float64 array the caller built to be valid: 0/1 or ranks 0..3 from a
-        threshold of this grid's finite cells, and ``nodata`` elsewhere.
-        The time is already normalised. ``values`` is frozen in place."""
-        values.setflags(write=False)
+        """:meth:`with_values` without the checks, for ``values`` the caller
+        built to be valid where this grid holds data: 0/1 or ranks 0..3
+        from a threshold of this grid. Every other cell holds the derived
+        grid's nodata: this grid's sentinel, or ``DEFAULT_NODATA`` when the
+        derived grid could hold the sentinel as a value. The time is
+        already normalised."""
+        nodata = DEFAULT_NODATA if self.nodata in _HELD[variable] else self.nodata
+        out = np.where(self.finite_mask, values, nodata)
+        out.setflags(write=False)
         grid = object.__new__(GeoGrid)
         for name, value in (("variable", variable), ("units", DEFAULT_UNITS[variable]),
                             ("time", self.time), ("geometry", self.geometry),
-                            ("values", values), ("nodata", self.nodata)):
+                            ("values", out), ("nodata", nodata)):
             object.__setattr__(grid, name, value)
         return grid
 
@@ -783,7 +791,7 @@ def region_windows(geometry: GridGeometry, regions: tuple[RegionBox, ...]) -> Wi
 
 
 # ---------------------------------------------------------------------------
-# Regions file and INI files (the engine config and the scenario spec)
+# Regions file, INI files (the engine config and the scenario spec) and CSV rows
 # ---------------------------------------------------------------------------
 
 def _check_region_name(name: str) -> str:
@@ -825,24 +833,57 @@ def write_regions(regions: Sequence[RegionBox], path) -> None:
         for r in regions))
 
 
-def _read_text(path) -> str:
-    """The UTF-8 text of ``path``, every line ending as LF; a byte that is
-    not UTF-8 fails naming the file and its line."""
+def _read_text(path, newline: str | None = None) -> str:
+    """The UTF-8 text of ``path``, every line ending as LF unless
+    ``newline`` is ``""``, which keeps them; a byte that is not UTF-8 fails
+    naming the file and its line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {_not_utf8(path, exc)}") from None
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    """The INI file at ``path``, parsed; any fault is a ValueError naming it."""
+    """The INI file at ``path``, parsed; any fault is a ValueError naming
+    it. ``configparser`` copies ``[DEFAULT]`` keys into every section, or
+    drops them when no other section is there, so that section may hold
+    no key."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(_read_text(path), source=str(path))
     except (OSError, configparser.Error) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if parser.defaults():
+        raise ValueError(f"{path}: [{parser.default_section}] may hold no keys, "
+                         f"got {sorted(parser.defaults())}")
     return parser
+
+
+def _csv_rows(path, header: Sequence[str], what: str) -> Iterator[Callable[..., object]]:
+    """The rows of the CSV file at ``path`` after its ``header``, each as
+    ``cell(column, parse=str, optional=False)``: the column's text through
+    ``parse``, or None when ``optional`` and empty. Every fault names the
+    file, a row's its line too, and a cell's reads ``FILE:LINE: column: why``."""
+    reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
+    if reader.fieldnames != list(header):
+        raise ValueError(f"{path}: unexpected {what} columns {reader.fieldnames}")
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        if None in row or None in row.values():
+            raise ValueError(f"{where}: expected {len(header)} columns")
+
+        def cell(column: str, parse: Callable = str, optional: bool = False):
+            text = row[column]
+            if optional and not text:
+                return None
+            try:
+                return parse(text)
+            except (KeyError, ValueError) as exc:
+                why = f"unknown name {text!r}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{where}: {column}: {why}") from None
+
+        yield cell
 
 
 def _finite_float(text: str) -> float:

@@ -41,6 +41,7 @@ from .geogrid import (
     RegionBox,
     Variable,
     _check_region_name,
+    _csv_rows,
     _finite_float,
     _read_ini,
     _read_section,
@@ -461,33 +462,33 @@ def write_truth_csv(truth: TruthRecord, path) -> None:
     _write_atomic(path, buf.getvalue())
 
 
+_TRUTH_KINDS = ("centroid", "intersection", "flooded", "notice")
+
+
+def _truth_kind(text: str) -> str:
+    if text not in _TRUTH_KINDS:
+        raise ValueError(f"unknown truth record kind {text!r}")
+    return text
+
+
 def read_truth_csv(path) -> TruthRecord:
+    """The truth record of a truth CSV; a bad cell fails as ``FILE:LINE: column: why``."""
     centroids: list[CentroidSample] = []
     intersections: dict[str, datetime] = {}
     flooded: set[str] = set()
     notices: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _TRUTH_HEADER:
-            raise ValueError(f"{path}: unexpected truth columns {reader.fieldnames}")
-        for row in reader:
-            kind = row["record"]
-            if kind == "centroid":
-                centroids.append(
-                    CentroidSample(
-                        parse_time(row["time"]), row["name"],
-                        float(row["lat"]), float(row["lon"]),
-                        float(row["speed_mps"]), float(row["bearing_deg"]),
-                    )
-                )
-            elif kind == "intersection":
-                intersections[row["name"]] = parse_time(row["time"])
-            elif kind == "flooded":
-                flooded.add(row["name"])
-            elif kind == "notice":
-                notices.append(row["note"])
-            else:
-                raise ValueError(f"{path}: unknown truth record kind {kind!r}")
+    for cell in _csv_rows(path, _TRUTH_HEADER, "truth"):
+        kind = cell("record", _truth_kind)
+        if kind == "centroid":
+            centroids.append(CentroidSample(
+                cell("time", parse_time), cell("name"), cell("lat", float), cell("lon", float),
+                cell("speed_mps", float), cell("bearing_deg", float)))
+        elif kind == "intersection":
+            intersections[cell("name")] = cell("time", parse_time)
+        elif kind == "flooded":
+            flooded.add(cell("name"))
+        else:
+            notices.append(cell("note"))
     return TruthRecord(tuple(centroids), intersections, frozenset(flooded), tuple(notices))
 
 

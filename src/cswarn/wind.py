@@ -19,7 +19,10 @@ Severity bins follow the operational categories none / weak / moderate /
 severe with boundaries at 5, 10, and 15 m/s, half-open so every speed
 maps to exactly one category (15 m/s is severe). A region's severity over
 a window is its max over every source, cell and frame, found for many
-regions at once (:func:`region_max_category`).
+regions at once from the wind speed stacks (:func:`region_max_category`).
+Each speed frame is categorized once per set of bins, the first time a
+table needs it, and only its ranks are kept: one read-only ``int8`` array
+per frame, -1 where the frame holds nodata (``geogrid._per_frame``).
 """
 
 from __future__ import annotations
@@ -238,23 +241,31 @@ def retrieve_wind_grid(
     if nrcs.variable is not Variable.NRCS:
         raise TypeError(f"retrieve_wind_grid needs an NRCS grid, got {nrcs.variable.value}")
     _check_geometry(gmf, geom)
-    inc = np.full(nrcs.values.shape, geom.incidence_deg)
-    az = np.full(nrcs.values.shape, geom.rel_azimuth_deg)
     finite = nrcs.finite_mask
     # nodata cells hold the sentinel; feed a harmless stand-in and mask after.
     sigma0 = np.where(finite, nrcs.values, 1.0)
-    v, _, _ = _invert_core(gmf, sigma0, inc, az, v_max)
-    out = np.where(finite, v, nrcs.nodata)
+    # The bisection is elementwise and every cell shares one geometry, so
+    # each distinct value is inverted once and its speed scattered back.
+    distinct, inverse = np.unique(sigma0, return_inverse=True)
+    v, _, _ = _invert_core(gmf, distinct, np.full(distinct.shape, geom.incidence_deg),
+                           np.full(distinct.shape, geom.rel_azimuth_deg), v_max)
+    out = np.where(finite, v[inverse.reshape(sigma0.shape)], nrcs.nodata)
     return nrcs.with_values(out, variable=Variable.WIND_SPEED)
+
+
+def _check_bins(bins: Sequence[float]) -> tuple[float, float, float]:
+    """``bins`` as a tuple of three increasing edges."""
+    b1, b2, b3 = bins
+    if not b1 < b2 < b3:
+        raise ValueError(f"category bins must increase, got {bins}")
+    return b1, b2, b3
 
 
 def categorize(v: float, bins: Sequence[float] = DEFAULT_BINS) -> WindCategory:
     """Severity of one speed; bins are half-open, top bin closed below."""
     if v < 0:
         raise ValueError(f"wind speed must be >= 0, got {v}")
-    b1, b2, b3 = bins
-    if not b1 < b2 < b3:
-        raise ValueError(f"category bins must increase, got {bins}")
+    b1, b2, b3 = _check_bins(bins)
     if v < b1:
         return WindCategory.NONE
     if v < b2:
@@ -265,15 +276,14 @@ def categorize(v: float, bins: Sequence[float] = DEFAULT_BINS) -> WindCategory:
 
 
 def categorize_grid(wind: GeoGrid, bins: Sequence[float] = DEFAULT_BINS) -> GeoGrid:
-    """Per-cell category ranks (0..3) as a grid; nodata propagates."""
+    """Per-cell category ranks (0..3) as a grid; nodata propagates (as
+    ``DEFAULT_NODATA`` when the speed sentinel is a rank)."""
     if wind.variable is not Variable.WIND_SPEED:
         raise TypeError(f"categorize_grid needs a WIND_SPEED grid, got {wind.variable.value}")
-    b1, b2, b3 = bins
-    if not b1 < b2 < b3:
-        raise ValueError(f"category bins must increase, got {bins}")
-    ranks = np.digitize(wind.values, (b1, b2, b3)).astype(np.float64)
-    out = np.where(wind.finite_mask, ranks, wind.nodata)
-    return wind._with_values_unchecked(out, Variable.WIND_CAT)
+    # A cell's rank is the number of edges at or below it: three
+    # comparisons cost far less than np.digitize's search.
+    ranks = np.add.reduce([wind.values >= b for b in _check_bins(bins)], dtype=np.int8)
+    return wind._with_values_unchecked(ranks, Variable.WIND_CAT)
 
 
 def region_max_category(
@@ -281,26 +291,37 @@ def region_max_category(
     regions: Sequence[RegionBox],
     window_start: datetime,
     window_end: datetime,
+    bins: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Max category rank over all sources, region cells and frames with
-    ``window_start < t <= window_end``, and the number of sources with a
-    finite cell there, as arrays in region order: a region nobody observed
-    gets rank 0 (NONE) from 0 sources. Each frame's max rank per window is
-    computed once per frame and layout (``geogrid._per_frame``)."""
+    """Max category rank for ``bins`` over all wind speed ``sources``,
+    region cells and frames with ``window_start < t <= window_end``, and
+    the number of sources with a finite cell there, as arrays in region
+    order: a region nobody observed gets rank 0 (NONE) from 0 sources.
+    Each frame's max rank per window is computed once per frame, bins and
+    layout (``geogrid._per_frame``)."""
+    bins = tuple(bins)
     best = observed = np.zeros(len(regions), dtype=np.int64)
     for stack in sources:
-        if stack.variable is not Variable.WIND_CAT:
-            raise TypeError(f"expected WIND_CAT stacks, got {stack.variable.value}")
+        if stack.variable is not Variable.WIND_SPEED:
+            raise TypeError(f"expected WIND_SPEED stacks, got {stack.variable.value}")
         layout = region_windows(stack.geometry, tuple(regions))
-        seen = np.full(best.size, -1.0)
-        key = ("rank table", layout.key)
+        seen = np.full(best.size, -1, dtype=np.int8)
+        key = ("rank table", bins, layout.key)
         for f in stack.between(window_start, window_end):
-            seen = np.maximum(seen, _per_frame(f, key, lambda: _rank_table(f, layout)))
-        best, observed = np.maximum(best, seen.astype(np.int64)), observed + (seen >= 0)
+            seen = np.maximum(seen, _per_frame(f, key, lambda: _rank_table(f, bins, layout)))
+        best, observed = np.maximum(best, seen), observed + (seen >= 0)
     return best, observed
 
 
-def _rank_table(frame: GeoGrid, layout: WindowLayout) -> np.ndarray:
+def _ranks(frame: GeoGrid, bins: tuple[float, ...]) -> np.ndarray:
+    """A speed frame's category rank per cell, -1 where the frame holds
+    nodata, as a read-only ``int8`` array."""
+    ranks = np.where(frame.finite_mask, categorize_grid(frame, bins).values, -1).astype(np.int8)
+    ranks.setflags(write=False)
+    return ranks
+
+
+def _rank_table(frame: GeoGrid, bins: tuple[float, ...], layout: WindowLayout) -> np.ndarray:
     """Each window's max category rank, -1 where no cell is finite."""
-    block = frame.values.ravel()[layout.cells]
-    return layout.reduce(np.maximum, np.where(block != frame.nodata, block, -1.0), -1.0)
+    ranks = _per_frame(frame, ("ranks", bins), lambda: _ranks(frame, bins))
+    return layout.reduce(np.maximum, ranks.ravel()[layout.cells], -1)

@@ -41,7 +41,7 @@ from cswarn.scenario import (
     TruthRecord,
 )
 from cswarn.tracking import MotionVector, motion_vector
-from cswarn.wind import SYNTH1, WindCategory
+from cswarn.wind import SYNTH1, WindCategory, categorize
 
 
 def union_find_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
@@ -394,8 +394,9 @@ def _in_window(stack, start, end) -> list:
     return [f for f in stack or () if start < f.time <= end]
 
 
-def _reference_wind(stacks, box: RegionBox, start, end) -> tuple[int, int]:
-    """(max rank, observing stacks) over every cell of every frame."""
+def _reference_wind(stacks, box: RegionBox, start, end, bins) -> tuple[int, int]:
+    """(max category rank, observing stacks) over every cell of every wind
+    speed frame, each cell graded on its own by ``categorize``."""
     best = observed = 0
     for stack in stacks:
         seen = False
@@ -404,7 +405,7 @@ def _reference_wind(stacks, box: RegionBox, start, end) -> tuple[int, int]:
             for r, c in cells:
                 if frame.values[r, c] != frame.nodata:
                     seen = True
-                    best = max(best, int(frame.values[r, c]))
+                    best = max(best, int(categorize(float(frame.values[r, c]), bins)))
         observed += seen
     return best, observed
 
@@ -441,13 +442,13 @@ def _reference_rain(rain, region: RegionBox, start, end, r_heavy: float):
                      min(longest * dt_h, window_h), missing / (len(frames) * len(cells)))
 
 
-def reference_indicators(epoch, regions, bt, detections, tracks, rain, wind_cat_stacks,
+def reference_indicators(epoch, regions, bt, detections, tracks, rain, wind_stacks, bins,
                          window_s: int, fit_window: int, r_heavy: float) -> list:
     """Each region's RegionIndicators at ``epoch``, cell by cell and frame
     by frame: no windows, memo or tables. Cloud cover is the share of the
     region's cells (``region_cells``) that an object's pixels cover, rain a
     loop over frames and cells, wind a scan of every cell, and approach the
-    horizon loop, for the detections, tracks and wind category stacks given."""
+    horizon loop, for the detections, tracks and wind speed stacks given."""
     start = epoch - timedelta(seconds=window_s)
     bt_frames = [i for i, f in enumerate(bt or ()) if start < f.time <= epoch]
     # BT was observed when some frame in the window holds an object or a data cell.
@@ -466,12 +467,12 @@ def reference_indicators(epoch, regions, bt, detections, tracks, rain, wind_cat_
                     covered |= hits
                     min_bt = obj.min_bt if min_bt is None else min(min_bt, obj.min_bt)
             fraction = max(fraction, len(covered) / len(cells))
-        approach, samples = None, [_reference_wind(wind_cat_stacks, region, start, epoch)]
+        approach, samples = None, [_reference_wind(wind_stacks, region, start, epoch, bins)]
         for track in live:
             h = horizon_loop_time_to_region(track, region, fit_window)
             if h is not None:
                 approach = h if approach is None else min(approach, h)
-                samples.append(_reference_wind(wind_cat_stacks, track.last.bbox, start, epoch))
+                samples.append(_reference_wind(wind_stacks, track.last.bbox, start, epoch, bins))
         stats = _reference_rain(rain, region, start, epoch, r_heavy)
         out.append(RegionIndicators(
             region=region.name, epoch=epoch, deep_cloud_fraction=fraction, min_bt_K=min_bt,

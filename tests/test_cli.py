@@ -363,13 +363,16 @@ class TestExitCodes:
                                            f"{value!r} is not a finite number\n")
         assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
 
-    @pytest.mark.parametrize("kind", ["gsf", "regions", "config", "spec"])
+    @pytest.mark.parametrize("kind", ["gsf", "regions", "config", "spec", "warnings"])
     def test_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, pipeline, capsys,
                                                            kind):
-        """Before, the regions file and the scenario spec reported only the
-        codec's position (``can't decode byte 0xff in position 16``)."""
+        """Before, the regions file, the scenario spec and the warnings CSV
+        reported only the codec's position (``can't decode byte 0xff in
+        position 16``)."""
         if kind == "gsf":
             source = pipeline["data"] / "bt.gsf"
+        elif kind == "warnings":
+            source = pipeline["warnings"]
         elif kind == "regions":
             source = pipeline["regions"]
         elif kind == "config":
@@ -389,12 +392,42 @@ class TestExitCodes:
             "config": ["detect", str(pipeline["data"] / "bt.gsf"), "-o", str(out),
                        "--config", str(bad)],
             "spec": ["synth", "--spec", str(bad), str(out)],
+            "warnings": ["validate", str(bad), str(pipeline["flood"]), str(pipeline["regions"]),
+                         "-o", str(out)],
         }[kind]
         assert cli.main(argv) == (2 if kind == "config" else 1)
         prefix = "config error: " if kind == "config" else ""
         assert capsys.readouterr().err == (f"cswarn {argv[0]}: {prefix}{bad}: line 2: byte 0xff "
                                            f"is not UTF-8 (invalid start byte)\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nt_deep = 500\n",
+                                      "[DEFAULT]\nt_deep = 200\n[detection]\nmin_area_px = 4\n"])
+    def test_config_key_in_default_is_2(self, tmp_path, capsys, text):
+        """A lone [DEFAULT] with ``t_deep = 500`` used to run on the default
+        220 K; next to [detection] it silently set ``detection.t_deep``."""
+        bad = tmp_path / "engine.ini"
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "objects.csv"
+        code = cli.main(["detect", str(tmp_path / "bt.gsf"), "-o", str(out), "--config", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"cswarn detect: config error: {bad}: [DEFAULT] "
+                                           f"may hold no keys, got ['t_deep']\n")
+        assert not out.exists()
+
+    def test_spec_key_in_default_is_1(self, tmp_path, capsys):
+        spec = tmp_path / "s.ini"
+        spec.write_text("[DEFAULT]\nnoise_std = 0.5\n" + QUIET_SPEC, encoding="utf-8")
+        code = cli.main(["synth", "--spec", str(spec), str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"cswarn synth: {spec}: [DEFAULT] may hold no keys, "
+                                           f"got ['noise_std']\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
+
+    def test_empty_default_section_is_read(self, tmp_path):
+        ok = tmp_path / "engine.ini"
+        ok.write_text("[DEFAULT]\n[detection]\nt_deep = 210\n", encoding="utf-8")
+        assert cli.read_config(ok).t_deep == 210.0
 
     def test_missing_input_is_1(self, tmp_path, capsys):
         out = tmp_path / "objects.csv"

@@ -17,7 +17,7 @@ from cswarn.convection import (
     label_components,
     summarize,
 )
-from cswarn.geogrid import GridGeometry, RegionBox, Variable
+from cswarn.geogrid import DEFAULT_NODATA, GridGeometry, RegionBox, Variable
 from cswarn.scenario import CellSpec, ScenarioSpec, generate
 
 from conftest import T0, make_grid
@@ -131,12 +131,28 @@ class TestConvectiveMask:
            st.floats(150.0, 300.0))
     def test_values_equal_the_float_mask_formula(self, seed, nodata, t_deep):
         # The mask is written straight from the comparison, with no float
-        # copy of it; its bytes are those of the float-mask formula.
+        # copy of it; its bytes are those of the float-mask formula. A BT
+        # sentinel of 0 or 1 would read as a mask value, so the mask then
+        # holds the default sentinel.
         rng = np.random.default_rng(seed)
         values = rng.choice([150.0, 215.0, 220.0, 260.0, t_deep, nodata], size=(7, 40))
         bt = make_grid(values, nodata=nodata)
-        want = np.where(bt.finite_mask, (bt.values <= t_deep).astype(np.float64), nodata)
-        assert convective_mask(bt, t_deep).values.tobytes() == want.tobytes()
+        mask_nodata = DEFAULT_NODATA if nodata in (0.0, 1.0) else nodata
+        want = np.where(bt.finite_mask, (bt.values <= t_deep).astype(np.float64), mask_nodata)
+        mask = convective_mask(bt, t_deep)
+        assert mask.values.tobytes() == want.tobytes()
+        assert mask.nodata == mask_nodata
+        assert mask.finite_mask.tolist() == bt.finite_mask.tolist()
+
+    @pytest.mark.parametrize("nodata", [-9999.0, 0.0, 1.0])
+    def test_bt_sentinel_that_is_a_mask_value_hides_no_cloud(self, nodata):
+        # A 9-cell 200 K cloud in a 6x6 frame with a gap: one object
+        # whatever the BT sentinel, 1 included.
+        values = np.full((6, 6), 280.0)
+        values[1:4, 1:4] = 200.0
+        values[5, 5] = nodata
+        objects = detect(make_grid(values, nodata=nodata))
+        assert [(o.pixel_count, o.min_bt) for o in objects] == [(9, 200.0)]
 
     def test_mask_monotone_in_threshold(self):
         rng = np.random.default_rng(7)

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from cswarn import scenario as sc
 from cswarn.convection import DEFAULT_T_DEEP_K, convective_mask
 from cswarn.geogrid import (
+    DEFAULT_NODATA,
     DEFAULT_UNITS,
     GeoGrid,
     GridGeometry,
@@ -41,11 +42,21 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cswarn"
 UNCHECKED = "_with_values_unchecked"
 
 
+# The values each derived variable holds; a source sentinel among them
+# would read as data, so the derived grid takes the default sentinel.
+HELD = {Variable.FLOOD_MASK: [0.0, 1.0], Variable.WIND_CAT: [0.0, 1.0, 2.0, 3.0]}
+
+
+def derived_nodata(source: GeoGrid, variable: Variable) -> float:
+    return DEFAULT_NODATA if source.nodata in HELD[variable] else source.nodata
+
+
 def validated_like(source: GeoGrid, variable: Variable, values: list[list[float]]) -> GeoGrid:
-    """A grid of ``values`` on ``source``'s geometry, time and nodata,
-    through every check of the constructor."""
+    """A grid of ``values`` on ``source``'s geometry and time, with the
+    derived sentinel, through every check of the constructor."""
     return GeoGrid(variable=variable, units=DEFAULT_UNITS[variable], time=source.time,
-                   geometry=source.geometry, values=np.array(values), nodata=source.nodata)
+                   geometry=source.geometry, values=np.array(values),
+                   nodata=derived_nodata(source, variable))
 
 
 def assert_same_grid(got: GeoGrid, want: GeoGrid) -> None:
@@ -65,7 +76,7 @@ def grids(draw, variable: Variable, special: list[float], lo: float, hi: float):
     """A small grid of ``variable`` mixing nodata cells, the ``special``
     values and any value in [lo, hi], at a time given off UTC."""
     nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    nodata = draw(st.sampled_from([-9999.0, -1.0, 1e9]))
+    nodata = draw(st.sampled_from([-9999.0, -1.0, 1e9, 0.0, 1.0, 3.0]))
     cell = st.one_of(st.just(nodata), st.sampled_from([v for v in special if lo <= v <= hi]),
                      st.floats(lo, hi, allow_nan=False, allow_infinity=False))
     values = [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
@@ -86,7 +97,8 @@ class TestConvectiveMaskOracle:
            st.sampled_from([DEFAULT_T_DEEP_K, 210.5]))
     def test_equals_a_validated_per_cell_mask(self, bt, t_deep):
         want = validated_like(bt, Variable.FLOOD_MASK, [
-            [bt.nodata if v == bt.nodata else (1.0 if v <= t_deep else 0.0) for v in row]
+            [derived_nodata(bt, Variable.FLOOD_MASK) if v == bt.nodata
+             else (1.0 if v <= t_deep else 0.0) for v in row]
             for row in bt.values.tolist()
         ])
         assert_same_grid(convective_mask(bt, t_deep), want)
@@ -98,7 +110,8 @@ class TestCategorizeGridOracle:
            st.sampled_from([DEFAULT_BINS, (0.5, 2.0, 99.5)]))
     def test_equals_validated_per_cell_ranks(self, wind, bins):
         want = validated_like(wind, Variable.WIND_CAT, [
-            [wind.nodata if v == wind.nodata else float(sum(v >= b for b in bins)) for v in row]
+            [derived_nodata(wind, Variable.WIND_CAT) if v == wind.nodata
+             else float(sum(v >= b for b in bins)) for v in row]
             for row in wind.values.tolist()
         ])
         assert_same_grid(categorize_grid(wind, bins), want)

@@ -2,10 +2,10 @@
 changes a result.
 
 ``convection.detect`` keeps each BT frame's detections through
-``geogrid._per_frame``; ``FusionEngine`` gets each wind frame's
-categories, and each BT, rain and wind category frame's table over a
-window layout (every region's cell window on the frame's geometry), the
-same way. Engines built nowcast-style on overlapping trailing windows
+``geogrid._per_frame``; ``FusionEngine`` gets each wind speed frame's
+category ranks, and each BT, rain and wind frame's table over a window
+layout (every region's cell window on the frame's geometry), the same
+way. Engines built nowcast-style on overlapping trailing windows
 share frame objects, so later engines reuse what earlier ones computed,
 and so does an engine built on frames a caller detected first. The
 oracle is the same computation on deep copies of the frames, which no
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cswarn import convection, fusion, geogrid
+from cswarn import convection, geogrid, wind as wind_module
 from cswarn.convection import convective_mask, detect, label_components, summarize
 from cswarn.fusion import FusionEngine
 from cswarn.geogrid import DEFAULT_NODATA, GridGeometry, GridStack, RegionBox, Variable
@@ -142,10 +142,18 @@ def one_window_data():
     return GridStack(bt), GridStack(rain), {"lr": GridStack(wind)}
 
 
+def wind_ranks(engine: FusionEngine) -> list[bytes | None]:
+    """Each wind frame's category ranks for the engine's bins, as bytes,
+    or None for a frame no epoch has ranked."""
+    key = ("ranks", engine.bins)
+    memos = [geogrid._FRAME_MEMO.get(f, {}) for s in engine.wind for f in s]
+    return [memo[key].tobytes() if key in memo else None for memo in memos]
+
+
 def engine_repr(engine: FusionEngine) -> str:
     epoch = engine.bt[-1].time
-    cats = [f.values.tobytes() for s in engine.wind_cat_stacks for f in s]
-    return repr((engine.detections, cats, engine.run(epoch - timedelta(seconds=3600), epoch, 600)))
+    reports = engine.run(epoch - timedelta(seconds=3600), epoch, 600)
+    return repr((engine.detections, wind_ranks(engine), reports))
 
 
 class TestLayoutIsPartOfTheKey:
@@ -178,13 +186,13 @@ class TestParametersArePartOfTheKey:
 
     def test_each_frame_and_parameters_computed_once(self, monkeypatch):
         labeled, categorized = count_labelings(monkeypatch), Counter()
-        real_categorize = fusion.categorize_grid
+        real_categorize = wind_module.categorize_grid
 
         def counting_categorize(frame, bins):
             categorized[id(frame), tuple(bins)] += 1
             return real_categorize(frame, bins)
 
-        monkeypatch.setattr(fusion, "categorize_grid", counting_categorize)
+        monkeypatch.setattr(wind_module, "categorize_grid", counting_categorize)
         bt, rain, wind = make_data(5, 12, set(), set(), set())
         param_sets = [{}, {"t_deep": 205.0, "min_area_px": 6, "bins": (3.0, 6.0, 9.0)}]
         for params in param_sets * 2:
@@ -240,7 +248,7 @@ def test_memo_never_keeps_a_frame_alive():
     bt, rain, wind = one_window_data()
     engine = FusionEngine(REGIONS, bt=bt, rain=rain, wind_speed=wind)
     engine.run(bt[0].time, bt[-1].time, 600)
-    frames = [bt[3], rain[2], wind["lr"][1], engine.wind_cat_stacks[0][1]]
+    frames = [bt[3], rain[2], wind["lr"][1]]
     assert all(len(geogrid._FRAME_MEMO[f]) >= 1 for f in frames)
     # The tables are read-only arrays that refer to no frame.
     tables = {key[0]: value for f in frames for key, value in geogrid._FRAME_MEMO[f].items()
@@ -251,7 +259,30 @@ def test_memo_never_keeps_a_frame_alive():
     refs = [weakref.ref(f) for f in frames]
     del bt, rain, wind, engine, frames, tables, arrays
     gc.collect()
-    assert [r() for r in refs] == [None] * 4
+    assert [r() for r in refs] == [None] * 3
+
+
+def test_wind_frames_keep_one_byte_ranks_and_tables():
+    bt, rain, wind = one_window_data()
+    engine = FusionEngine(REGIONS, bt=bt, rain=rain, wind_speed=wind)
+    engine.run(bt[0].time, bt[-1].time, 600)
+    ranked = 0
+    for frame in wind["lr"]:
+        memo = geogrid._FRAME_MEMO.get(frame, {})
+        cells = frame.geometry.nrows * frame.geometry.ncols
+        ranks = [value for key, value in memo.items() if key[0] == "ranks"]
+        # A table's layout key holds one window per region of its call.
+        tables = [(value, len(key[2])) for key, value in memo.items() if key[0] == "rank table"]
+        assert len(ranks) + len(tables) == len(memo)
+        if not memo:
+            continue
+        ranked += 1
+        (rank,) = ranks
+        assert rank.dtype == np.int8 and rank.nbytes <= cells and not rank.flags.writeable
+        assert np.array_equal(rank == -1, ~frame.finite_mask)
+        assert tables and all(t.dtype == np.int8 and t.size == n and not t.flags.writeable
+                              for t, n in tables)
+    assert ranked >= 2
 
 
 def detect_frame(rng, nodata_share: float, blob) -> "geogrid.GeoGrid":

@@ -127,7 +127,7 @@ class TestRegionIndicatorsValidation:
 class TestBuildIndicators:
     def test_all_quiet(self):
         ind = build_indicators(T0, [REGION], bt=None, tracks=[],
-                               wind_cat_stacks=[], rain_stats={})[0]
+                               wind_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == 0.0
         assert ind.min_bt_K is None
         assert ind.wind_cat == WindCategory.NONE
@@ -139,7 +139,7 @@ class TestBuildIndicators:
     def test_region_fully_covered_by_cold_cloud(self):
         bt = GridStack([make_grid(np.full((4, 4), 205.0))])
         ind = build_indicators(T0, [REGION], bt,
-                               tracks=[], wind_cat_stacks=[], rain_stats={})[0]
+                               tracks=[], wind_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == 1.0
         assert ind.min_bt_K == 205.0
 
@@ -151,7 +151,7 @@ class TestBuildIndicators:
         values[2, 1] = 205.0    # region block is rows 1-2 x cols 1-2
         bt = GridStack([make_grid(values)])
         ind = build_indicators(T0, [REGION], bt,
-                               tracks=[], wind_cat_stacks=[], rain_stats={})[0]
+                               tracks=[], wind_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == pytest.approx(0.75)
 
     def test_approach_is_min_over_tracks(self):
@@ -171,7 +171,7 @@ class TestBuildIndicators:
         near = westward(1, 35.9)    # arrives at the 3600 s horizon
         far = westward(2, 71.9)     # arrives at the 7200 s horizon
         ind = build_indicators(T0, [region], bt=None, tracks=[far, near],
-                               wind_cat_stacks=[], rain_stats={})[0]
+                               wind_stacks=[], rain_stats={})[0]
         assert ind.approach_s == 3600
 
     def test_stale_tracks_are_ignored(self):
@@ -181,7 +181,7 @@ class TestBuildIndicators:
         track.add(obj_at(1, lat, lon, time=old))
         track.add(obj_at(2, lat, lon - 0.05, time=old + timedelta(seconds=600)))
         ind = build_indicators(T0, [REGION], bt=None, tracks=[track],
-                               wind_cat_stacks=[], rain_stats={}, window_s=10800)[0]
+                               wind_stacks=[], rain_stats={}, window_s=10800)[0]
         assert ind.approach_s is None
 
     @pytest.mark.parametrize("case", [0, 1, 2, 3, *CLOUD_CASES])
@@ -204,7 +204,7 @@ class TestBuildIndicators:
                 fractions.append(len(covered) / len(cells))
 
         ind = build_indicators(T0, [box], bt, tracks=[],
-                               wind_cat_stacks=[], rain_stats={})[0]
+                               wind_stacks=[], rain_stats={})[0]
         assert ind.deep_cloud_fraction == pytest.approx(max(fractions))
         assert ind.min_bt_K == (min(touching_bt) if touching_bt else None)
         assert ind.source_count["bt"] == (1 if cells else 0)
@@ -244,7 +244,7 @@ class TestOncePerEpoch:
         together = []
         for epoch in busy_epochs(engine):
             rain = {r.name: engine.rain_stats_at(epoch, r) for r in engine.regions}
-            args = (engine.bt, engine.tracks, engine.wind_cat_stacks, rain)
+            args = (engine.bt, engine.tracks, engine.wind, rain)
             inds = build_indicators(epoch, engine.regions, *args)
             assert inds == [build_indicators(epoch, [r], *args)[0] for r in engine.regions]
             assert inds == [report.indicators for report in engine.run_epoch(epoch)]
@@ -531,6 +531,28 @@ class TestFusionEngine:
         with pytest.raises(ValueError, match=match):
             FusionEngine([REGION], **params)
         FusionEngine([REGION], **{key: 2 for key in params})
+
+    @pytest.mark.parametrize("bins", [(10.0, 5.0, 15.0), (5.0, 10.0)])
+    def test_bad_bins_rejected_at_construction_when_wind_is_given(self, bins):
+        wind = make_stack([np.full((4, 4), 20.0)], variable=Variable.WIND_SPEED)
+        with pytest.raises(ValueError):
+            FusionEngine([REGION], wind_speed={"lr": wind}, bins=bins)
+        assert len(FusionEngine([REGION], bins=bins).run_epoch(T0)) == 1
+
+    def test_wind_that_is_not_speed_rejected_at_construction(self):
+        cats = make_stack([np.full((4, 4), 3.0)], variable=Variable.WIND_CAT)
+        with pytest.raises(TypeError, match="WIND_SPEED stacks, got WIND_CAT"):
+            FusionEngine([REGION], wind_speed={"lr": cats})
+
+    @pytest.mark.parametrize("nodata", [3.0, 0.0, -9999.0])
+    def test_a_wind_sentinel_equal_to_a_rank_hides_no_wind(self, nodata):
+        # 20 m/s everywhere is severe wind from one source, whatever the
+        # speed sentinel is.
+        wind = make_stack([np.full((4, 4), 20.0)], variable=Variable.WIND_SPEED, nodata=nodata)
+        ind = FusionEngine([REGION], wind_speed={"lr": wind}).run_epoch(T0)[0].indicators
+        assert ind.wind_cat == WindCategory.SEVERE
+        assert ind.wind_no_observation is False
+        assert ind.source_count["wind"] == 1
 
     @pytest.mark.parametrize("epoch_s", [0, -1800])
     def test_run_rejects_a_step_that_never_advances(self, epoch_s):

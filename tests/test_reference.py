@@ -101,7 +101,7 @@ def test_engine_equals_reference_route(seed, n_bt, bt_drop, n_rain, rain_drop, w
     for epoch in epochs:
         got = [report.indicators for report in engine.run_epoch(epoch)]
         want = reference_indicators(epoch, engine.regions, engine.bt, engine.detections,
-                                    engine.tracks, rain, engine.wind_cat_stacks,
+                                    engine.tracks, rain, engine.wind, engine.bins,
                                     WINDOW_S, FIT_WINDOW, R_HEAVY)
         for region, g, w in zip(engine.regions, got, want, strict=True):
             assert repr(g) == repr(w)

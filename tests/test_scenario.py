@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 from datetime import timedelta
@@ -296,6 +297,50 @@ class TestTruthCsv:
         assert back.intersections == truth.intersections
         assert back.flooded == truth.flooded
         assert back.notices == truth.notices
+
+    def written_truth(self, tmp_path):
+        spec = small_spec(cells=[storm(speed=10.0, bearing=270.0)], duration_s=3000,
+                          regions=(RegionBox("W", 15.7, 16.3, 105.2, 105.6),))
+        path = tmp_path / "truth.csv"
+        write_truth_csv(generate(spec).truth, path)
+        return path
+
+    @pytest.mark.parametrize("column, value, why", [
+        ("lat", "abc", "could not convert string to float: 'abc'"),
+        ("time", "noon", "bad timestamp 'noon': Invalid isoformat string: 'noon'"),
+        ("record", "cloud", "unknown truth record kind 'cloud'"),
+    ])
+    def test_bad_cell_names_file_line_and_column(self, tmp_path, column, value, why):
+        """``lat = abc`` used to fail as ``could not convert string to
+        float: 'abc'``, naming no file, line or column."""
+        path = self.written_truth(tmp_path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0][column] = value
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(ValueError) as err:
+            read_truth_csv(path)
+        assert str(err.value) == f"{path}:2: {column}: {why}"
+
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = self.written_truth(tmp_path)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[2] += b"\xff"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_truth_csv(path)
+        assert str(err.value) == f"{path}: line 3: byte 0xff is not UTF-8 (invalid start byte)"
+
+    def test_row_of_the_wrong_width_names_file_and_line(self, tmp_path):
+        path = self.written_truth(tmp_path)
+        path.write_text(path.read_text(encoding="utf-8") + "flooded,,W\n", encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").count("\n")
+        with pytest.raises(ValueError) as err:
+            read_truth_csv(path)
+        assert str(err.value) == f"{path}:{lines}: expected 8 columns"
 
     def test_write_that_fails_midway_leaves_the_old_file(self, tmp_path, monkeypatch):
         """The writer used to open (and truncate) the target first."""

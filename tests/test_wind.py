@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cswarn.geogrid import GridGeometry, RegionBox, Variable
+from cswarn.geogrid import DEFAULT_NODATA, GridGeometry, RegionBox, Variable
 from cswarn.wind import (
     CMOD5N,
+    DEFAULT_BINS,
     SYNTH1,
+    V_MAX_DEFAULT,
     Gmf,
     GmfGeometry,
     WindCategory,
+    _invert_core,
     categorize,
     categorize_grid,
     get_gmf,
@@ -68,6 +71,21 @@ class TestCategories:
         cat = categorize_grid(wind)
         assert cat.variable == Variable.WIND_CAT
         assert cat.values.tolist() == [[0.0, 1.0], [-9999.0, 3.0]]
+
+    @pytest.mark.parametrize("nodata", [0.0, -0.0, 1.0, 3.0])
+    def test_categorize_grid_sentinel_that_is_a_rank(self, nodata):
+        # A speed sentinel equal to a rank would make that rank read as
+        # missing; the ranks use the default sentinel instead.
+        wind = make_grid([[20.0, nodata], [7.0, 12.0]], variable=Variable.WIND_SPEED,
+                         nodata=nodata)
+        cat = categorize_grid(wind)
+        assert cat.nodata == DEFAULT_NODATA
+        assert cat.values.tolist() == [[3.0, DEFAULT_NODATA], [1.0, 2.0]]
+        assert cat.finite_mask.tolist() == wind.finite_mask.tolist()
+
+    def test_categorize_grid_keeps_a_sentinel_no_rank_equals(self):
+        wind = make_grid([[20.0, 2.5]], variable=Variable.WIND_SPEED, nodata=2.5)
+        assert categorize_grid(wind).values.tolist() == [[3.0, 2.5]]
 
 
 class TestForwardModels:
@@ -205,21 +223,56 @@ class TestRetrieveWindGrid:
         with pytest.raises(TypeError):
             retrieve_wind_grid(bt, GEOM, SYNTH1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(gmf=st.sampled_from([SYNTH1, CMOD5N]), data=st.data())
+    def test_equals_each_cell_inverted_alone(self, gmf, data):
+        # Few distinct values, repeated, with nodata, and some past either
+        # end of the model range, so both clips show up.
+        pool = data.draw(st.lists(st.one_of(
+            st.floats(1e-5, 0.5), st.sampled_from([1e-12, 1.0, 50.0])), min_size=1, max_size=5))
+        nodata = data.draw(st.sampled_from([-9999.0, 1.0]))
+        nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        values = data.draw(st.lists(st.sampled_from([*pool, nodata]),
+                                    min_size=nrows * ncols, max_size=nrows * ncols))
+        incidence = st.floats(max(gmf.incidence_min, 1.0), min(gmf.incidence_max, 89.0))
+        geom = GmfGeometry(data.draw(incidence), data.draw(st.floats(0.0, 359.0)))
+        nrcs = make_grid(np.reshape(values, (nrows, ncols)), variable=Variable.NRCS, nodata=nodata)
+        got = retrieve_wind_grid(nrcs, geom, gmf).values
+        want = np.array([
+            [nodata if v == nodata else float(_invert_core(
+                gmf, np.asarray(v), np.asarray(geom.incidence_deg),
+                np.asarray(geom.rel_azimuth_deg), V_MAX_DEFAULT)[0]) for v in row]
+            for row in nrcs.values.tolist()])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+# A speed inside each category of DEFAULT_BINS, by rank.
+SPEED_OF_RANK = (2.0, 7.0, 12.0, 20.0)
+
+
+def speeds_of_ranks(ranks) -> np.ndarray:
+    """Wind speeds that grade to ``ranks``; nodata cells stay nodata."""
+    ranks = np.asarray(ranks, dtype=float)
+    nodata = ranks == -9999.0
+    return np.where(nodata, -9999.0, np.take(SPEED_OF_RANK, np.where(nodata, 0, ranks).astype(int)))
+
 
 class TestRegionMaxCategory:
     REGION = RegionBox("R", 10.5, 12.5, 20.5, 22.5)
 
-    def cat_stack(self, frames, t0=T0):
-        return make_stack(frames, variable=Variable.WIND_CAT, t0=t0, dt_s=1800)
+    def speed_stack(self, rank_frames, t0=T0):
+        """A wind speed stack whose cells grade to ``rank_frames``."""
+        return make_stack([speeds_of_ranks(r) for r in rank_frames],
+                          variable=Variable.WIND_SPEED, t0=t0, dt_s=1800)
 
     def one(self, sources, region, start, end):
         """The (rank, sources) entry of ``region`` alone."""
-        ranks, observed = region_max_category(sources, [region], start, end)
+        ranks, observed = region_max_category(sources, [region], start, end, DEFAULT_BINS)
         return int(ranks[0]), int(observed[0])
 
     def test_max_over_frames_and_sources(self):
-        a = self.cat_stack([np.full((4, 4), 1.0), np.full((4, 4), 2.0)])
-        b = self.cat_stack([np.zeros((4, 4)), np.zeros((4, 4))])
+        a = self.speed_stack([np.full((4, 4), 1.0), np.full((4, 4), 2.0)])
+        b = self.speed_stack([np.zeros((4, 4)), np.zeros((4, 4))])
         window_end = T0 + timedelta(seconds=3600)
         rank, sources = self.one([a, b], self.REGION, T0 - timedelta(seconds=1), window_end)
         assert rank == WindCategory.MODERATE
@@ -228,19 +281,19 @@ class TestRegionMaxCategory:
     def test_only_cells_inside_region_count(self):
         values = np.zeros((4, 4))
         values[0, 3] = 3.0      # outside the region block
-        stack = self.cat_stack([values])
+        stack = self.speed_stack([values])
         rank, _ = self.one([stack], self.REGION, T0 - timedelta(seconds=1), T0)
         assert rank == WindCategory.NONE
 
     def test_window_is_trailing_half_open(self):
-        a = self.cat_stack([np.full((4, 4), 3.0), np.zeros((4, 4))])
+        a = self.speed_stack([np.full((4, 4), 3.0), np.zeros((4, 4))])
         start = T0
         end = T0 + timedelta(seconds=1800)
         rank, _ = self.one([a], self.REGION, start, end)
         assert rank == WindCategory.NONE   # the severe frame at T0 is excluded
 
     def test_all_nodata_counts_no_source(self):
-        stack = self.cat_stack([np.full((4, 4), -9999.0)])
+        stack = self.speed_stack([np.full((4, 4), -9999.0)])
         rank, sources = self.one([stack], self.REGION, T0 - timedelta(seconds=1), T0)
         assert sources == 0
         assert rank == WindCategory.NONE
@@ -248,26 +301,26 @@ class TestRegionMaxCategory:
     def test_sources_count_stacks_with_a_finite_region_cell(self):
         values = np.full((4, 4), -9999.0)
         values[0, 3] = 3.0      # finite, but outside the region block
-        blind = self.cat_stack([values])
-        seeing = self.cat_stack([np.full((4, 4), 1.0)])
+        blind = self.speed_stack([values])
+        seeing = self.speed_stack([np.full((4, 4), 1.0)])
         window = (T0 - timedelta(seconds=1), T0)
         assert self.one([blind], self.REGION, *window)[1] == 0
         assert self.one([blind, seeing, seeing], self.REGION, *window) == (WindCategory.WEAK, 2)
 
     def test_region_off_the_grid_counts_no_source(self):
-        stack = self.cat_stack([np.full((4, 4), 3.0)])
+        stack = self.speed_stack([np.full((4, 4), 3.0)])
         far = RegionBox("far", 50.0, 51.0, 20.0, 21.0)
         assert self.one([stack], far, T0 - timedelta(seconds=1), T0) == (WindCategory.NONE, 0)
 
     def test_empty_window_counts_no_source(self):
-        stack = self.cat_stack([np.zeros((4, 4))])
+        stack = self.speed_stack([np.zeros((4, 4))])
         _, sources = self.one([stack], self.REGION,
                               T0 + timedelta(seconds=3600), T0 + timedelta(seconds=7200))
         assert sources == 0
 
     def test_more_sources_never_lower_the_category(self):
-        quiet = self.cat_stack([np.zeros((4, 4))])
-        windy = self.cat_stack([np.full((4, 4), 2.0)])
+        quiet = self.speed_stack([np.zeros((4, 4))])
+        windy = self.speed_stack([np.full((4, 4), 2.0)])
         end = T0
         start = T0 - timedelta(seconds=1)
         alone, _ = self.one([quiet], self.REGION, start, end)
@@ -275,8 +328,32 @@ class TestRegionMaxCategory:
         assert both >= alone
 
     def test_no_source_gives_rank_0_from_0_sources(self):
-        ranks, sources = region_max_category([], [self.REGION, self.REGION], T0, T0)
+        ranks, sources = region_max_category([], [self.REGION, self.REGION], T0, T0, DEFAULT_BINS)
         assert ranks.tolist() == [0, 0] and sources.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("variable", [Variable.WIND_CAT, Variable.NRCS])
+    def test_only_speed_stacks_accepted(self, variable):
+        stack = make_stack([np.full((4, 4), 1.0)], variable=variable)
+        with pytest.raises(TypeError, match=f"expected WIND_SPEED stacks, got {variable.value}"):
+            region_max_category([stack], [self.REGION], T0 - timedelta(seconds=1), T0,
+                                DEFAULT_BINS)
+
+    def test_bins_grade_the_speeds(self):
+        stack = make_stack([np.full((4, 4), 8.0)], variable=Variable.WIND_SPEED)
+        window = (T0 - timedelta(seconds=1), T0)
+        for bins, want in ((DEFAULT_BINS, WindCategory.WEAK), ((3.0, 6.0, 9.0), WindCategory.MODERATE),
+                           ((1.0, 2.0, 8.0), WindCategory.SEVERE)):
+            ranks, _ = region_max_category([stack], [self.REGION], *window, bins)
+            assert ranks.tolist() == [want]
+        with pytest.raises(ValueError, match="category bins must increase"):
+            region_max_category([stack], [self.REGION], *window, (5.0, 5.0, 6.0))
+
+    @pytest.mark.parametrize("nodata", [3.0, 0.0, -9999.0])
+    def test_a_speed_equal_to_a_rank_sentinel_still_counts(self, nodata):
+        # 20 m/s is severe everywhere; the sentinel never shows up as a cell.
+        stack = make_stack([np.full((4, 4), 20.0)], variable=Variable.WIND_SPEED, nodata=nodata)
+        rank, sources = self.one([stack], self.REGION, T0 - timedelta(seconds=1), T0)
+        assert (rank, sources) == (WindCategory.SEVERE, 1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_cell_scan(self, seed):
@@ -287,14 +364,19 @@ class TestRegionMaxCategory:
             lat_min=float(rng.uniform(10, 12)), lon_min=float(rng.uniform(100, 102)),
             dlat=float(rng.choice([0.1, 0.3])), dlon=float(rng.choice([0.1, 0.3])),
             nrows=int(rng.integers(2, 8)), ncols=int(rng.integers(2, 8)))
+        bins = [DEFAULT_BINS, (3.0, 6.0, 9.0)][seed % 2]
         stacks = []
         for k in range(int(rng.integers(1, 4))):
             frames = []
             for _ in range(6):
-                frame = rng.integers(0, 4, size=(geom.nrows, geom.ncols)).astype(float)
+                # Any speed, and each bin edge and its neighbours.
+                frame = rng.uniform(0.0, 30.0, size=(geom.nrows, geom.ncols))
+                edges = [x for b in bins for x in (np.nextafter(b, 0.0), b, np.nextafter(b, 99.0))]
+                pick = rng.uniform(size=frame.shape) < 0.3
+                frame[pick] = rng.choice(edges, size=int(pick.sum()))
                 frame[rng.uniform(size=frame.shape) < rng.uniform(0.2, 0.9)] = -9999.0
                 frames.append(frame)
-            stacks.append(make_stack(frames, variable=Variable.WIND_CAT, geometry=geom,
+            stacks.append(make_stack(frames, variable=Variable.WIND_SPEED, geometry=geom,
                                      t0=T0 + timedelta(seconds=600 * k), dt_s=1800))
         boxes = [RegionBox("off", geom.lat_min - 5.0, geom.lat_min - 4.0,
                            geom.lon_min, geom.lon_min + 1.0)]
@@ -310,12 +392,12 @@ class TestRegionMaxCategory:
         start = T0 + timedelta(seconds=int(rng.integers(-2, 4)) * 1800)
         end = T0 + timedelta(seconds=int(rng.integers(4, 12)) * 1800)
 
-        ranks, sources = region_max_category(stacks, boxes, start, end)
+        ranks, sources = region_max_category(stacks, boxes, start, end, bins)
         assert len(boxes) >= 8 and len(region_cells(geom, boxes[1])) == 1
         assert (ranks[0], sources[0]) == (0, 0)
         for box, rank, n in zip(boxes, ranks.tolist(), sources.tolist()):
             cells = region_cells(geom, box)
-            seen = [[f.values[rc] for f in stack if start < f.time <= end for rc in cells
-                     if f.values[rc] != -9999.0] for stack in stacks]
-            assert rank == int(max((max(v) for v in seen if v), default=0.0))
+            seen = [[categorize(f.values[rc], bins) for f in stack if start < f.time <= end
+                     for rc in cells if f.values[rc] != -9999.0] for stack in stacks]
+            assert rank == max((max(v) for v in seen if v), default=0)
             assert n == sum(1 for v in seen if v)
