@@ -72,24 +72,26 @@ def label_array(mask: np.ndarray) -> tuple[np.ndarray, int]:
     0 marks background. Returns (labels, n).
 
     Run-based two-scan labeling (He, Chao & Suzuki, IEEE TIP 2008): each
-    row's runs of set pixels come from one difference over the zero-padded
-    mask; runs in adjacent rows are joined when their column spans touch
-    diagonally or overlap; union-find then works on runs, not pixels, and
-    always keeps the smaller run index as the root. Runs are numbered in
-    raster order, so a component's root is its first run and holds its
-    first pixel.
+    row's runs of set pixels come from one comparison of neighbouring
+    columns of the zero-padded mask; runs in adjacent rows are joined when
+    their column spans touch diagonally or overlap; union-find then works
+    on runs, not pixels, and always keeps the smaller run index as the
+    root. Runs are numbered in raster order, so a component's root is its
+    first run and holds its first pixel.
     """
     on = np.asarray(mask, dtype=bool)
     nrows, ncols = on.shape
     labels = np.zeros(on.shape, dtype=np.int32)
-    padded = np.zeros((nrows, ncols + 2), dtype=np.int8)
+    padded = np.zeros((nrows, ncols + 2), dtype=bool)
     padded[:, 1:-1] = on
-    # Each row's edges alternate +1 (run start) and -1 (one past its end),
-    # so the nonzero flat positions of the difference, in raster order,
-    # alternate start, end. A flat position is row * width + column: a
-    # row-keyed column that sorts runs in raster order.
+    # A row's edges, where a pixel differs from its left neighbour, are in
+    # turn a run start and one past its end, so the set flat positions of
+    # the comparison, in raster order, alternate start, end. A flat
+    # position is row * width + column: a row-keyed column that sorts runs
+    # in raster order. The edges are boolean because np.flatnonzero scans
+    # a bool array several times faster than an integer one.
     width = ncols + 1
-    edges = np.flatnonzero(np.diff(padded, axis=1))
+    edges = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
     start, end = edges[0::2], edges[1::2]
     n_runs = start.size
     if n_runs == 0:
@@ -141,7 +143,9 @@ def label_components(mask: GeoGrid, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
     """
     if min_area_px < 1:
         raise ValueError("min_area_px must be >= 1")
-    on = mask.finite_mask & (mask.values != 0.0)
+    # A mask holds 0 or 1 where it holds data, so its set cells are its 1s,
+    # unless 1 is its sentinel.
+    on = (mask.values == 1.0) & (mask.nodata != 1.0)
     labels, count = label_array(on)
     geom = mask.geometry
     row_area = geom.cell_areas_km2()
@@ -153,9 +157,8 @@ def label_components(mask: GeoGrid, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
     # Member pixels of every component at once: flat indices in raster
     # order, stably sorted by label, so each component's block stays in
     # raster order.
-    flat = labels.ravel()
-    on_idx = np.flatnonzero(flat)
-    on_labels = flat[on_idx]
+    on_idx = np.flatnonzero(on)
+    on_labels = labels.ravel()[on_idx]
     by_label = on_idx[np.argsort(on_labels, kind="stable")]
     member_rows, member_cols = np.divmod(by_label, geom.ncols)
     # Every object's rows and cols are views of these, so all are read-only.

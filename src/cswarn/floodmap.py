@@ -24,7 +24,7 @@ import numpy as np
 
 from .convection import label_array
 from .fusion import WarnLevel, WarningReport
-from .geogrid import GeoGrid, RegionBox, Variable, region_windows
+from .geogrid import DEFAULT_NODATA, DEFAULT_UNITS, GeoGrid, RegionBox, Variable, region_windows
 
 THRESHOLD_DB_DEFAULT = -3.0
 MIN_REGION_PX_DEFAULT = 8
@@ -51,10 +51,14 @@ class FloodMask:
 
 
 def log_ratio_db(flood: GeoGrid, ref: GeoGrid) -> GeoGrid:
-    """Cellwise 10*log10(flood/ref) in dB; nodata propagates.
+    """Cellwise 10*log10(flood/ref) in dB; a cell that is nodata in either
+    grid is ``DEFAULT_NODATA``.
 
     An NRCS grid holds only positive backscatter outside its nodata
-    cells, so every cell that is data in both grids has a ratio.
+    cells, so every cell that is data in both grids has a ratio. A finite
+    ratio of two positive doubles lies within 10**±324, so its dB value is
+    within ±3,240 and never equals the default sentinel, where an NRCS
+    sentinel such as 0.0 would equal the 0 dB of an unchanged cell.
     """
     for grid, label in ((flood, "flood"), (ref, "reference")):
         if grid.variable is not Variable.NRCS:
@@ -64,8 +68,9 @@ def log_ratio_db(flood: GeoGrid, ref: GeoGrid) -> GeoGrid:
     valid = flood.finite_mask & ref.finite_mask
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = 10.0 * np.log10(flood.values / ref.values)
-    out = np.where(valid, ratio, flood.nodata)
-    return flood.with_values(out, variable=Variable.LOG_RATIO)
+    out = np.where(valid, ratio, DEFAULT_NODATA)
+    return GeoGrid(Variable.LOG_RATIO, DEFAULT_UNITS[Variable.LOG_RATIO], flood.time,
+                   flood.geometry, out, DEFAULT_NODATA)
 
 
 def flood_mask(
@@ -74,19 +79,19 @@ def flood_mask(
     min_region_px: int = MIN_REGION_PX_DEFAULT,
     reference_time: datetime | None = None,
 ) -> FloodMask:
-    """Threshold the ratio grid and drop specks below ``min_region_px``."""
+    """Threshold the ratio grid and drop specks below ``min_region_px``;
+    nodata propagates (as ``DEFAULT_NODATA`` when the ratio's sentinel is
+    0 or 1)."""
     if min_region_px < 1:
         raise ValueError("min_region_px must be >= 1")
-    finite = ratio_db.finite_mask
-    flooded = finite & (ratio_db.values <= threshold_db)
+    flooded = ratio_db.finite_mask & (ratio_db.values <= threshold_db)
     labels, count = label_array(flooded)
     if count:
         sizes = np.bincount(labels.ravel(), minlength=count + 1)
         keep = sizes >= min_region_px
         keep[0] = False
         flooded = keep[labels]
-    out = np.where(finite, flooded.astype(np.float64), ratio_db.nodata)
-    grid = ratio_db.with_values(out, variable=Variable.FLOOD_MASK)
+    grid = ratio_db._with_values_unchecked(flooded, Variable.FLOOD_MASK)
     return FloodMask(grid=grid, flood_time=ratio_db.time, reference_time=reference_time)
 
 

@@ -285,10 +285,15 @@ class GeoGrid:
         built to be valid where this grid holds data: 0/1 or ranks 0..3
         from a threshold of this grid. Every other cell holds the derived
         grid's nodata: this grid's sentinel, or ``DEFAULT_NODATA`` when the
-        derived grid could hold the sentinel as a value. The time is
-        already normalised."""
+        derived grid could hold the sentinel as a value. ``values`` is cast
+        to float64 once and the sentinel written over it only where this
+        grid holds nodata, so no float64 temporary is built and dropped.
+        The time is already normalised."""
         nodata = DEFAULT_NODATA if self.nodata in _HELD[variable] else self.nodata
-        out = np.where(self.finite_mask, values, nodata)
+        out = values.astype(np.float64)
+        missing = self.values == self.nodata
+        if missing.any():
+            out[missing] = nodata
         out.setflags(write=False)
         grid = object.__new__(GeoGrid)
         for name, value in (("variable", variable), ("units", DEFAULT_UNITS[variable]),

@@ -116,7 +116,8 @@ def region_rain_stats(
     frame): rain that was not observed never counts as heavy. Each
     frame's table over all the windows is computed once per frame and
     layout (``geogrid._per_frame``); ``r_heavy`` and the cadence are
-    applied per call, cell by cell in frame order.
+    applied per call, cell by cell in frame order, one frame at a time,
+    so a call's memory does not grow with its window.
     """
     if stack.variable is not Variable.RAIN_RATE:
         raise TypeError(f"region_rain_stats needs RAIN_RATE frames, got {stack.variable.value}")
@@ -128,24 +129,26 @@ def region_rain_stats(
 
     layout = region_windows(stack.geometry, tuple(regions))
     key = ("rain table", layout.key)
-    n_missing, top, filled = (np.array(column) for column in zip(
-        *[_per_frame(f, key, lambda: _rain_table(f, layout)) for f in frames]))
+    n_missing, top, filled = zip(
+        *[_per_frame(f, key, lambda: _rain_table(f, layout)) for f in frames])
     accum = np.zeros(layout.cells.size)
-    for depth in filled * dt_h:
-        accum += depth
+    depth = np.empty_like(accum)
+    for rates in filled:
+        accum += np.multiply(rates, dt_h, out=depth)
+    top = np.array(top)
     # A window with no finite cell (NaN max) is not observed, so not heavy.
-    longest = run = 0
-    for prev, f, heavy in zip([None, *frames], frames, top >= r_heavy):
+    longest = run = [0] * len(regions)
+    for prev, f, heavy in zip([None, *frames], frames, (top >= r_heavy).tolist()):
         if prev is not None and (f.time - prev.time).total_seconds() > frame_s:
-            run = 0  # a dropped frame was not observed
-        run = (run + 1) * heavy
-        longest = np.maximum(longest, run)
+            run = [0] * len(regions)  # a dropped frame was not observed
+        run = [(n + 1) * h for n, h in zip(run, heavy)]
+        longest = list(map(max, longest, run))
     # A window whose edges fall inside frame intervals can admit more frame
     # coverage than its own span; persistence never exceeds the window.
     window_h = (end - start).total_seconds() / 3600.0
     per_region = zip(regions, np.fmax.reduce(top, axis=0, initial=0.0).tolist(),
-                     layout.reduce(np.maximum, accum, 0.0).tolist(), longest.tolist(),
-                     n_missing.sum(axis=0).tolist(), layout.n_cells.tolist())
+                     layout.reduce(np.maximum, accum, 0.0).tolist(), longest,
+                     np.sum(n_missing, axis=0).tolist(), layout.n_cells.tolist())
     return [RainStats(region.name, start, end, rate, wettest, min(frames_run * dt_h, window_h),
                       missing / (len(frames) * cells)) if cells else None
             for region, rate, wettest, frames_run, missing, cells in per_region]

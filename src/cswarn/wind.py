@@ -316,7 +316,10 @@ def region_max_category(
 def _ranks(frame: GeoGrid, bins: tuple[float, ...]) -> np.ndarray:
     """A speed frame's category rank per cell, -1 where the frame holds
     nodata, as a read-only ``int8`` array."""
-    ranks = np.where(frame.finite_mask, categorize_grid(frame, bins).values, -1).astype(np.int8)
+    grid = categorize_grid(frame, bins)
+    with np.errstate(invalid="ignore"):  # a sentinel such as 1e20 has no int8 value
+        ranks = grid.values.astype(np.int8)
+    np.copyto(ranks, -1, where=grid.values == grid.nodata)
     ranks.setflags(write=False)
     return ranks
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from cswarn.convection import DEFAULT_T_DEEP_K
 from cswarn.geogrid import (
+    DEFAULT_NODATA,
     KM_PER_DEG,
     GeoGrid,
     GridGeometry,
@@ -188,7 +189,9 @@ def blob_stats(bt: GeoGrid, pixels: set[tuple[int, int]]) -> dict:
 
 
 def flood_mask_oracle(ratio: np.ndarray, nodata: float, threshold_db: float, min_region_px: int) -> np.ndarray:
-    """Threshold + small-component removal using the union-find oracle."""
+    """Threshold + small-component removal using the union-find oracle;
+    nodata cells hold the ratio's sentinel, or DEFAULT_NODATA when that is
+    0 or 1, a value the mask holds."""
     finite = ratio != nodata
     flooded = finite & (ratio <= threshold_db)
     keep = np.zeros_like(flooded)
@@ -196,7 +199,7 @@ def flood_mask_oracle(ratio: np.ndarray, nodata: float, threshold_db: float, min
         if len(comp) >= min_region_px:
             for r, c in comp:
                 keep[r, c] = True
-    out = np.where(finite, keep.astype(float), nodata)
+    out = np.where(finite, keep.astype(float), DEFAULT_NODATA if nodata in (0.0, 1.0) else nodata)
     return out
 
 

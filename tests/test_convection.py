@@ -271,6 +271,26 @@ class TestLabelComponents:
             assert obj.cols.tolist() == cols
             assert obj.pixel_count == len(pixels)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 12), st.sampled_from([-9999.0, 0.0, 1.0, 2.0]),
+           st.data())
+    def test_mask_grid_with_any_sentinel_equals_union_find(self, nrows, ncols, nodata, data):
+        # FLOOD_MASK grids built directly, not through convective_mask, so
+        # the sentinel may be 0 or 1; the edge columns are often set, so
+        # runs start at column 0 and end at the last column.
+        cell = st.sampled_from([0.0, 1.0, nodata])
+        values = np.array(data.draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                                             min_size=nrows, max_size=nrows)))
+        for col in data.draw(st.sets(st.sampled_from([0, ncols - 1]))):
+            values[:, col] = 1.0
+        grid = make_grid(values, variable=Variable.FLOOD_MASK, nodata=nodata)
+        objects = label_components(grid, min_area_px=1)
+        want = union_find_components(grid.finite_mask & (grid.values != 0.0))
+        assert [o.id for o in objects] == list(range(1, len(want) + 1))
+        for obj, pixels in zip(objects, want, strict=True):
+            rows, cols = map(list, zip(*sorted(pixels)))
+            assert (obj.rows.tolist(), obj.cols.tolist()) == (rows, cols)
+
     def test_member_pixels_are_read_only(self):
         rng = np.random.default_rng(5)
         bt = bt_from_mask(rng.uniform(size=(12, 12)) < 0.45)

@@ -1,12 +1,12 @@
 """Derived grids that skip validation equal fully validated ones.
 
-``convective_mask`` and ``wind.categorize_grid`` build their grids through
-``GeoGrid._with_values_unchecked``, which skips the copy and the checks of
-the constructor. Each is checked here against a per-cell loop whose values
-go through the full constructor. Data read from a file or rendered from a
-spec must still be validated, so only those two functions may call the
-unchecked path, and a malformed grid from either source still fails with
-its message.
+``convective_mask``, ``wind.categorize_grid`` and ``floodmap.flood_mask``
+build their grids through ``GeoGrid._with_values_unchecked``, which skips
+the copy and the checks of the constructor. Each is checked here against a
+per-cell loop whose values go through the full constructor. Data read from
+a file or rendered from a spec must still be validated, so only those
+three functions may call the unchecked path, and a malformed grid from
+either source still fails with its message.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from cswarn import scenario as sc
 from cswarn.convection import DEFAULT_T_DEEP_K, convective_mask
+from cswarn.floodmap import flood_mask
 from cswarn.geogrid import (
     DEFAULT_NODATA,
     DEFAULT_UNITS,
@@ -117,6 +118,19 @@ class TestCategorizeGridOracle:
         assert_same_grid(categorize_grid(wind, bins), want)
 
 
+class TestFloodMaskOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(grids(Variable.LOG_RATIO, edges_and_neighbours([-3.0, 0.0, 1.0]), -20.0, 20.0))
+    def test_equals_a_validated_per_cell_mask(self, ratio):
+        # One-pixel specks are kept, so each cell is its own threshold.
+        want = validated_like(ratio, Variable.FLOOD_MASK, [
+            [derived_nodata(ratio, Variable.FLOOD_MASK) if v == ratio.nodata
+             else (1.0 if v <= -3.0 else 0.0) for v in row]
+            for row in ratio.values.tolist()
+        ])
+        assert_same_grid(flood_mask(ratio, -3.0, min_region_px=1).grid, want)
+
+
 def one_frame_gsf(variable: Variable, values: list[list[str]]) -> str:
     """GSF text of a one-frame 2x2 stack of ``variable`` holding ``values``."""
     text = gsf_text(GridStack([make_grid([[0.0, 0.0], [0.0, 0.0]], variable=Variable.FLOOD_MASK)]))
@@ -179,9 +193,10 @@ def unchecked_references() -> list[tuple[str, str, bool]]:
     return found
 
 
-def test_only_the_two_derived_grids_skip_validation():
+def test_only_the_derived_grids_skip_validation():
     assert sorted(unchecked_references()) == [
         ("convection", "convective_mask", True),
+        ("floodmap", "flood_mask", True),
         ("wind", "categorize_grid", True),
     ]
     definitions = [

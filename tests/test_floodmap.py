@@ -17,7 +17,7 @@ from cswarn.floodmap import (
     validate,
 )
 from cswarn.fusion import WarnLevel, decide
-from cswarn.geogrid import GridGeometry, RegionBox, Variable
+from cswarn.geogrid import DEFAULT_NODATA, GridGeometry, RegionBox, Variable
 from cswarn.wind import WindCategory
 
 from conftest import GEOM_4X4, T0, make_grid
@@ -140,6 +140,26 @@ class TestFloodMask:
         mask = flood_mask(grid, threshold_db=-3.0, min_region_px=8)
         expected = flood_mask_oracle(values, -9999.0, -3.0, 8)
         assert np.array_equal(mask.grid.values, expected)
+
+    @pytest.mark.parametrize("nodata", [-9999.0, 1.0, 0.0])
+    def test_nrcs_sentinel_that_reads_as_data_hides_nothing(self, nodata):
+        # A -10 dB 6x6 block and one nodata cell. A sentinel of 1.0 would
+        # read as the mask's flooded value, and 0.0 as an unchanged cell's
+        # 0 dB; both derived grids take DEFAULT_NODATA instead.
+        ref_values = np.full((10, 10), 0.1)
+        flood_values = ref_values.copy()
+        flood_values[2:8, 2:8] = 0.01
+        flood_values[0, 9] = nodata
+        ratio = log_ratio_db(make_grid(flood_values, variable=Variable.NRCS, nodata=nodata),
+                             make_grid(ref_values, variable=Variable.NRCS, nodata=nodata))
+        mask = flood_mask(ratio)
+        assert ratio.nodata == mask.grid.nodata == DEFAULT_NODATA
+        assert int(ratio.finite_mask.sum()) == 99
+        assert ratio.values[0, 9] == DEFAULT_NODATA
+        flooded = mask.grid.finite_mask & (mask.grid.values == 1.0)
+        assert int(flooded.sum()) == 36 and flooded[2:8, 2:8].all()
+        assert np.array_equal(mask.grid.values,
+                              flood_mask_oracle(ratio.values, ratio.nodata, -3.0, 8))
 
     def test_provenance_recorded(self):
         mask = flood_mask(ratio_grid(np.zeros((4, 4)), time=T0),

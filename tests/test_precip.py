@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -275,3 +276,28 @@ class TestRegionRainStats:
                 min(longest * 0.5, (end - start).total_seconds() / 3600.0))
             missing = sum(len(frame) - len(vals) for frame, vals in zip(samples, live))
             assert stats.missing_fraction == pytest.approx(missing / (len(window) * len(cells)))
+
+
+def test_call_memory_does_not_grow_with_the_window():
+    # Once the frames' tables are memoised, a call adds each frame's depth
+    # into one accumulator: 24 frames cost less than one more window-cells
+    # float64 array than 6 frames do.
+    geom = GridGeometry(lat_min=0.0, lon_min=0.0, dlat=0.1, dlon=0.1, nrows=60, ncols=70)
+    rng = np.random.default_rng(2)
+    stack = rain_stack([rng.uniform(0.0, 20.0, size=(60, 70)) for _ in range(24)], geometry=geom)
+    boxes = [RegionBox(f"B{i}", 0.0, 6.0, 0.7 * i, 0.7 * i + 1.4) for i in range(8)]
+    windows = [(t(17 * 1800), t(23 * 1800)), (t(-1800), t(23 * 1800))]
+    for start, end in windows:
+        region_rain_stats(stack, boxes, start, end)
+    cells = sum(len(region_cells(geom, box)) for box in boxes)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for start, end in windows:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            region_rain_stats(stack, boxes, start, end)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < cells * 8, (peaks, cells * 8)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cswarn import geogrid
 from cswarn.geogrid import DEFAULT_NODATA, GridGeometry, RegionBox, Variable
 from cswarn.wind import (
     CMOD5N,
@@ -86,6 +88,25 @@ class TestCategories:
     def test_categorize_grid_keeps_a_sentinel_no_rank_equals(self):
         wind = make_grid([[20.0, 2.5]], variable=Variable.WIND_SPEED, nodata=2.5)
         assert categorize_grid(wind).values.tolist() == [[3.0, 2.5]]
+
+
+    def test_a_sentinel_outside_int8_ranks_as_missing(self):
+        # The ranks are cast from the category grid, whose sentinel 1e20
+        # has no int8 value; the cast must neither warn nor leak it.
+        speeds = [[20.0, 2.0, 7.0], [12.0, 16.0, 0.5]]
+        ranks = {}
+        for nodata in (DEFAULT_NODATA, 1e20):
+            values = np.array(speeds)
+            values[0, 1] = values[1, 2] = nodata
+            stack = make_stack([values], variable=Variable.WIND_SPEED, nodata=nodata)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                best, observed = region_max_category([stack], [RegionBox("all", 0, 90, 0, 90)],
+                                                     T0 - timedelta(seconds=1), T0, DEFAULT_BINS)
+            assert (best.tolist(), observed.tolist()) == ([3], [1])
+            ranks[nodata] = geogrid._FRAME_MEMO[stack[0]][("ranks", DEFAULT_BINS)]
+        assert ranks[1e20].dtype == np.int8
+        assert ranks[1e20].tolist() == ranks[DEFAULT_NODATA].tolist() == [[3, -1, 1], [2, 3, -1]]
 
 
 class TestForwardModels:
