@@ -55,10 +55,12 @@ def log_ratio_db(flood: GeoGrid, ref: GeoGrid) -> GeoGrid:
     grid is ``DEFAULT_NODATA``.
 
     An NRCS grid holds only positive backscatter outside its nodata
-    cells, so every cell that is data in both grids has a ratio. A finite
-    ratio of two positive doubles lies within 10**±324, so its dB value is
-    within ±3,240 and never equals the default sentinel, where an NRCS
-    sentinel such as 0.0 would equal the 0 dB of an unchanged cell.
+    cells, so every cell that is data in both grids has a ratio. Where the
+    quotient of two such doubles overflows, underflows or is subnormal, the
+    dB value is ``10 * (log10(flood) - log10(ref))`` instead. The ratio lies
+    within 10**±632, so its dB value is within ±6,320 and never equals the
+    default sentinel, where an NRCS sentinel such as 0.0 would equal the
+    0 dB of an unchanged cell.
     """
     for grid, label in ((flood, "flood"), (ref, "reference")):
         if grid.variable is not Variable.NRCS:
@@ -66,8 +68,12 @@ def log_ratio_db(flood: GeoGrid, ref: GeoGrid) -> GeoGrid:
     if flood.geometry != ref.geometry:
         raise ValueError("flood and reference grids have different geometry")
     valid = flood.finite_mask & ref.finite_mask
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = 10.0 * np.log10(flood.values / ref.values)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        quotient = flood.values / ref.values
+        ratio = 10.0 * np.log10(quotient)
+        far = valid & ~((quotient >= np.finfo(float).tiny) & (quotient < np.inf))
+    if far.any():
+        ratio[far] = 10.0 * (np.log10(flood.values[far]) - np.log10(ref.values[far]))
     out = np.where(valid, ratio, DEFAULT_NODATA)
     return GeoGrid(Variable.LOG_RATIO, DEFAULT_UNITS[Variable.LOG_RATIO], flood.time,
                    flood.geometry, out, DEFAULT_NODATA)

@@ -11,8 +11,8 @@ Conventions used throughout the engine:
 - Grids are immutable after construction; all operations here are pure
   functions of their arguments.
 - :func:`write_gsf` formats the frames of a large multi-frame stack in
-  forked worker processes, one per usable CPU, and writes them in frame
-  order; the bytes do not depend on the CPU count.
+  forked worker processes, one per usable CPU up to two, and writes them
+  in frame order; the bytes do not depend on the CPU count.
 - Text GSF is the interchange format. :func:`write_gsf` also writes a
   binary twin next to it, which :func:`read_gsf` uses only while the
   text's SHA-256 equals the one the twin records; deleting it is safe.

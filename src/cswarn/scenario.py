@@ -26,14 +26,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .geogrid import (
+    DEFAULT_UNITS,
     KM_PER_DEG,
     GeoGrid,
     GridGeometry,
@@ -146,7 +148,10 @@ class ScenarioSpec:
         source_names = [n for n, _ in self.wind_sources]
         if len(set(source_names)) != len(source_names):
             raise ValueError("duplicate wind source names")
-        for _, cadence in self.wind_sources:
+        for name, cadence in self.wind_sources:
+            # Each source is written as wind_<name>.gsf, next to nrcs.gsf.
+            if name in ("", "nrcs") or "/" in name or os.sep in name:
+                raise ValueError(f"bad wind source name {name!r}: empty, 'nrcs' or a path")
             if cadence <= 0:
                 raise ValueError("wind cadence must be > 0")
         unknown = self.flooded_regions - set(names)
@@ -239,9 +244,12 @@ def generate(spec: ScenarioSpec, seed: int = 0) -> ScenarioData:
     threshold would see (noise-free), so with noise_std = 0 they match
     detection exactly.
 
-    Each cell's field is rendered in place into one buffer and folded in
-    place into one frame buffer, which every grid copies, so a frame costs
-    no grid-sized temporaries beyond its own values and its noise.
+    Every stack goes through one frame loop: fill the frame, paint each
+    live cell in place into one buffer and fold it in place into the frame,
+    add noise and clip, and copy the frame into a grid, so a frame costs no
+    grid-sized temporaries beyond its own values and its noise. BT is drawn
+    first: a cell whose centroid is off the grid at a BT time is truncated
+    from that time on in every product.
     """
     rng = np.random.default_rng(seed)
     geom = spec.geometry
@@ -250,119 +258,81 @@ def generate(spec: ScenarioSpec, seed: int = 0) -> ScenarioData:
     extent = RegionBox("extent",
                        geom.lat_min - geom.dlat / 2.0, geom.lat_max + geom.dlat / 2.0,
                        geom.lon_min - geom.dlon / 2.0, geom.lon_max + geom.dlon / 2.0)
-
-    def make_grid(variable: Variable, units: str, t_s: int, values: np.ndarray) -> GeoGrid:
-        return GeoGrid(
-            variable=variable, units=units,
-            time=spec.start_time + timedelta(seconds=t_s),
-            geometry=geom, values=values,
-        )
-
-    # A cell is truncated once its centroid leaves the grid (checked on
-    # the BT cadence, the finest product); it stops contributing to every
-    # product from that moment on.
-    notices: list[str] = []
     exit_s: dict[str, int] = {}
-    for t_s in spec.frame_seconds(spec.bt_cadence_s):
-        for cell in spec.cells:
-            if cell.name in exit_s or not cell.alive(t_s):
-                continue
-            if not extent.contains(*cell.position(t_s)):
-                exit_s[cell.name] = t_s
-                when = format_time(spec.start_time + timedelta(seconds=t_s))
-                notices.append(f"cell {cell.name} left the grid at {when}; truncated")
-
-    def active_cells(t_s: float) -> list[CellSpec]:
-        return [
-            cell
-            for cell in spec.cells
-            if cell.alive(t_s) and t_s < exit_s.get(cell.name, spec.duration_s + 1)
-        ]
-
-    # Brightness temperature + truth, on the BT cadence.
-    bt_frames: list[GeoGrid] = []
+    notices: list[str] = []
     centroids: list[CentroidSample] = []
     intersections: dict[str, datetime] = {}
-    for t_s in spec.frame_seconds(spec.bt_cadence_s):
-        time = spec.start_time + timedelta(seconds=t_s)
-        frame.fill(spec.background_bt_K)
-        for cell in active_cells(t_s):
-            clat, clon = cell.position(t_s)
-            np.multiply(_gaussian(geom, cell, clat, clon, field),
-                        spec.background_bt_K - cell.min_bt_K, out=field)
-            np.subtract(spec.background_bt_K, field, out=field)
-            np.minimum(frame, field, out=frame)
-            centroids.append(
-                CentroidSample(time, cell.name, clat, clon, cell.speed_mps, cell.bearing_deg)
-            )
-            bbox = _detected_bbox(geom, field, DEFAULT_T_DEEP_K)
-            if bbox is not None:
-                for region in spec.regions:
-                    if region.name not in intersections and bbox.intersects(region):
-                        intersections[region.name] = time
-        if spec.noise_std > 0:
-            np.clip(frame + rng.normal(0.0, spec.noise_std, shape), 100.0, 400.0, out=frame)
-        bt_frames.append(make_grid(Variable.BT, "K", t_s, frame))
 
-    # Rain, lagged behind the cell track.
-    rain_frames: list[GeoGrid] = []
-    for t_s in spec.frame_seconds(spec.rain_cadence_s):
-        frame.fill(0.0)
-        for cell in active_cells(t_s):
-            if cell.rain_peak_mmh <= 0:
-                continue
-            lag_t = max(cell.birth_s, t_s - spec.rain_lag_s)
-            clat, clon = cell.position(lag_t)
-            np.multiply(_gaussian(geom, cell, clat, clon, field), cell.rain_peak_mmh, out=field)
-            np.maximum(frame, field, out=frame)
-        if spec.noise_std > 0:
-            np.maximum(frame + rng.normal(0.0, spec.noise_std, shape), 0.0, out=frame)
-        rain_frames.append(make_grid(Variable.RAIN_RATE, "mm/h", t_s, frame))
-
-    # Wind per source (gust ring around the current centroid).
-    wind_stacks: dict[str, GridStack] = {}
-    for source, cadence in spec.wind_sources:
+    def render(variable: Variable, cadence: int, background: float, fold: Callable,
+               lo: float, hi: float, draw: Callable[[CellSpec, int, datetime], bool]) -> GridStack:
+        """One stack: ``draw(cell, t_s, time)`` paints a live cell into
+        ``field`` and says whether to fold it into the frame."""
         frames: list[GeoGrid] = []
         for t_s in spec.frame_seconds(cadence):
-            frame.fill(0.0)
-            for cell in active_cells(t_s):
-                if cell.wind_peak_mps <= 0:
-                    continue
-                clat, clon = cell.position(t_s)
-                # peak * exp(-(rho - RING_RHO)**2 / (2 * RING_SIGMA**2))
-                np.sqrt(_rho2(geom, cell, clat, clon, field), out=field)
-                np.square(np.subtract(field, RING_RHO, out=field), out=field)
-                np.divide(field, -(2.0 * RING_SIGMA**2), out=field)
-                np.multiply(np.exp(field, out=field), cell.wind_peak_mps, out=field)
-                np.maximum(frame, field, out=frame)
+            time = spec.start_time + timedelta(seconds=t_s)
+            frame.fill(background)
+            for cell in spec.cells:
+                live = cell.alive(t_s) and t_s < exit_s.get(cell.name, t_s + 1)
+                if live and draw(cell, t_s, time):
+                    fold(frame, field, out=frame)
             if spec.noise_std > 0:
-                np.clip(frame + rng.normal(0.0, spec.noise_std, shape), 0.0, 100.0, out=frame)
-            frames.append(make_grid(Variable.WIND_SPEED, "m/s", t_s, frame))
-        wind_stacks[source] = GridStack(frames)
+                np.clip(frame + rng.normal(0.0, spec.noise_std, shape), lo, hi, out=frame)
+            frames.append(GeoGrid(variable=variable, units=DEFAULT_UNITS[variable], time=time,
+                                  geometry=geom, values=frame))
+        return GridStack(frames)
+
+    def bt(cell: CellSpec, t_s: int, time: datetime) -> bool:
+        clat, clon = cell.position(t_s)
+        if not extent.contains(clat, clon):
+            exit_s[cell.name] = t_s
+            notices.append(f"cell {cell.name} left the grid at {format_time(time)}; truncated")
+            return False
+        np.multiply(_gaussian(geom, cell, clat, clon, field),
+                    spec.background_bt_K - cell.min_bt_K, out=field)
+        np.subtract(spec.background_bt_K, field, out=field)
+        centroids.append(CentroidSample(time, cell.name, clat, clon, cell.speed_mps,
+                                        cell.bearing_deg))
+        bbox = _detected_bbox(geom, field, DEFAULT_T_DEEP_K)
+        if bbox is not None:
+            for region in spec.regions:
+                if region.name not in intersections and bbox.intersects(region):
+                    intersections[region.name] = time
+        return True
+
+    def rain(cell: CellSpec, t_s: int, time: datetime) -> bool:
+        # Lagged behind the cell track.
+        if cell.rain_peak_mmh <= 0:
+            return False
+        clat, clon = cell.position(max(cell.birth_s, t_s - spec.rain_lag_s))
+        np.multiply(_gaussian(geom, cell, clat, clon, field), cell.rain_peak_mmh, out=field)
+        return True
+
+    def wind(cell: CellSpec, t_s: int, time: datetime) -> bool:
+        # peak * exp(-(rho - RING_RHO)**2 / (2 * RING_SIGMA**2)): a gust
+        # ring around the current centroid.
+        if cell.wind_peak_mps <= 0:
+            return False
+        np.sqrt(_rho2(geom, cell, *cell.position(t_s), field), out=field)
+        np.square(np.subtract(field, RING_RHO, out=field), out=field)
+        np.divide(field, -(2.0 * RING_SIGMA**2), out=field)
+        np.multiply(np.exp(field, out=field), cell.wind_peak_mps, out=field)
+        return True
+
+    bt_stack = render(Variable.BT, spec.bt_cadence_s, spec.background_bt_K, np.minimum,
+                      100.0, 400.0, bt)
+    rain_stack = render(Variable.RAIN_RATE, spec.rain_cadence_s, 0.0, np.maximum,
+                        0.0, np.inf, rain)
+    wind_stacks = {source: render(Variable.WIND_SPEED, cadence, 0.0, np.maximum, 0.0, 100.0, wind)
+                   for source, cadence in spec.wind_sources}
 
     # Radar backscatter consistent with the first wind source.
-    nrcs_stack: GridStack | None = None
+    nrcs = None
     if spec.wind_sources:
-        first = spec.wind_sources[0][0]
-        nrcs_frames = [
-            f.with_values(SYNTH1.sigma0(f.values, 35.0, 0.0), variable=Variable.NRCS)
-            for f in wind_stacks[first]
-        ]
-        nrcs_stack = GridStack(nrcs_frames)
-
-    truth = TruthRecord(
-        centroids=tuple(centroids),
-        intersections=intersections,
-        flooded=frozenset(spec.flooded_regions),
-        notices=tuple(notices),
-    )
-    return ScenarioData(
-        bt=GridStack(bt_frames),
-        rain=GridStack(rain_frames),
-        wind=wind_stacks,
-        nrcs=nrcs_stack,
-        truth=truth,
-    )
+        nrcs = GridStack([f.with_values(SYNTH1.sigma0(f.values, 35.0, 0.0), variable=Variable.NRCS)
+                          for f in wind_stacks[spec.wind_sources[0][0]]])
+    truth = TruthRecord(tuple(centroids), intersections, frozenset(spec.flooded_regions),
+                        tuple(notices))
+    return ScenarioData(bt_stack, rain_stack, wind_stacks, nrcs, truth)
 
 
 def _central_half(s: slice) -> slice:

@@ -424,6 +424,23 @@ class TestExitCodes:
                                            f"got ['noise_std']\n")
         assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
 
+    @pytest.mark.parametrize("sources, name", [("lr:1800, nrcs:1800", "nrcs"),
+                                               ("lr:1800, :1800", ""), ("lr:1800, a/b:1800", "a/b")])
+    def test_wind_source_fuse_cannot_read_back_is_1_and_writes_nothing(self, tmp_path, capsys,
+                                                                       sources, name):
+        """``nrcs`` clashed with nrcs.gsf and an empty name wrote wind_.gsf,
+        both of which fuse rejects; ``a/b`` failed only after bt.gsf, rain.gsf
+        and wind_lr.gsf were written."""
+        spec = tmp_path / "s.ini"
+        spec.write_text(QUIET_SPEC.replace("duration_s = 3600\n",
+                                           f"duration_s = 3600\nwind_sources = {sources}\n"),
+                        encoding="utf-8")
+        code = cli.main(["synth", "--spec", str(spec), str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"cswarn synth: {spec}: [scenario] bad wind source "
+                                           f"name {name!r}: empty, 'nrcs' or a path\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
+
     def test_empty_default_section_is_read(self, tmp_path):
         ok = tmp_path / "engine.ini"
         ok.write_text("[DEFAULT]\n[detection]\nt_deep = 210\n", encoding="utf-8")
@@ -940,6 +957,20 @@ class TestFloodmapCommand:
         expected = np.zeros((16, 16))
         expected[5:9, 5:9] = 1.0
         assert np.array_equal(stack[0].values, expected)
+
+    @pytest.mark.parametrize("flood, ref", [(1e300, 1e-10), (1e-300, 1e30), (5e-324, 1.7e308)])
+    def test_pair_past_the_double_range_is_0(self, tmp_path, flood, ref):
+        """Valid NRCS grids whose quotient overflows or underflows used to
+        exit 1 ("grid values must be finite") or map an infinite drop."""
+        t0 = parse_time("2020-10-05T00:00:00Z")
+        paths = []
+        for name, value, time in (("flood", flood, t0 + timedelta(days=1)), ("ref", ref, t0)):
+            grid = make_grid(np.full((16, 16), value), Variable.NRCS, geometry=GEOM_16, time=time)
+            paths.append(tmp_path / f"{name}.gsf")
+            write_gsf(GridStack([grid]), paths[-1])
+        out = tmp_path / "mask.gsf"
+        assert cli.main(["floodmap", *map(str, paths), "-o", str(out)]) == 0
+        assert np.all(read_gsf(out)[0].values == (1.0 if flood < ref else 0.0))
 
     def test_multi_frame_input_is_1(self, tmp_path, capsys):
         flood_path, ref_path = self.write_pair(tmp_path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from datetime import timedelta
 
 import numpy as np
@@ -87,6 +88,31 @@ class TestLogRatio:
         forward = log_ratio_db(a, b).values
         backward = log_ratio_db(b, a).values
         assert np.allclose(forward, -backward, atol=1e-9, rtol=0.0)
+
+    @pytest.mark.parametrize("a, b", [(1e300, 1e-10), (1e-300, 1e30), (5e-324, 1.7e308)])
+    def test_ratio_past_the_double_range_is_the_difference_of_logs(self, a, b):
+        """Each quotient, either way round, overflows to inf or underflows
+        to 0: it used to fail as a non-finite grid or give -inf."""
+        values = np.full((2, 2), 0.05)
+        for flood, ref in ((a, b), (b, a)):
+            flood_values = values.copy()
+            flood_values[0, :] = flood
+            ref_values = values.copy()
+            ref_values[0, :] = ref
+            out = log_ratio_db(nrcs_grid(flood_values), nrcs_grid(ref_values)).values
+            expected = 10.0 * (math.log10(flood) - math.log10(ref))
+            assert out[0, :] == pytest.approx(expected, rel=1e-14)
+            assert abs(expected) < 6320.0
+            assert np.all(out[1, :] == 0.0)
+
+    def test_normal_quotients_keep_the_quotient_route(self):
+        rng = np.random.default_rng(31)
+        flood_values = rng.uniform(0.001, 0.5, size=(4, 4))
+        ref_values = rng.uniform(0.001, 0.5, size=(4, 4))
+        flood_values[0, 0], ref_values[0, 0] = 1e300, 1e-10
+        out = log_ratio_db(nrcs_grid(flood_values), nrcs_grid(ref_values)).values
+        expected = 10.0 * np.log10(flood_values.ravel()[1:] / ref_values.ravel()[1:])
+        assert np.array_equal(out.ravel()[1:], expected)
 
 
 class TestFloodMask:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import math
 from datetime import timedelta
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from cswarn import scenario
 from cswarn.convection import detect
-from cswarn.geogrid import GridGeometry, KM_PER_DEG, RegionBox
+from cswarn.geogrid import GridGeometry, KM_PER_DEG, RegionBox, format_time
 from cswarn.scenario import (
     CellSpec,
     ScenarioSpec,
@@ -258,6 +259,27 @@ CROSSING = small_spec(
 )
 
 
+# Two cells that leave the grid at the same BT frame: their notices come
+# in spec order, which is not their names' order.
+SAME_FRAME_EXITS = small_spec(
+    cells=(CellSpec("z", 16.6, 105.4, 60.0, 270.0, wind_peak_mps=20.0, rain_peak_mmh=5.0),
+           CellSpec("a", 15.2, 105.42, 60.0, 270.0, radius_km=15.0, wind_peak_mps=30.0,
+                    rain_peak_mmh=2.0)),
+    regions=(RegionBox("W", 15.7, 16.3, 105.2, 105.6),), noise_std=0.5,
+)
+
+# A cell whose centroid is off the grid at 00:10 but which leaves at the
+# 00:15 BT frame, a time that is no rain or wind time: exits are found on
+# the BT cadence only, so the 00:10 rain and wind frames still hold it.
+EXIT_BETWEEN_PRODUCTS = small_spec(
+    cells=(CellSpec("east", 15.9, 106.9, 30.0, 90.0, radius_km=20.0, wind_peak_mps=25.0,
+                    rain_peak_mmh=6.0),
+           CellSpec("still", 15.6, 105.9, 0.0, 0.0, rain_peak_mmh=3.0)),
+    duration_s=5400, regions=(RegionBox("E", 15.7, 16.1, 106.6, 107.0),),
+    bt_cadence_s=900, rain_cadence_s=600, wind_sources=(("lr", 1800), ("hr", 600)), rain_lag_s=0,
+)
+
+
 class TestRenderingOracle:
     """generate renders each cell in place into one buffer; the oracle keeps
     the whole-array formulas that allocate per operation. Equal bit for bit."""
@@ -266,8 +288,20 @@ class TestRenderingOracle:
     @given(scenario_specs(), st.integers(0, 2**16))
     @example(CROSSING, 3)
     @example(dataclasses.replace(CROSSING, noise_std=0.0), 0)
+    @example(SAME_FRAME_EXITS, 1)
+    @example(EXIT_BETWEEN_PRODUCTS, 0)
     def test_generate_equals_the_reference(self, spec, seed):
         assert_same_render(generate(spec, seed=seed), render_reference(spec, seed))
+
+    def test_exit_examples_leave_where_they_should(self):
+        assert generate(SAME_FRAME_EXITS).truth.notices == (
+            "cell z left the grid at 2020-10-05T00:20:00Z; truncated",
+            "cell a left the grid at 2020-10-05T00:20:00Z; truncated")
+        data = generate(EXIT_BETWEEN_PRODUCTS)
+        assert data.truth.notices == ("cell east left the grid at 2020-10-05T00:15:00Z; truncated",)
+        assert EXIT_BETWEEN_PRODUCTS.cells[0].position(600)[1] > GEOM.lon_max + GEOM.dlon / 2
+        assert data.rain.frames[1].values.max() > 3.0
+        assert data.wind["hr"].frames[1].values.max() > 0.0
 
     def test_at_the_scaled_grid_size(self):
         geom = GridGeometry(lat_min=14.0, lon_min=103.0, dlat=0.05 / 3.0, dlon=0.05 / 3.0,
@@ -506,7 +540,30 @@ class TestTruthFloodGrid:
         assert np.all(grid.values == 0.0)
 
 
+def render_digest(data) -> str:
+    """SHA-256 of every stack's name, frame times, units and value bytes,
+    in stack order, and of the truth record's repr with ``flooded`` sorted
+    (a frozenset's repr order depends on the string hash seed)."""
+    h = hashlib.sha256()
+    stacks = {"bt": data.bt, "rain": data.rain, **{f"wind_{k}": v for k, v in data.wind.items()},
+              "nrcs": data.nrcs}
+    for name, stack in stacks.items():
+        h.update(f"{name}\n".encode())
+        for frame in stack or ():
+            h.update(f"{format_time(frame.time)} {frame.units}\n".encode())
+            h.update(frame.values.tobytes())
+    h.update(repr(dataclasses.replace(data.truth, flooded=sorted(data.truth.flooded))).encode())
+    return h.hexdigest()
+
+
+# The replay's render, pinned bit for bit: every stack and the truth record.
+REPLAY_RENDER_SHA256 = "d1eb2af3cc51ec58028ec7874ec3a7821c160a3e126825ef380b49bd8532e6a2"
+
+
 class TestPaperReplaySpec:
+    def test_render_is_pinned(self):
+        assert render_digest(generate(paper_replay_spec())) == REPLAY_RENDER_SHA256
+
     def test_grid_and_timing(self):
         spec = paper_replay_spec()
         geom = spec.geometry
