@@ -318,8 +318,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
         spec = sc.paper_replay_spec()
     else:
         spec = sc.read_scenario(args.spec)
-    data = sc.generate(spec, seed=args.seed)
     out = Path(args.out_dir)
+    # Each output's directory exists or is one out.mkdir makes, so a bad
+    # path fails before any file is written.
+    made = {out.resolve(), *out.resolve().parents}
+    for path in filter(None, (args.regions_out, args.flood_truth_out)):
+        parent = Path(path).parent
+        if not parent.is_dir() and parent.resolve() not in made:
+            raise FileNotFoundError(f"{path}: directory {parent} does not exist")
+    data = sc.generate(spec, seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
     write_gsf(data.bt, out / "bt.gsf")
     write_gsf(data.rain, out / "rain.gsf")

@@ -587,6 +587,30 @@ class TestSynth:
                                            f"{name!r} cannot hold whitespace or '#'\n")
         assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
 
+    @pytest.mark.parametrize("flag,name", [("--regions-out", "regions.txt"),
+                                           ("--flood-truth-out", "t.gsf")])
+    def test_output_in_a_missing_directory_is_1_and_writes_nothing(self, tmp_path, capsys,
+                                                                    flag, name):
+        """Every stack used to be written first; the write into the missing
+        directory then failed, naming its temp file."""
+        spec = tmp_path / "s.ini"
+        spec.write_text(QUIET_SPEC, encoding="utf-8")
+        target = tmp_path / "nodir" / name
+        code = cli.main(["synth", "--spec", str(spec), str(tmp_path / "out"), flag, str(target)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"cswarn synth: {target}: directory "
+                                           f"{target.parent} does not exist\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
+
+    def test_outputs_in_the_directory_synth_makes_are_written(self, tmp_path):
+        spec = tmp_path / "s.ini"
+        spec.write_text(QUIET_SPEC, encoding="utf-8")
+        out = tmp_path / "a" / "out"
+        assert cli.main(["synth", "--spec", str(spec), str(out), "--regions-out",
+                         str(out / "regions.txt"), "--flood-truth-out",
+                         str(tmp_path / "a" / "t.gsf")]) == 0
+        assert (out / "regions.txt").is_file() and (tmp_path / "a" / "t.gsf").is_file()
+
     def test_exit_notice_printed(self, tmp_path, capsys):
         spec = tmp_path / "s.ini"
         spec.write_text(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ RUN_ORDER_MASKS = {
         "#.#.#.#.",
     ],
 }
+
+
+def squall_frame():
+    """A 300x330 BT frame with three noisy squalls, as in the scaled batch."""
+    step = 0.05 / 3.0
+    geom = GridGeometry(lat_min=14.0, lon_min=103.0, dlat=step, dlon=step, nrows=300, ncols=330)
+    cells = tuple(
+        CellSpec(f"squall{b}", 14.0 + 1.65 * (b + 0.5), 108.0 - 0.3 * b, speed_mps=8.0,
+                 bearing_deg=270.0, radius_km=40.0, radius_ns_km=45.0)
+        for b in range(3)
+    )
+    spec = ScenarioSpec(geometry=geom, start_time=T0, duration_s=600, cells=cells,
+                        noise_std=4.0)
+    return generate(spec, seed=3).bt[-1]
 
 
 def mask_from_art(rows):
@@ -212,17 +227,7 @@ class TestLabelArray:
         assert_labels_match_union_find(mask_from_art(RUN_ORDER_MASKS[name]))
 
     def test_full_size_scenario_frame_matches_union_find(self):
-        step = 0.05 / 3.0
-        geom = GridGeometry(lat_min=14.0, lon_min=103.0, dlat=step, dlon=step, nrows=300, ncols=330)
-        cells = tuple(
-            CellSpec(f"squall{b}", 14.0 + 1.65 * (b + 0.5), 108.0 - 0.3 * b, speed_mps=8.0,
-                     bearing_deg=270.0, radius_km=40.0, radius_ns_km=45.0)
-            for b in range(3)
-        )
-        spec = ScenarioSpec(geometry=geom, start_time=T0, duration_s=600, cells=cells,
-                            noise_std=4.0)
-        frame = generate(spec, seed=3).bt[-1]
-        mask = convective_mask(frame).values == 1.0
+        mask = convective_mask(squall_frame()).values == 1.0
         count = assert_labels_match_union_find(mask)
         assert count > 3   # noise splits specks off the three squalls
 
@@ -428,3 +433,44 @@ class TestDetect:
         objects = detect(bt)
         assert len(objects) == 2
         assert all(o.time == bt.time for o in objects)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.one_of(st.tuples(st.just(1), st.integers(1, 16)),
+                           st.tuples(st.integers(1, 16), st.just(1)),
+                           st.tuples(st.integers(2, 9), st.integers(2, 12))),
+           nodata=st.sampled_from([-9999.0, 0.0, 1.0, 150.0, 999.0]),
+           fill=st.sampled_from(["mixed", "all_nodata", "all_convective"]),
+           t_deep=st.sampled_from([200.0, 220.0, 235.5]),
+           min_area_px=st.integers(1, 5), data=st.data())
+    def test_equals_the_stepwise_route(self, shape, nodata, fill, t_deep, min_area_px, data):
+        # The one pass against mask grid, labeling and summary one at a
+        # time. 150 K is a sentinel inside the BT range, below t_deep.
+        cold = st.sampled_from([t_deep, t_deep - 0.5, 185.25]) | st.floats(100.0, t_deep)
+        cells = {"mixed": cold | st.sampled_from([nodata, t_deep + 1e-9, 280.0]),
+                 "all_nodata": st.just(nodata), "all_convective": cold}[fill]
+        size = shape[0] * shape[1]
+        values = np.array(data.draw(st.lists(cells, min_size=size, max_size=size))).reshape(shape)
+        bt = make_grid(values, nodata=nodata)
+        got = detect(bt, t_deep, min_area_px)
+        want = summarize(bt, label_components(convective_mask(bt, t_deep), min_area_px))
+        assert repr(got) == repr(want)
+        for g, w in zip(got, want, strict=True):
+            for a, b in ((g.rows, w.rows), (g.cols, w.cols)):
+                assert a.tolist() == b.tolist()
+                assert not a.flags.writeable and not b.flags.writeable
+        if fill == "all_nodata":
+            assert got == []
+        elif fill == "all_convective" and (values != nodata).all() and min_area_px <= size:
+            assert [o.pixel_count for o in got] == [size]
+
+    def test_peak_memory_is_below_one_float_frame(self):
+        # No float mask grid and no label grid: a 300x330 frame's float64
+        # values take 792,000 bytes.
+        frame = squall_frame()
+        tracemalloc.start()
+        try:
+            detect(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < frame.values.nbytes == 792_000, peak

@@ -204,23 +204,17 @@ class TestParametersArePartOfTheKey:
 
 
 def count_labelings(monkeypatch) -> Counter:
-    """Counts ``convection.label_components`` calls per (BT frame, t_deep,
+    """Counts ``convection._detect`` calls, the one labeling ``detect``
+    makes for a frame it has no objects of, per (BT frame, t_deep,
     min_area_px), wherever they come from."""
-    labeled, masks = Counter(), {}
-    real_mask, real_label = convection.convective_mask, convection.label_components
+    labeled = Counter()
+    real = convection._detect
 
-    def mask(bt, t_deep):
-        out = real_mask(bt, t_deep)
-        masks[id(out)] = (out, id(bt), t_deep)  # holds ``out``, so its id stays unique
-        return out
+    def label(bt, t_deep, min_area_px):
+        labeled[id(bt), t_deep, min_area_px] += 1
+        return real(bt, t_deep, min_area_px)
 
-    def label(mask, min_area_px):
-        _, frame, t_deep = masks[id(mask)]
-        labeled[frame, t_deep, min_area_px] += 1
-        return real_label(mask, min_area_px)
-
-    monkeypatch.setattr(convection, "convective_mask", mask)
-    monkeypatch.setattr(convection, "label_components", label)
+    monkeypatch.setattr(convection, "_detect", label)
     return labeled
 
 
