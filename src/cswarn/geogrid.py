@@ -201,24 +201,44 @@ class RegionBox:
 
 # Every value a derived grid of these variables can hold.
 _HELD = {Variable.FLOOD_MASK: (0.0, 1.0), Variable.WIND_CAT: (0.0, 1.0, 2.0, 3.0)}
+# The highest value a WIND_SPEED grid may hold, m/s.
+WIND_SPEED_MAX_MPS = 100.0
 
 
-def _check_bounds(variable: Variable, finite: np.ndarray) -> None:
-    """Reject finite (non-nodata) values outside the variable's physical range."""
-    if finite.size == 0:
-        return
-    lo, hi = finite.min(), finite.max()
+def _check_values(variable: Variable, vals: np.ndarray, nodata: float) -> None:
+    """Reject a non-finite value, and a data (non-nodata) value outside the
+    variable's physical range.
+
+    NaN propagates through min and max and an infinity is one of them, so
+    the min and the max of the data cells decide every check but the
+    held-value ones. A finite ``nodata`` below the min of the whole array
+    matches no cell, so a grid with the usual sentinel and no gap costs one
+    min and one max. Otherwise the data cells are found and, if any cell is
+    nodata, taken as a compressed copy; nodata cells hold a finite value.
+    """
+    lo = vals.min()
+    if nodata >= lo and math.isfinite(nodata):
+        is_data = vals != nodata
+        if not is_data.all():
+            vals = vals[is_data]
+            if vals.size == 0:
+                return
+            lo = vals.min()
+    hi = vals.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("grid values must be finite (use the nodata sentinel for gaps)")
     if variable is Variable.BT and (lo < 100.0 or hi > 400.0):
         raise ValueError(f"BT values outside [100, 400] K (min={lo}, max={hi})")
     if variable in (Variable.RAIN_RATE, Variable.RAIN_ACCUM) and lo < 0.0:
         raise ValueError(f"{variable.value} values must be >= 0 (min={lo})")
-    if variable is Variable.WIND_SPEED and (lo < 0.0 or hi > 100.0):
-        raise ValueError(f"WIND_SPEED values outside [0, 100] m/s (min={lo}, max={hi})")
+    if variable is Variable.WIND_SPEED and (lo < 0.0 or hi > WIND_SPEED_MAX_MPS):
+        raise ValueError(f"WIND_SPEED values outside [0, {WIND_SPEED_MAX_MPS:g}] m/s "
+                         f"(min={lo}, max={hi})")
     if variable is Variable.NRCS and lo <= 0.0:
         raise ValueError(f"NRCS values must be > 0 linear (min={lo})")
-    if variable is Variable.FLOOD_MASK and not np.isin(finite, _HELD[variable]).all():
+    if variable is Variable.FLOOD_MASK and not np.isin(vals, _HELD[variable]).all():
         raise ValueError("FLOOD_MASK values must be 0 or 1")
-    if variable is Variable.WIND_CAT and not np.isin(finite, _HELD[variable]).all():
+    if variable is Variable.WIND_CAT and not np.isin(vals, _HELD[variable]).all():
         raise ValueError("WIND_CAT values must be ranks 0..3")
 
 
@@ -230,9 +250,11 @@ class GeoGrid:
     geometry.ncols`` float64 array with row 0 = north. Cells equal to
     ``nodata`` are missing; every other value must be finite and inside
     the variable's physical bounds. The constructor checks all of this,
-    copies the array and freezes the copy. Only the derived grids that are
-    correct by construction (threshold masks and category ranks) skip the
-    checks, through :meth:`_with_values_unchecked`.
+    copies the array and freezes the copy. A copy whose every value lies
+    above a finite ``nodata`` is checked by one min and one max of it; only
+    otherwise are the nodata cells looked for and masked out. Only the
+    derived grids that are correct by construction (threshold masks and
+    category ranks) skip the checks, through :meth:`_with_values_unchecked`.
 
     Grids compare and hash by identity: ``==`` is ``is``.
     """
@@ -249,10 +271,7 @@ class GeoGrid:
         shape = (self.geometry.nrows, self.geometry.ncols)
         if vals.shape != shape:
             raise ValueError(f"values shape {vals.shape} != {shape}")
-        if not np.isfinite(vals).all():
-            raise ValueError("grid values must be finite (use the nodata sentinel for gaps)")
-        data = vals != self.nodata  # an all-data grid is checked without a copy
-        _check_bounds(self.variable, vals if data.all() else vals[data])
+        _check_values(self.variable, vals, self.nodata)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "time", parse_time(format_time(self.time)))

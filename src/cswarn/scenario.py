@@ -27,6 +27,7 @@ import csv
 import io
 import math
 import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import partial
@@ -37,6 +38,7 @@ import numpy as np
 from .geogrid import (
     DEFAULT_UNITS,
     KM_PER_DEG,
+    WIND_SPEED_MAX_MPS,
     GeoGrid,
     GridGeometry,
     GridStack,
@@ -57,6 +59,11 @@ from .wind import SYNTH1
 
 RING_RHO = 0.55     # gust ring center, in units of the cloud radius
 RING_SIGMA = 0.12   # gust ring width, same units
+# exp(x) rounds to +0.0 in IEEE double for every x below the log of half the
+# smallest subnormal, ln(2**-1075) = -745.13..., and numpy's exp is slow
+# there. The gust ring takes exp only at or above this whole number and
+# writes +0.0 below it, which changes no byte.
+EXP_ZERO_BELOW = math.floor((sys.float_info.min_exp - sys.float_info.mant_dig - 1) * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,9 @@ class CellSpec:
             raise ValueError(f"cell {self.name}: min BT must be >= 180 K")
         if self.wind_peak_mps < 0 or self.rain_peak_mmh < 0:
             raise ValueError(f"cell {self.name}: peaks must be >= 0")
+        if self.wind_peak_mps > WIND_SPEED_MAX_MPS:
+            raise ValueError(f"cell {self.name}: wind peak must be <= "
+                             f"{WIND_SPEED_MAX_MPS:g} m/s")
         if self.radius_km <= 0 or (self.radius_ns_km is not None and self.radius_ns_km <= 0):
             raise ValueError(f"cell {self.name}: radii must be > 0")
         if not 0.0 <= self.bearing_deg < 360.0:
@@ -249,7 +259,10 @@ def generate(spec: ScenarioSpec, seed: int = 0) -> ScenarioData:
     add noise and clip, and copy the frame into a grid, so a frame costs no
     grid-sized temporaries beyond its own values and its noise. BT is drawn
     first: a cell whose centroid is off the grid at a BT time is truncated
-    from that time on in every product.
+    from that time on in every product. The gust ring, whose exponent falls
+    far below -745 on most of a large grid, takes ``exp`` only where the
+    exponent is at least ``EXP_ZERO_BELOW`` and writes the ``+0.0`` that
+    ``exp`` would round to everywhere else.
     """
     rng = np.random.default_rng(seed)
     geom = spec.geometry
@@ -315,14 +328,18 @@ def generate(spec: ScenarioSpec, seed: int = 0) -> ScenarioData:
         np.sqrt(_rho2(geom, cell, *cell.position(t_s), field), out=field)
         np.square(np.subtract(field, RING_RHO, out=field), out=field)
         np.divide(field, -(2.0 * RING_SIGMA**2), out=field)
-        np.multiply(np.exp(field, out=field), cell.wind_peak_mps, out=field)
+        keep = field >= EXP_ZERO_BELOW
+        np.exp(field, out=field, where=keep)
+        np.copyto(field, 0.0, where=~keep)
+        np.multiply(field, cell.wind_peak_mps, out=field)
         return True
 
     bt_stack = render(Variable.BT, spec.bt_cadence_s, spec.background_bt_K, np.minimum,
                       100.0, 400.0, bt)
     rain_stack = render(Variable.RAIN_RATE, spec.rain_cadence_s, 0.0, np.maximum,
                         0.0, np.inf, rain)
-    wind_stacks = {source: render(Variable.WIND_SPEED, cadence, 0.0, np.maximum, 0.0, 100.0, wind)
+    wind_stacks = {source: render(Variable.WIND_SPEED, cadence, 0.0, np.maximum, 0.0,
+                                  WIND_SPEED_MAX_MPS, wind)
                    for source, cadence in spec.wind_sources}
 
     # Radar backscatter consistent with the first wind source.

@@ -6,8 +6,10 @@ exhaustive scans vs index arithmetic, enumeration vs greedy, per-token
 ``float`` vs numpy's C text reader, per-cell and per-frame loops vs
 per-frame tables over window layouts, one string built cell by cell vs
 frames formatted in worker processes, out-of-place array formulas vs
-fields rendered in place into one buffer, a compressed copy of the data
-cells vs the whole array when no cell is nodata) so agreement is meaningful.
+fields rendered in place into one buffer, an ``isfinite`` pass and a
+compressed copy of the data cells vs one min and one max of the whole
+array when no cell can be nodata, ``exp`` of every cell vs ``exp`` only
+where it does not underflow) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -264,6 +266,15 @@ def check_bounds_reference(variable: Variable, finite: np.ndarray) -> None:
         (finite == 0.0) | (finite == 1.0) | (finite == 2.0) | (finite == 3.0)
     ).all():
         raise ValueError("WIND_CAT values must be ranks 0..3")
+
+
+def grid_check_reference(variable: Variable, values: np.ndarray, nodata: float) -> None:
+    """Every check the GeoGrid constructor makes on its values, as separate
+    passes: ``isfinite`` over every cell, then the physical-range check on
+    a compressed copy of the cells that are not ``nodata``."""
+    if not np.isfinite(values).all():
+        raise ValueError("grid values must be finite (use the nodata sentinel for gaps)")
+    check_bounds_reference(variable, values[values != nodata])
 
 
 def _reference_rho2(geometry, cell, clat, clon) -> np.ndarray:

@@ -363,6 +363,28 @@ class TestExitCodes:
                                            f"{value!r} is not a finite number\n")
         assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
 
+    @pytest.mark.parametrize("noise_std", ["0", "0.5"])
+    def test_wind_peak_above_the_wind_speed_bound_is_1_and_writes_nothing(self, tmp_path, capsys,
+                                                                          noise_std):
+        """With no noise the first rendered wind grid used to fail with a
+        message that named no file, section or key (``WIND_SPEED values
+        outside [0, 100] m/s``); with noise the clip capped the peak at
+        100 m/s and synth exited 0."""
+        sections = {**FULL_SPEC, "scenario": {**FULL_SPEC["scenario"], "noise_std": noise_std}}
+        spec = tmp_path / "s.ini"
+        spec.write_text(spec_text(sections, "cell s", "wind_peak", "150"), encoding="utf-8")
+        code = cli.main(["synth", "--spec", str(spec), str(tmp_path / "out"),
+                         "--regions-out", str(tmp_path / "regions.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"cswarn synth: {spec}: [cell s] cell s: wind peak "
+                                           f"must be <= 100 m/s\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ini"]
+
+    def test_wind_peak_at_the_wind_speed_bound_renders(self, tmp_path):
+        spec = tmp_path / "s.ini"
+        spec.write_text(spec_text(FULL_SPEC, "cell s", "wind_peak", "100"), encoding="utf-8")
+        assert cli.main(["synth", "--spec", str(spec), str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("kind", ["gsf", "regions", "config", "spec", "warnings"])
     def test_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, pipeline, capsys,
                                                            kind):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 import io
 import re
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -159,12 +159,11 @@ class TestMalformedInputStillFails:
         assert stack[0].values.tolist() == [[0.0, 3.0], [-9999.0, 1.0]]
 
     def test_scenario_rejects_wind_above_its_bound(self):
-        geom = GridGeometry(lat_min=14.0, lon_min=103.0, dlat=0.1, dlon=0.1, nrows=20, ncols=24)
-        cell = sc.CellSpec("A", 15.0, 104.2, 8.0, 270.0, wind_peak_mps=150.0)
-        spec = sc.ScenarioSpec(geometry=geom, start_time=datetime(2020, 10, 5, tzinfo=timezone.utc),
-                               duration_s=3600, cells=(cell,))
-        with pytest.raises(ValueError, match=re.escape("WIND_SPEED values outside [0, 100] m/s (min=")):
-            sc.generate(spec)
+        """The cell spec is refused before anything renders; before, the
+        first rendered WIND_SPEED grid raised, or the noise clip capped it."""
+        with pytest.raises(ValueError, match=re.escape("cell A: wind peak must be <= 100 m/s")):
+            sc.CellSpec("A", 15.0, 104.2, 8.0, 270.0, wind_peak_mps=150.0)
+        assert sc.CellSpec("A", 15.0, 104.2, 8.0, 270.0, wind_peak_mps=100.0).wind_peak_mps == 100.0
 
 
 def unchecked_references() -> list[tuple[str, str, bool]]:

@@ -39,7 +39,8 @@ from cswarn.geogrid import (
 )
 
 from conftest import GEOM_4X4, T0, gsf_text, make_grid, make_stack
-from oracles import check_bounds_reference, gsf_payload_loop, region_cells, translated
+from oracles import (check_bounds_reference, grid_check_reference, gsf_payload_loop, region_cells,
+                     translated)
 
 
 class TestConstants:
@@ -273,6 +274,66 @@ class TestBoundsOracle:
     def test_the_sentinel_is_not_a_rank(self, variable):
         values = np.array([[0.0, 1.0, DEFAULT_NODATA] * 11])
         assert self.outcomes(variable, values, DEFAULT_NODATA) == (None, None)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def validation_grids(draw):
+    """(variable, values, nodata): cells from BOUND_VALUES and the
+    non-finite values, a sentinel that is one of the usual ones, is not
+    finite or lies inside the range of the finite cells, and sometimes
+    nothing but the sentinel."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    pool = draw(st.lists(st.sampled_from(BOUND_VALUES + NON_FINITE), min_size=1, max_size=4))
+    sentinels = st.sampled_from([DEFAULT_NODATA, 0.0, -0.0, 1.0]) | st.sampled_from(NON_FINITE)
+    finite = sorted(v for v in pool if math.isfinite(v))
+    if finite:
+        sentinels |= st.floats(finite[0], finite[-1])
+    nodata = draw(sentinels)
+    cells = draw(st.lists(st.sampled_from(pool + [nodata]), min_size=nrows * ncols,
+                          max_size=nrows * ncols))
+    if draw(st.integers(0, 5)) == 0:
+        cells = [nodata] * len(cells)
+    values = np.array(cells, dtype=np.float64).reshape(nrows, ncols)
+    return draw(st.sampled_from(list(Variable))), values, nodata
+
+
+class TestValidationOracle:
+    """The constructor accepts exactly the grids that its checks made as
+    separate passes accept (``isfinite`` over every cell, then the range
+    check on a compressed copy of the data cells), with the same message."""
+
+    @staticmethod
+    def outcomes(variable, values, nodata):
+        got = bounds_outcome(lambda: make_grid(values, variable=variable, nodata=nodata))
+        want = bounds_outcome(lambda: grid_check_reference(variable, values, nodata))
+        return got, want
+
+    @settings(max_examples=200, deadline=None)
+    @given(validation_grids())
+    def test_drawn_grids_match_the_oracle(self, case):
+        got, want = self.outcomes(*case)
+        assert got == want
+
+    @pytest.mark.parametrize("variable", list(Variable))
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_a_non_finite_cell_is_rejected_whatever_the_sentinel(self, variable, bad):
+        for nodata in (DEFAULT_NODATA, 0.0, -0.0, 1.0, 0.5, bad):
+            for fill in (1.0, nodata):
+                values = np.full((3, 37), fill)
+                values[1, 20] = bad
+                got, want = self.outcomes(variable, values, nodata)
+                assert got == want == ("grid values must be finite "
+                                       "(use the nodata sentinel for gaps)")
+
+    @pytest.mark.parametrize("variable", list(Variable))
+    def test_a_sentinel_inside_the_data_range_that_no_cell_holds(self, variable):
+        values = np.tile([0.0, 1.0, 3.0, 280.0, -1.0], (2, 8))
+        for nodata in (0.5, 2.0, 100.0, 279.0):
+            got, want = self.outcomes(variable, values, nodata)
+            assert got == want
 
 
 class TestRegionBox:

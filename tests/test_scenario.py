@@ -279,6 +279,31 @@ EXIT_BETWEEN_PRODUCTS = small_spec(
     bt_cadence_s=900, rain_cadence_s=600, wind_sources=(("lr", 1800), ("hr", 600)), rain_lag_s=0,
 )
 
+# One gust ring on a grid wide enough that its exponent runs from 0 past
+# the subnormal band of exp (-745.13 < x < -708.40) and on below
+# EXP_ZERO_BELOW, through cells that land in each band; noise off.
+RING_UNDERFLOW = small_spec(
+    cells=(storm(radius_km=25.0, radius_ns_km=27.0, wind_peak_mps=30.0),),
+    wind_sources=(("lr", 1800), ("hr", 600)),
+)
+
+# A 5 km cell on a grid of 0.2-degree cells 4.8 degrees across: its BT and
+# rain Gaussians underflow to zero over most of the grid; noise on.
+GAUSSIAN_UNDERFLOW = ScenarioSpec(
+    geometry=GridGeometry(lat_min=13.0, lon_min=104.0, dlat=0.2, dlon=0.2, nrows=24, ncols=24),
+    start_time=T0, duration_s=3600,
+    cells=(CellSpec("dot", 15.3, 106.3, 10.0, 45.0, radius_km=5.0, wind_peak_mps=20.0,
+                    rain_peak_mmh=30.0),),
+    regions=(RegionBox("R", 15.0, 15.6, 106.0, 106.6),), noise_std=0.5,
+)
+
+
+def birth_rho2(spec):
+    """The squared normalized distance of every grid cell from the first
+    cell at its birth position."""
+    cell, geom = spec.cells[0], spec.geometry
+    return scenario._rho2(geom, cell, cell.lat, cell.lon, np.empty((geom.nrows, geom.ncols)))
+
 
 class TestRenderingOracle:
     """generate renders each cell in place into one buffer; the oracle keeps
@@ -290,8 +315,29 @@ class TestRenderingOracle:
     @example(dataclasses.replace(CROSSING, noise_std=0.0), 0)
     @example(SAME_FRAME_EXITS, 1)
     @example(EXIT_BETWEEN_PRODUCTS, 0)
+    @example(RING_UNDERFLOW, 0)
+    @example(GAUSSIAN_UNDERFLOW, 4)
     def test_generate_equals_the_reference(self, spec, seed):
         assert_same_render(generate(spec, seed=seed), render_reference(spec, seed))
+
+    def test_underflow_examples_reach_their_bands(self):
+        rho = np.sqrt(birth_rho2(RING_UNDERFLOW))
+        exponent = -((rho - scenario.RING_RHO) ** 2) / (2.0 * scenario.RING_SIGMA**2)
+        ring = np.exp(exponent)
+        assert exponent.max() > -1.0
+        assert ((ring > 0.0) & (ring < np.finfo(np.float64).tiny)).any()
+        assert (exponent < scenario.EXP_ZERO_BELOW).any()
+        assert (np.exp(-birth_rho2(GAUSSIAN_UNDERFLOW) / 2.0) == 0.0).mean() > 0.5
+
+    @pytest.mark.parametrize("size", [4, 67])
+    def test_exp_is_plus_zero_below_the_ring_threshold(self, size):
+        """The ring writes +0.0 where its exponent is below EXP_ZERO_BELOW
+        instead of taking exp there; exp itself rounds those to +0.0."""
+        assert scenario.EXP_ZERO_BELOW == -746
+        for x in (-746.0, -800.0, -1e300, -np.inf):
+            out = np.exp(np.full(size, x))
+            assert out.tolist() == [0.0] * size and not np.signbit(out).any()
+        assert np.exp(np.full(size, scenario.EXP_ZERO_BELOW + 1.0)).min() > 0.0
 
     def test_exit_examples_leave_where_they_should(self):
         assert generate(SAME_FRAME_EXITS).truth.notices == (
